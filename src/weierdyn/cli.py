@@ -14,7 +14,6 @@ import math
 import os
 import re
 import sys
-import tempfile
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -39,7 +38,14 @@ from .hyperbolic import (
 )
 from .lattice import LatticeKind, ToleranceConfig, ZeroParameter, make_lattice
 from .misiurewicz import DiscTouchesU, covering_steps, density_scan, find_prepole_params
-from .scan import IoFailure, ScanGrid, render_dynamical_plane, render_parameter_plane, write_ppm
+from .scan import (
+    IoFailure,
+    ScanGrid,
+    render_dynamical_plane,
+    render_parameter_plane,
+    write_atomic,
+    write_ppm,
+)
 
 _UNSET = object()
 
@@ -318,21 +324,7 @@ def _format_complex(z: complex) -> str:
 
 
 def _write_text(path: str, text: str) -> None:
-    """Atomic text write: temp file in the target directory, then rename."""
-    directory = os.path.dirname(os.path.abspath(path))
-    tmp_path: Optional[str] = None
-    try:
-        fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".part")
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp_path, path)
-        tmp_path = None
-    finally:
-        if tmp_path is not None:
-            try:
-                os.unlink(tmp_path)
-            except OSError:
-                pass
+    write_atomic(path, text.encode("utf-8"))
 
 
 def _cmd_classify(values: dict[str, object]) -> int:

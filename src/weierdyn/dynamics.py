@@ -21,12 +21,16 @@ permits and reports them as EscapedSphericalBall rather than overflowing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Callable, Optional, Sequence, Union
+
+import numpy as np
 
 from .lattice import (
     Lattice,
     LatticeKind,
     ToleranceConfig,
+    ZeroParameter,
+    _wp_split,
     make_lattice,
     sph_deriv,
     sph_dist,
@@ -38,7 +42,9 @@ __all__ = [
     "BudgetExhausted",
     "PoleHit",
     "EscapedSphericalBall",
+    "Stopped",
     "OrbitTrace",
+    "OrbitBatch",
     "Cycle",
     "AttractingCycles",
     "AllCriticalPrepole",
@@ -49,8 +55,10 @@ __all__ = [
     "CYCLE_DETECTION_TOL",
     "escape_scale",
     "iterate",
+    "orbit_array",
     "find_cycle",
     "classify",
+    "classify_batch",
 ]
 
 DEFAULT_BUDGET = 2000
@@ -82,7 +90,15 @@ class EscapedSphericalBall:
     step: int
 
 
-Outcome = Union[BudgetExhausted, PoleHit, EscapedSphericalBall]
+@dataclass(frozen=True)
+class Stopped:
+    """The caller's stop(step, points[step]) returned True; the orbit ends
+    at points[step + 1]."""
+
+    step: int
+
+
+Outcome = Union[BudgetExhausted, PoleHit, EscapedSphericalBall, Stopped]
 
 
 @dataclass(frozen=True)
@@ -129,12 +145,21 @@ def escape_scale(lat: Lattice, cfg: ToleranceConfig) -> float:
     return 1.0 / (cfg.pole_eps * abs(lat.lam)) ** 2
 
 
-def iterate(lat: Lattice, z0: complex, max_iter: int, cfg: ToleranceConfig) -> OrbitTrace:
+def iterate(
+    lat: Lattice,
+    z0: complex,
+    max_iter: int,
+    cfg: ToleranceConfig,
+    stop: Optional[Callable[[int, complex], bool]] = None,
+) -> OrbitTrace:
     """Forward orbit of z0 under wp, at most max_iter applications.
 
     points[0] = z0; sph_derivs[k] is the spherical derivative factor of the
     step points[k] -> points[k+1].  Stops early at a pole hit or once a point
     exceeds the escape scale; those outcomes are encoded, never thrown.
+    stop(step, z), when given, is asked about z = points[step] once wp has
+    evaluated it without a pole hit; True ends the orbit with Stopped(step)
+    after recording that step, so a pole hit at a step outranks a stop there.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
@@ -153,8 +178,11 @@ def iterate(lat: Lattice, z0: complex, max_iter: int, cfg: ToleranceConfig) -> O
             outcome = PoleHit(step=step, m=hit.m, n=hit.n)
             break
         derivs.append(sph_deriv(dval, z, val))
+        points.append(val)
+        if stop is not None and stop(step, z):
+            outcome = Stopped(step=step)
+            break
         z = val
-        points.append(z)
     else:
         if abs(z) > esc:
             outcome = EscapedSphericalBall(step=len(points) - 1)
@@ -164,6 +192,148 @@ def iterate(lat: Lattice, z0: complex, max_iter: int, cfg: ToleranceConfig) -> O
         sph_derivs=tuple(derivs),
         outcome=outcome,
     )
+
+
+_EXHAUSTED, _POLE, _ESCAPED = 0, 1, 2
+
+
+@dataclass(frozen=True)
+class OrbitBatch:
+    """Outcomes of orbit_array, one entry per orbit, in input order.
+
+    status holds _EXHAUSTED, _POLE or _ESCAPED; step, m and n are the fields
+    of the matching iterate outcome (m, n only for pole hits).  size is the
+    length iterate's points would have; ring holds the last ring.shape[1] of
+    them, point k of the orbit in column k % ring.shape[1].
+    """
+
+    starts: np.ndarray
+    status: np.ndarray
+    step: np.ndarray
+    m: np.ndarray
+    n: np.ndarray
+    size: np.ndarray
+    ring: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.status)
+
+    def outcome(self, i: int) -> Outcome:
+        code = self.status[i]
+        if code == _POLE:
+            return PoleHit(step=int(self.step[i]), m=int(self.m[i]), n=int(self.n[i]))
+        if code == _ESCAPED:
+            return EscapedSphericalBall(step=int(self.step[i]))
+        return BudgetExhausted()
+
+    def trace(self, i: int) -> OrbitTrace:
+        """The OrbitTrace iterate gives for orbit i, except that points holds
+        only its kept tail and sph_derivs is empty."""
+        size = int(self.size[i])
+        width = self.ring.shape[1]
+        row = self.ring[i].tolist()
+        cut = size % width if 0 < width < size else 0
+        points = row[cut:size] + row[:cut]
+        return OrbitTrace(
+            start=complex(self.starts[i]),
+            points=tuple(points),
+            sph_derivs=(),
+            outcome=self.outcome(i),
+        )
+
+
+def orbit_array(
+    lats: Sequence[Lattice],
+    starts: Sequence[complex],
+    max_iter: int,
+    cfg: ToleranceConfig,
+    *,
+    escape: bool = True,
+    tail: int = 0,
+) -> OrbitBatch:
+    """Orbit i is the iterate orbit of starts[i] on lats[i]; all advance in
+    lockstep, up to max_iter steps, dropping out of the batch as they hit a
+    pole or (with escape) pass the escape scale.  escape=False drops the
+    escape test, as a bare loop over wp does.  The last `tail` points of
+    each orbit are kept in a ring buffer.
+
+    Element by element the result has the same bits as scalar iterate, for
+    any batch: each element's arithmetic depends on nothing else in it.
+    That holds only because the evaluation follows CPython's arithmetic
+    rule: real and imaginary parts are separate float64 arrays, combined by
+    the formulas CPython's complex type uses, namely the product
+    (ac - bd, ad + bc), Smith's quotient dividing by denom, and hypot for
+    abs.  numpy's complex ufuncs must not be used there: their products,
+    quotients and moduli round differently from CPython's in a large share
+    of cases (numpy multiplies by 1/denom, for one), and a single differing
+    bit moves an orbit off the scalar reference.
+    """
+    if max_iter < 0:
+        raise ValueError("max_iter must be non-negative")
+    count = len(lats)
+    kinds = {lat.kind for lat in lats}
+    terms = {lat.n_terms for lat in lats}
+    if len(kinds) > 1 or len(terms) > 1:
+        raise ValueError("orbit_array needs lattices of one kind and one truncation")
+    z0 = np.array(starts, dtype=complex).reshape(count)
+    status = np.zeros(count, dtype=np.int64)  # _EXHAUSTED
+    step = np.zeros(count, dtype=np.int64)
+    m = np.zeros(count, dtype=np.int64)
+    n = np.zeros(count, dtype=np.int64)
+    size = np.full(count, max_iter + 1, dtype=np.int64)
+    ring = np.zeros((count, tail), dtype=complex)
+    if count == 0:
+        return OrbitBatch(z0, status, step, m, n, size, ring)
+
+    kind = kinds.pop()
+    n_terms = terms.pop()
+    lam = np.array([lat.lam for lat in lats], dtype=complex)
+    lam2 = np.array([lat.lam * lat.lam for lat in lats], dtype=complex)
+    if tail:
+        ring[:, 0] = z0
+    # the orbits still running: batch index, current point, per-orbit constants
+    live = {
+        "idx": np.arange(count),
+        "re": z0.real.copy(),
+        "im": z0.imag.copy(),
+        "lam": np.array([lam.real, lam.imag]),
+        "lam2": np.array([lam2.real, lam2.imag]),
+        "esc": np.array([escape_scale(lat, cfg) for lat in lats]),
+    }
+
+    def retire(mask: np.ndarray, code: int, at: int, hit_m=None, hit_n=None) -> None:
+        nonlocal live
+        idx = live["idx"][mask]
+        if not idx.size:
+            return
+        status[idx] = code
+        step[idx] = at
+        size[idx] = at + 1
+        if hit_m is not None:
+            m[idx] = hit_m[mask]
+            n[idx] = hit_n[mask]
+        live = {key: arr[..., ~mask] for key, arr in live.items()}
+
+    def check_escape(at: int) -> None:
+        retire(np.hypot(live["re"], live["im"]) > live["esc"], _ESCAPED, at)
+
+    for s in range(max_iter):
+        if escape:
+            check_escape(s)
+        if live["idx"].size == 0:
+            break
+        live["re"], live["im"], pole, hit_m, hit_n = _wp_split(
+            live["re"], live["im"], live["lam"], live["lam2"], kind, n_terms, cfg.pole_eps
+        )
+        retire(pole, _POLE, s, hit_m, hit_n)
+        if tail:
+            col = (s + 1) % tail
+            ring.real[live["idx"], col] = live["re"]
+            ring.imag[live["idx"], col] = live["im"]
+    else:
+        if escape:
+            check_escape(max_iter)
+    return OrbitBatch(z0, status, step, m, n, size, ring)
 
 
 def _orbit_step(w: complex, p: int, lat: Lattice, cfg: ToleranceConfig) -> tuple[complex, complex]:
@@ -248,25 +418,22 @@ def _min_sph_dist(a: list[complex], b: list[complex]) -> float:
     return min(sph_dist(x, y) for x in a for y in b)
 
 
-def classify(kind: LatticeKind, lam: complex, budget: int, cfg: ToleranceConfig) -> Verdict:
-    """Classify a parameter by the fate of its critical orbits.
-
-    All critical orbits converging to attracting cycles gives
-    AttractingCycles with the count of distinct cycles (1 or 3 in the
-    triangular family, always 1 in the square family, where only e1 needs
-    iterating).  All critical orbits landing on poles gives
-    AllCriticalPrepole with the hit steps; the square family reports
-    (s, s, 0) since e2 = -e1 shares the orbit and e3 = 0 is the pole itself.
-    Everything else, including parabolic and rotation-domain behavior and
-    exhausted budgets, is Indeterminate.
-    """
-    lat = make_lattice(kind, lam, cfg)
+def _critical_starts(kind: LatticeKind, lat: Lattice) -> list[complex]:
+    # square: e2 = -e1 shares e1's orbit and e3 = 0 is a pole
     if kind is LatticeKind.TRIANGULAR:
-        crit = list(lat.crit_values)
-    else:
-        crit = [lat.crit_values[0]]
-    traces = [iterate(lat, e, budget, cfg) for e in crit]
+        return list(lat.crit_values)
+    return [lat.crit_values[0]]
 
+
+def _verdict(
+    kind: LatticeKind,
+    lat: Lattice,
+    traces: Sequence[OrbitTrace],
+    budget: int,
+    cfg: ToleranceConfig,
+) -> Verdict:
+    """The verdict on the critical orbit traces of one parameter; each trace
+    needs only its last DEFAULT_MAX_PERIOD + 1 points."""
     if all(isinstance(t.outcome, PoleHit) for t in traces):
         if kind is LatticeKind.TRIANGULAR:
             steps = tuple(t.outcome.step for t in traces)
@@ -298,3 +465,51 @@ def classify(kind: LatticeKind, lam: complex, budget: int, cfg: ToleranceConfig)
     if kind is LatticeKind.TRIANGULAR and count not in (1, 3):
         return Indeterminate(iterations_used=budget)
     return AttractingCycles(count=count, cycle=cycles[0])
+
+
+def classify(kind: LatticeKind, lam: complex, budget: int, cfg: ToleranceConfig) -> Verdict:
+    """Classify a parameter by the fate of its critical orbits.
+
+    All critical orbits converging to attracting cycles gives
+    AttractingCycles with the count of distinct cycles (1 or 3 in the
+    triangular family, always 1 in the square family, where only e1 needs
+    iterating).  All critical orbits landing on poles gives
+    AllCriticalPrepole with the hit steps; the square family reports
+    (s, s, 0) since e2 = -e1 shares the orbit and e3 = 0 is the pole itself.
+    Everything else, including parabolic and rotation-domain behavior and
+    exhausted budgets, is Indeterminate.
+    """
+    lat = make_lattice(kind, lam, cfg)
+    traces = [iterate(lat, e, budget, cfg) for e in _critical_starts(kind, lat)]
+    return _verdict(kind, lat, traces, budget, cfg)
+
+
+def classify_batch(
+    kind: LatticeKind, lams: Sequence[complex], budget: int, cfg: ToleranceConfig
+) -> list[Optional[Verdict]]:
+    """classify for many parameters, their critical orbits run in lockstep
+    by orbit_array; entry i equals classify(kind, lams[i], budget, cfg).
+
+    A parameter that classify refuses with ZeroParameter gets None.
+    """
+    if budget < 1:
+        raise ValueError("max_iter must be at least 1")
+    lats: list[Optional[Lattice]] = []
+    for lam in lams:
+        try:
+            lats.append(make_lattice(kind, lam, cfg))
+        except ZeroParameter:
+            lats.append(None)
+    orbit_lats: list[Lattice] = []
+    starts: list[complex] = []
+    spans: list[range] = []
+    for lat in lats:
+        crit = [] if lat is None else _critical_starts(kind, lat)
+        spans.append(range(len(starts), len(starts) + len(crit)))
+        orbit_lats.extend([lat] * len(crit))
+        starts.extend(crit)
+    batch = orbit_array(orbit_lats, starts, budget, cfg, tail=DEFAULT_MAX_PERIOD + 1)
+    return [
+        None if lat is None else _verdict(kind, lat, [batch.trace(i) for i in span], budget, cfg)
+        for lat, span in zip(lats, spans)
+    ]

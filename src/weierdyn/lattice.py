@@ -407,6 +407,101 @@ def wp_array(z: np.ndarray, lat: Lattice, cfg: ToleranceConfig) -> tuple[np.ndar
 
 
 # ---------------------------------------------------------------------------
+# wp on split float64 arrays, bit for bit equal to the scalar wp
+#
+# numpy's complex ufuncs round differently from CPython's complex type, so
+# these helpers carry real and imaginary parts as separate float64 arrays and
+# spell out CPython's own formulas: each elementwise float operation is
+# correctly rounded, so the same sequence of operations gives the same bits.
+
+
+def _cmul(ar, ai, br, bi):
+    """CPython's complex product (ac - bd, ad + bc)."""
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
+def _cdiv(ar, ai, br, bi):
+    """CPython's complex quotient: Smith's method, dividing by denom, on the
+    second branch when |b.imag| > |b.real|."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = bi / br
+        denom = br + bi * ratio
+        re1 = (ar + ai * ratio) / denom
+        im1 = (ai - ar * ratio) / denom
+        ratio = br / bi
+        denom = br * ratio + bi
+        re2 = (ar * ratio + ai) / denom
+        im2 = (ai * ratio - ar) / denom
+    second = np.abs(bi) > np.abs(br)
+    return np.where(second, re2, re1), np.where(second, im2, im1)
+
+
+_OFFSET_M = np.array([dm for dm, _ in _NEIGHBOR_OFFSETS], dtype=float)
+_OFFSET_N = np.array([dn for _, dn in _NEIGHBOR_OFFSETS], dtype=float)
+
+
+@lru_cache(maxsize=None)
+def _split_coeffs(kind: LatticeKind) -> np.ndarray:
+    """The series coefficients as (real, imag) columns, shape (count, 2, 1)."""
+    return np.array([[[c.real], [c.imag]] for c in _kind_data(kind).coeffs])
+
+
+def _wp_split(zr, zi, lam, lam2, kind: LatticeKind, n_terms: int, pole_eps: float):
+    """wp at zr + i*zi, element by element the same bits as scalar `wp`.
+
+    lam and lam2 are (real, imag) pairs of arrays holding each element's
+    lat.lam and lat.lam * lat.lam.  Returns (val_re, val_im, pole, m, n):
+    pole flags the points scalar wp refuses with PoleHit(m, n), and val is
+    meaningless there.
+    """
+    kd = _kind_data(kind)
+    tau_re, tau_im = kd.tau.real, kd.tau.imag
+    ur, ui = _cdiv(zr, zi, lam[0], lam[1])
+    b = ui * kd.inv_im_tau
+    a = ur - b * tau_re
+    fa = np.floor(a + 0.5)
+    fb = np.floor(b + 0.5)
+    a -= fa
+    b -= fb
+    # the nine translates of _recenter, one per row; argmin keeps the first
+    # minimum, as its strict < scan does
+    re = a - _OFFSET_M[:, None]
+    im = b - _OFFSET_N[:, None]
+    re += im * tau_re
+    im *= tau_im
+    d = re * re
+    d += im * im
+    pick = d.argmin(axis=0)
+    cols = np.arange(pick.size)
+    re = re[pick, cols]
+    im = im[pick, cols]
+    dm = _OFFSET_M[pick]
+    dn = _OFFSET_N[pick]
+    pole = np.hypot(re, im) < pole_eps
+
+    # Horner in u^2 on stacked (real, imag) rows: with v = i*u^2 = (-u2i, u2r),
+    # acc*u^2 = acc.re*u^2 + acc.im*v, whose rows are exactly CPython's
+    # (ac - bd, ad + bc), since x - y is x + (-y) in IEEE arithmetic
+    u2r, u2i = _cmul(re, im, re, im)
+    u2 = np.array([u2r, u2i])
+    v = np.array([-u2i, u2r])
+    acc = np.zeros_like(u2)
+    t = np.empty_like(u2)
+    w = np.empty_like(u2)
+    coeffs = _split_coeffs(kind)
+    for k in range(n_terms - 1, -1, -1):
+        np.multiply(acc[0], u2, out=t)
+        np.multiply(acc[1], v, out=w)
+        np.add(t, w, out=acc)
+        np.add(acc, coeffs[k], out=acc)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        ir, ii = _cdiv(1.0, 0.0, u2r, u2i)
+        pr, pi = _cmul(acc[0], acc[1], u2r, u2i)
+        vr, vi = _cdiv(ir + pr, ii + pi, lam2[0], lam2[1])
+    return vr, vi, pole, fa + dm, fb + dn
+
+
+# ---------------------------------------------------------------------------
 # direct-sum oracles
 
 _DISK_FACTOR = {LatticeKind.TRIANGULAR: math.sqrt(3.0) / 2.0, LatticeKind.SQUARE: 1.0}

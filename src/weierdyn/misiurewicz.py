@@ -34,7 +34,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import rng
-from .dynamics import BudgetExhausted, EscapedSphericalBall, escape_scale, iterate
+from .dynamics import PoleHit, escape_scale, iterate
 from .lattice import (
     Lattice,
     LatticeKind,
@@ -125,10 +125,6 @@ def pole_location(kind: LatticeKind, lam: complex, j: int, k: int) -> complex:
     """The pole p_{j,k} = j*lambda + k*tau*lambda of the family member."""
     tau = _kind_data(kind).tau
     return j * lam + k * tau * lam
-
-
-def _crit_value(kind: LatticeKind, lam: complex, cfg: ToleranceConfig) -> complex:
-    return make_lattice(kind, lam, cfg).crit_values[0]
 
 
 def _orbit_value(kind: LatticeKind, lam: complex, n: int, cfg: ToleranceConfig) -> complex:
@@ -441,14 +437,16 @@ def _orbit_first_violation(
     """
     lat = make_lattice(kind, lam, cfg)
     crits = lat.crit_values if kind is LatticeKind.TRIANGULAR else (lat.crit_values[0],)
+
+    def near(s: int, z: complex) -> bool:
+        return s >= 1 and (sph_dist_to_inf(z) < delta or crit_sph_dist(z, lat) < delta)
+
     best: Optional[Violation] = None
     for e in crits:
-        trace = iterate(lat, e, M, cfg)
-        pole_step = (
-            trace.outcome.step
-            if not isinstance(trace.outcome, (BudgetExhausted, EscapedSphericalBall))
-            else None
-        )
+        # the orbit ends at its first proximity violation; the scan below
+        # ranks it against a pole hit or an escape
+        trace = iterate(lat, e, M, cfg, stop=near)
+        pole_step = trace.outcome.step if isinstance(trace.outcome, PoleHit) else None
         for s in range(0, len(trace.points)):
             if best is not None and s > best.step:
                 break

@@ -1,23 +1,37 @@
 """Batch rendering of parameter-plane classification maps and
 dynamical-plane pole-escape images.
 
-Both renderers decompose work by image row.  A row's pixels depend only on
-the row index and the scan inputs, so serial and multi-process runs fill
-the same buffer with the same bytes; tests compare them byte for byte.
+Both renderers work in blocks of whole image rows, about BLOCK_SIZE pixels
+each, whose orbits advance in lockstep through dynamics.orbit_array.  A
+pixel depends only on its own coordinates and the scan inputs, never on the
+block it shares, so serial and multi-process runs fill the same buffer with
+the same bytes; tests compare them byte for byte.
 """
 
 from __future__ import annotations
 
 import colorsys
+import math
 import os
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
-from .dynamics import AllCriticalPrepole, AttractingCycles, classify
-from .lattice import LatticeKind, ToleranceConfig, ZeroParameter, make_lattice, wp
-from .lattice import PoleHit as PoleError
+from .dynamics import (
+    AllCriticalPrepole,
+    AttractingCycles,
+    PoleHit,
+    classify_batch,
+    orbit_array,
+)
+from .lattice import LatticeKind, ToleranceConfig, ZeroParameter, make_lattice
+
+# pixels per lockstep block, rounded down to whole rows.  Each parameter
+# holds a lattice and a 65-point orbit tail (about 1.6 KiB) while its block
+# runs, so 512 keeps a block near 0.8 MiB; larger blocks are faster, because
+# numpy's per-call overhead dominates each step, but cost peak memory.
+BLOCK_SIZE = 512
 
 CSV_HEADER = "px,py,lambda_re,lambda_im,verdict,count,period,mult_re,mult_im,abs_mult"
 
@@ -50,7 +64,7 @@ EXHAUSTED_COLOR = (0, 0, 0)
 
 
 class IoFailure(OSError):
-    """Image file could not be written; no partial output is left behind."""
+    """An output file could not be written; no partial output is left behind."""
 
 
 @dataclass(frozen=True)
@@ -92,75 +106,80 @@ def _attracting_color(kind: LatticeKind, period: int, count: int) -> tuple[int, 
     return (int(round(r * 255)), int(round(g * 255)), int(round(b * 255)))
 
 
-def _param_row(
-    kind: LatticeKind, grid: ScanGrid, budget: int, cfg: ToleranceConfig, py: int
-) -> tuple[int, list[tuple[int, int, int]], list[str]]:
-    pixels: list[tuple[int, int, int]] = []
-    rows: list[str] = []
-    for px in range(grid.width_px):
-        lam = grid.pixel_to_plane(px, py)
-        count, period = 0, 0
-        mult = 0j
-        try:
-            verdict = classify(kind, lam, budget, cfg)
-        except ZeroParameter:
-            verdict = None
-        if verdict is None:
-            tag = "excluded"
-            color = RESERVED_COLOR
-        elif isinstance(verdict, AttractingCycles):
-            tag = "attracting"
-            count = verdict.count
-            period = verdict.cycle.period
-            mult = verdict.cycle.multiplier
-            color = _attracting_color(kind, period, count)
-        elif isinstance(verdict, AllCriticalPrepole):
-            tag = "prepole"
-            count = 3 if kind is LatticeKind.TRIANGULAR else 1
-            color = PREPOLE_COLOR
-        else:
-            tag = "indeterminate"
-            color = INDETERMINATE_COLOR
-        pixels.append(color)
-        rows.append(
-            f"{px},{py},{lam.real!r},{lam.imag!r},{tag},{count},{period},"
-            f"{mult.real!r},{mult.imag!r},{abs(mult)!r}"
-        )
-    return py, pixels, rows
+def _param_rows(
+    kind: LatticeKind, grid: ScanGrid, budget: int, cfg: ToleranceConfig, rows: range
+) -> list[tuple[int, list[tuple[int, int, int]], list[str]]]:
+    lams = [grid.pixel_to_plane(px, py) for py in rows for px in range(grid.width_px)]
+    classified = zip(lams, classify_batch(kind, lams, budget, cfg))
+    out = []
+    for py in rows:
+        pixels: list[tuple[int, int, int]] = []
+        lines: list[str] = []
+        for px in range(grid.width_px):
+            lam, verdict = next(classified)
+            count, period = 0, 0
+            mult = 0j
+            if verdict is None:
+                tag = "excluded"
+                color = RESERVED_COLOR
+            elif isinstance(verdict, AttractingCycles):
+                tag = "attracting"
+                count = verdict.count
+                period = verdict.cycle.period
+                mult = verdict.cycle.multiplier
+                color = _attracting_color(kind, period, count)
+            elif isinstance(verdict, AllCriticalPrepole):
+                tag = "prepole"
+                count = 3 if kind is LatticeKind.TRIANGULAR else 1
+                color = PREPOLE_COLOR
+            else:
+                tag = "indeterminate"
+                color = INDETERMINATE_COLOR
+            pixels.append(color)
+            lines.append(
+                f"{px},{py},{lam.real!r},{lam.imag!r},{tag},{count},{period},"
+                f"{mult.real!r},{mult.imag!r},{abs(mult)!r}"
+            )
+        out.append((py, pixels, lines))
+    return out
 
 
-def _dyn_row(
+def _dyn_rows(
     kind: LatticeKind,
     lam: complex,
     grid: ScanGrid,
     budget: int,
     cfg: ToleranceConfig,
-    py: int,
-) -> tuple[int, list[tuple[int, int, int]]]:
+    rows: range,
+) -> list[tuple[int, list[tuple[int, int, int]]]]:
     lat = make_lattice(kind, lam, cfg)
-    pixels: list[tuple[int, int, int]] = []
-    for px in range(grid.width_px):
-        z = grid.pixel_to_plane(px, py)
-        color = EXHAUSTED_COLOR
-        for step in range(budget):
-            try:
-                z = wp(z, lat, cfg)
-            except PoleError:
-                color = HIT_PALETTE[step % len(HIT_PALETTE)]
-                break
-        pixels.append(color)
-    return py, pixels
+    width = grid.width_px
+    starts = [grid.pixel_to_plane(px, py) for py in rows for px in range(width)]
+    batch = orbit_array([lat] * len(starts), starts, budget, cfg, escape=False)
+    colors = []
+    for i in range(len(batch)):
+        outcome = batch.outcome(i)
+        hit = isinstance(outcome, PoleHit)
+        colors.append(HIT_PALETTE[outcome.step % len(HIT_PALETTE)] if hit else EXHAUSTED_COLOR)
+    return [(py, colors[i * width:(i + 1) * width]) for i, py in enumerate(rows)]
 
 
-def _run_rows(fn, args: tuple, height: int, threads: int) -> list:
-    """Evaluate fn(*args, py) for each row, serially or in a process pool;
-    results come back indexed by row so worker count cannot reorder them."""
+def _run_blocks(fn, args: tuple, grid: ScanGrid, threads: int) -> list:
+    """Evaluate fn(*args, rows) over blocks of whole rows, serially or in a
+    process pool.  fn returns one tuple per row, led by its row index, and
+    the rows are placed by that index so worker count cannot reorder them."""
+    height = grid.height_px
+    per_block = max(1, min(BLOCK_SIZE // grid.width_px, math.ceil(height / max(threads, 1))))
+    blocks = [range(y, min(y + per_block, height)) for y in range(0, height, per_block)]
     if threads <= 1:
-        return [fn(*args, py) for py in range(height)]
+        results = [fn(*args, rows) for rows in blocks]
+    else:
+        with ProcessPoolExecutor(max_workers=threads) as pool:
+            results = list(pool.map(fn, *[[a] * len(blocks) for a in args], blocks))
     out: list = [None] * height
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        for res in pool.map(fn, *[[a] * height for a in args], range(height)):
-            out[res[0]] = res
+    for block in results:
+        for row in block:
+            out[row[0]] = row
     return out
 
 
@@ -177,7 +196,7 @@ def render_parameter_plane(
     data (count, period, multiplier) and is the color-free record of the
     scan.
     """
-    results = _run_rows(_param_row, (kind, grid, budget, cfg), grid.height_px, threads)
+    results = _run_blocks(_param_rows, (kind, grid, budget, cfg), grid, threads)
     pixels: list[tuple[int, int, int]] = []
     lines = [CSV_HEADER]
     for py, row_pixels, row_lines in results:
@@ -199,34 +218,35 @@ def render_dynamical_plane(
     pole, cycling a fixed palette; budget exhaustion paints black."""
     if lam == 0:
         raise ZeroParameter("lambda must be nonzero")
-    results = _run_rows(
-        _dyn_row, (kind, lam, grid, budget, cfg), grid.height_px, threads
-    )
+    results = _run_blocks(_dyn_rows, (kind, lam, grid, budget, cfg), grid, threads)
     pixels: list[tuple[int, int, int]] = []
     for py, row_pixels in results:
         pixels.extend(row_pixels)
     return Image(width=grid.width_px, height=grid.height_px, pixels=tuple(pixels))
 
 
-def write_ppm(image: Image, path: str) -> None:
-    """Binary PPM (P6, 8-bit), written to a temp file then renamed so a
-    failed write never leaves a partial file at the target path."""
-    header = f"P6\n{image.width} {image.height}\n255\n".encode("ascii")
-    body = bytes(c for pixel in image.pixels for c in pixel)
+def write_atomic(path: str, data: bytes) -> None:
+    """Write data to a temp file in the target directory, then rename it
+    into place, so a failed write never leaves a partial file at path."""
     directory = os.path.dirname(os.path.abspath(path))
     tmp_path: Optional[str] = None
     try:
-        fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".ppm.part")
+        fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".part")
         with os.fdopen(fd, "wb") as fh:
-            fh.write(header)
-            fh.write(body)
+            fh.write(data)
         os.replace(tmp_path, path)
         tmp_path = None
     except OSError as exc:
-        raise IoFailure(f"cannot write image to {path}: {exc}") from exc
+        raise IoFailure(f"cannot write {path}: {exc}") from exc
     finally:
         if tmp_path is not None:
             try:
                 os.unlink(tmp_path)
             except OSError:
                 pass
+
+
+def write_ppm(image: Image, path: str) -> None:
+    """Binary PPM (P6, 8-bit), written atomically."""
+    header = f"P6\n{image.width} {image.height}\n255\n".encode("ascii")
+    write_atomic(path, header + bytes(c for pixel in image.pixels for c in pixel))

@@ -1,0 +1,212 @@
+"""The lockstep orbit kernel against the scalar path it replaces: equal bits,
+not closeness, for orbits, verdicts and separation reports."""
+
+import random
+
+import pytest
+
+from conftest import ATTRACTING_SQ, CANDIDATE, PREPOLE_SQ, PREPOLE_TRI, TRI_ONE, TRI_THREE
+from weierdyn import rng
+from weierdyn.dynamics import (
+    AllCriticalPrepole,
+    AttractingCycles,
+    BudgetExhausted,
+    EscapedSphericalBall,
+    Indeterminate,
+    PoleHit,
+    classify,
+    classify_batch,
+    iterate,
+    orbit_array,
+)
+from weierdyn.lattice import LatticeKind, ToleranceConfig, ZeroParameter, make_lattice, wp
+from weierdyn.lattice import PoleHit as PoleError
+from weierdyn.misiurewicz import misiurewicz_check
+
+KINDS = (LatticeKind.SQUARE, LatticeKind.TRIANGULAR)
+
+# refusing a large disc around each lattice point makes pole hits and
+# escapes common at every step, not only at the first
+WIDE_POLES = ToleranceConfig(pole_eps=0.4)
+
+
+def _random_orbits(kind, cfg, count, seed):
+    gen = random.Random(seed)
+    lats, starts = [], []
+    for _ in range(count):
+        lam = complex(gen.uniform(0.3, 3.0), gen.uniform(-3.0, 3.0))
+        lats.append(make_lattice(kind, lam, cfg))
+        starts.append(complex(gen.uniform(-4.0, 4.0), gen.uniform(-4.0, 4.0)))
+    return lats, starts
+
+
+def _assert_matches_iterate(lats, starts, budget, cfg):
+    batch = orbit_array(lats, starts, budget, cfg, tail=budget + 1)
+    outcomes = set()
+    for i, (lat, z0) in enumerate(zip(lats, starts)):
+        want = iterate(lat, z0, budget, cfg)
+        got = batch.trace(i)
+        assert got.points == want.points
+        assert got.outcome == want.outcome
+        assert got.start == want.start
+        outcomes.add(type(want.outcome))
+    return outcomes
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_orbit_array_points_equal_iterate(kind, cfg):
+    lats, starts = _random_orbits(kind, cfg, 60, seed=3)
+    # a start on a lattice point, one past the escape scale, and the
+    # critical orbits of a prepole and an attracting parameter
+    lat = make_lattice(kind, 1.7 + 0.4j, cfg)
+    lats += [lat, lat]
+    starts += [lat.gen1 + lat.gen2, complex(1e13, -1e13)]
+    for lam in (PREPOLE_SQ if kind is LatticeKind.SQUARE else PREPOLE_TRI, ATTRACTING_SQ):
+        crit = make_lattice(kind, lam, cfg)
+        lats.append(crit)
+        starts.append(crit.crit_values[0])
+    outcomes = _assert_matches_iterate(lats, starts, 120, cfg)
+    assert outcomes == {BudgetExhausted, PoleHit, EscapedSphericalBall}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_orbit_array_pole_and_escape_steps_equal_iterate(kind):
+    lats, starts = _random_orbits(kind, WIDE_POLES, 200, seed=5)
+    batch = orbit_array(lats, starts, 40, WIDE_POLES)
+    late = {PoleHit: 0, EscapedSphericalBall: 0}
+    for i, (lat, z0) in enumerate(zip(lats, starts)):
+        want = iterate(lat, z0, 40, WIDE_POLES)
+        assert batch.outcome(i) == want.outcome
+        if type(want.outcome) in late and want.outcome.step > 0:
+            late[type(want.outcome)] += 1
+    assert all(late.values())
+    _assert_matches_iterate(lats[:40], starts[:40], 40, WIDE_POLES)
+
+
+def test_orbit_array_tail_and_block_independence(cfg):
+    lats, starts = _random_orbits(LatticeKind.SQUARE, cfg, 12, seed=9)
+    whole = orbit_array(lats, starts, 90, cfg, tail=7)
+    for i in range(12):
+        alone = orbit_array(lats[i:i + 1], starts[i:i + 1], 90, cfg, tail=7)
+        assert alone.trace(0) == whole.trace(i)
+        full = iterate(lats[i], starts[i], 90, cfg)
+        assert whole.trace(i).points == full.points[-7:]
+
+
+def _bare_wp_loop(lat, z, budget, cfg):
+    """The dynamical-plane loop: wp until a pole hit, with no escape test."""
+    points = [z]
+    for step in range(budget):
+        try:
+            z = wp(z, lat, cfg)
+        except PoleError as hit:
+            return points, PoleHit(step=step, m=hit.m, n=hit.n)
+        points.append(z)
+    return points, BudgetExhausted()
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_orbit_array_without_escape_equals_bare_wp_loop(kind):
+    lats, starts = _random_orbits(kind, WIDE_POLES, 40, seed=17)
+    lats.append(lats[0])
+    starts.append(complex(1e13, -3e12))
+    batch = orbit_array(lats, starts, 30, WIDE_POLES, escape=False, tail=31)
+    for i, (lat, z0) in enumerate(zip(lats, starts)):
+        points, outcome = _bare_wp_loop(lat, z0, 30, WIDE_POLES)
+        assert batch.trace(i).points == tuple(points)
+        assert batch.outcome(i) == outcome
+
+
+def test_orbit_array_rejects_mixed_kinds(cfg):
+    lats = [make_lattice(kind, 1.0 + 0j, cfg) for kind in KINDS]
+    with pytest.raises(ValueError):
+        orbit_array(lats, [0.3j, 0.3j], 5, cfg)
+
+
+def test_classify_batch_equals_classify_square(cfg):
+    lams = [PREPOLE_SQ, ATTRACTING_SQ, CANDIDATE, 0j, 1.4 + 0.9j, 2.6 - 0.3j]
+    got = classify_batch(LatticeKind.SQUARE, lams, 200, cfg)
+    assert got[3] is None
+    with pytest.raises(ZeroParameter):
+        classify(LatticeKind.SQUARE, 0j, 200, cfg)
+    want = [None if lam == 0 else classify(LatticeKind.SQUARE, lam, 200, cfg) for lam in lams]
+    assert got == want
+    assert isinstance(got[0], AllCriticalPrepole)
+    assert isinstance(got[1], AttractingCycles)
+    assert isinstance(got[2], Indeterminate)
+
+
+def test_classify_batch_equals_classify_triangular(cfg):
+    lams = [TRI_THREE, TRI_ONE, PREPOLE_TRI, 0j, 0.9 + 1.7j]
+    got = classify_batch(LatticeKind.TRIANGULAR, lams, 300, cfg)
+    want = [None if lam == 0 else classify(LatticeKind.TRIANGULAR, lam, 300, cfg) for lam in lams]
+    assert got == want
+    assert got[0].count == 3 and got[1].count == 1
+    assert isinstance(got[2], AllCriticalPrepole)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_classify_batch_equals_classify_with_escapes(kind):
+    # with pole_eps = 0.4 critical orbits escape or hit a pole within a few
+    # steps (in the square family the critical value itself is past the
+    # escape scale)
+    gen = random.Random(13)
+    lams = [complex(gen.uniform(0.5, 3.0), gen.uniform(0.5, 3.0)) for _ in range(30)]
+    got = classify_batch(kind, lams, 50, WIDE_POLES)
+    assert got == [classify(kind, lam, 50, WIDE_POLES) for lam in lams]
+    escaped = 0
+    for lam in lams:
+        lat = make_lattice(kind, lam, WIDE_POLES)
+        outcome = iterate(lat, lat.crit_values[0], 50, WIDE_POLES).outcome
+        escaped += isinstance(outcome, EscapedSphericalBall)
+    assert escaped > 0
+
+
+def test_classify_batch_rejects_zero_budget(cfg):
+    with pytest.raises(ValueError):
+        classify_batch(LatticeKind.SQUARE, [ATTRACTING_SQ], 0, cfg)
+
+
+# misiurewicz_check reports recorded before the check learned to stop each
+# orbit at its first violation: (passed, iterations, violation step, kind)
+# for samples lambda0 + r * unit_disc_point(7, ri, i), delta 0.05, M 200
+PINNED_REPORTS = {
+    PREPOLE_SQ: [
+        (False, 2, 1, "NEAR_CRITICAL"), (False, 3, 2, "NEAR_CRITICAL"),
+        (False, 4, 3, "NEAR_CRITICAL"), (False, 3, 2, "NEAR_CRITICAL"),
+        (False, 3, 2, "NEAR_CRITICAL"), (False, 2, 1, "NEAR_CRITICAL"),
+        (False, 3, 2, "NEAR_INFINITY"), (False, 3, 2, "NEAR_INFINITY"),
+        (False, 3, 2, "NEAR_INFINITY"), (False, 3, 2, "NEAR_INFINITY"),
+        (False, 3, 2, "NEAR_INFINITY"), (False, 3, 2, "NEAR_INFINITY"),
+    ],
+    CANDIDATE: [
+        (False, 7, 6, "NEAR_CRITICAL"), (False, 9, 8, "NEAR_INFINITY"),
+        (False, 6, 5, "NEAR_CRITICAL"), (False, 5, 4, "NEAR_CRITICAL"),
+        (False, 5, 4, "NEAR_CRITICAL"), (False, 17, 16, "NEAR_CRITICAL"),
+        (False, 11, 10, "NEAR_CRITICAL"), (False, 14, 13, "NEAR_CRITICAL"),
+        (False, 11, 10, "NEAR_CRITICAL"), (False, 17, 16, "NEAR_CRITICAL"),
+        (False, 11, 10, "NEAR_CRITICAL"), (False, 9, 8, "NEAR_CRITICAL"),
+    ],
+}
+
+
+def _report(lam, delta, M, cfg):
+    rep = misiurewicz_check(LatticeKind.SQUARE, lam, delta, M, cfg)
+    v = rep.first_violation
+    return (rep.passed, rep.iterations, v and v.step, v and v.kind.name)
+
+
+@pytest.mark.parametrize("lam0", sorted(PINNED_REPORTS, key=abs))
+def test_misiurewicz_check_reports_pinned(lam0, cfg):
+    got = [
+        _report(lam0 + r * rng.unit_disc_point(7, ri, i), 0.05, 200, cfg)
+        for ri, r in enumerate((1e-2, 1e-4))
+        for i in range(6)
+    ]
+    assert got == PINNED_REPORTS[lam0]
+
+
+def test_misiurewicz_check_reports_pinned_fixed_parameters(cfg):
+    assert _report(PREPOLE_SQ, 0.05, 200, cfg) == (False, 2, 1, "POLE_HIT")
+    assert _report(CANDIDATE, 0.05, 16, cfg) == (True, 16, None, None)
+    assert _report(CANDIDATE, 0.05, 200, cfg) == (False, 29, 28, "NEAR_CRITICAL")

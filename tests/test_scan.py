@@ -7,6 +7,7 @@ import hashlib
 import pytest
 
 from conftest import ATTRACTING_SQ, PREPOLE_SQ, PREPOLE_TRI
+from weierdyn import scan
 from weierdyn.lattice import LatticeKind, ToleranceConfig, ZeroParameter, make_lattice
 from weierdyn.scan import (
     CSV_HEADER,
@@ -130,7 +131,15 @@ def test_tri_render_rotation_invariant_at_prepole_orbit(cfg):
     assert a == b == HIT_PALETTE[1]
 
 
-def test_param_render_serial_matches_pool(cfg):
+def _tall_grid(origin, extent):
+    # 16 pixels a row; the height leaves a partial last block, and the pool
+    # splits the rows into blocks of another size
+    return ScanGrid(
+        origin=origin, extent=extent, width_px=16, height_px=scan.BLOCK_SIZE // 16 + 5
+    )
+
+
+def test_param_render_serial_matches_pool(cfg, monkeypatch):
     grid = ScanGrid(origin=0.2 + 0.2j, extent=1.6 + 1.6j, width_px=16, height_px=16)
     img1, csv1 = render_parameter_plane(LatticeKind.SQUARE, grid, 100, cfg, threads=1)
     img2, csv2 = render_parameter_plane(LatticeKind.SQUARE, grid, 100, cfg, threads=2)
@@ -142,9 +151,14 @@ def test_param_render_serial_matches_pool(cfg):
     assert hashlib.sha256(csv1.encode()).hexdigest() == (
         "add13304a597eb273d777520fb6c518813d68cecd687414aee35210f42b79798"
     )
+    tall = _tall_grid(0.2 + 0.2j, 1.6 + 2.0j)
+    serial = render_parameter_plane(LatticeKind.SQUARE, tall, 60, cfg, threads=1)
+    assert render_parameter_plane(LatticeKind.SQUARE, tall, 60, cfg, threads=2) == serial
+    monkeypatch.setattr(scan, "BLOCK_SIZE", 16)  # one row per block
+    assert render_parameter_plane(LatticeKind.SQUARE, tall, 60, cfg, threads=1) == serial
 
 
-def test_dyn_render_serial_matches_pool(cfg):
+def test_dyn_render_serial_matches_pool(cfg, monkeypatch):
     grid = ScanGrid(origin=-0.9 - 0.9j, extent=1.8 + 1.8j, width_px=16, height_px=16)
     img1 = render_dynamical_plane(LatticeKind.SQUARE, 2.0 + 0j, grid, 40, cfg, threads=1)
     img2 = render_dynamical_plane(LatticeKind.SQUARE, 2.0 + 0j, grid, 40, cfg, threads=2)
@@ -152,6 +166,13 @@ def test_dyn_render_serial_matches_pool(cfg):
     assert hashlib.sha256(_ppm_bytes(img1)).hexdigest() == (
         "498fc6af35b825a3125e21b0e91fdd6eb8cf0dfb21e0f5d68ddc4edfca2efef9"
     )
+    tall = _tall_grid(-0.9 - 0.9j, 1.8 + 2.2j)
+    serial = _ppm_bytes(render_dynamical_plane(LatticeKind.SQUARE, 2.0, tall, 40, cfg, threads=1))
+    pooled = render_dynamical_plane(LatticeKind.SQUARE, 2.0, tall, 40, cfg, threads=2)
+    assert _ppm_bytes(pooled) == serial
+    monkeypatch.setattr(scan, "BLOCK_SIZE", 16)  # one row per block
+    single_rows = render_dynamical_plane(LatticeKind.SQUARE, 2.0, tall, 40, cfg, threads=1)
+    assert _ppm_bytes(single_rows) == serial
 
 
 def test_write_ppm_red_pixel_exact_bytes(tmp_path):
