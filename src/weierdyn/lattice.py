@@ -379,21 +379,25 @@ def wp_array(z: np.ndarray, lat: Lattice, cfg: ToleranceConfig) -> tuple[np.ndar
     a = u.real - b * kd.tau.real
     a0 = a - np.floor(a + 0.5)
     b0 = b - np.floor(b + 0.5)
-    # stack the nine candidate translates, pick the nearest
-    best = None
-    best_d = None
+    # nearest of the nine candidate translates by float distance; a strict <
+    # keeps the first of equal distances, as _recenter does
+    best_d = best_m = best_n = None
     for dm, dn in _NEIGHBOR_OFFSETS:
         re = (a0 - dm) + (b0 - dn) * kd.tau.real
         im = (b0 - dn) * kd.tau.imag
         d = re * re + im * im
-        cand = re + 1j * im
-        if best is None:
-            best = cand
+        if best_d is None:
             best_d = d
+            best_m = np.full(d.shape, float(dm))
+            best_n = np.full(d.shape, float(dn))
         else:
             take = d < best_d
-            best = np.where(take, cand, best)
             best_d = np.where(take, d, best_d)
+            best_m[take] = dm
+            best_n[take] = dn
+    re = (a0 - best_m) + (b0 - best_n) * kd.tau.real
+    im = (b0 - best_n) * kd.tau.imag
+    best = re + 1j * im
     pole = np.abs(best) < cfg.pole_eps
     u0 = np.where(pole, 1.0 + 0j, best)
     u2 = u0 * u0

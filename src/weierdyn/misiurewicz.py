@@ -29,6 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -48,7 +49,6 @@ from .lattice import (
     wp,
     wp_array,
     wp_pair,
-    wp_prime,
 )
 from .lattice import PoleHit as PoleError
 
@@ -150,6 +150,12 @@ def prepole_residual(
 # root finding
 
 
+@lru_cache(maxsize=None)
+def _unit_lattice(kind: LatticeKind, cfg: ToleranceConfig) -> Lattice:
+    """The normalized (lambda = 1) lattice every _g_array call works on."""
+    return make_lattice(kind, 1.0 + 0j, cfg)
+
+
 def _g_array(
     kind: LatticeKind,
     n: int,
@@ -164,7 +170,7 @@ def _g_array(
     advanced with one wp_array call per step.  Entries whose orbit dies early
     (pole capture, lambda = 0) come back as NaN.
     """
-    latn = make_lattice(kind, 1.0 + 0j, cfg)
+    latn = _unit_lattice(kind, cfg)
     e1n = latn.crit_values[0]
     lam = np.asarray(lam, dtype=complex)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -259,7 +265,12 @@ def _winding_count(
     cfg: ToleranceConfig,
 ) -> Optional[int]:
     """Roots of g inside the circle by the argument principle; None when the
-    circle cannot be resolved (undersampled or orbit death on the contour)."""
+    circle cannot be resolved (undersampled or orbit death on the contour).
+
+    This is the plain full-ladder rule, each level sampled afresh, that
+    _certify_roots reaches the same decisions as with fewer evaluations; it
+    is kept independent of it as the oracle behind criterion 3's spot-check.
+    """
     n_pts = 64
     while n_pts <= 1024:
         t = 2.0 * math.pi * np.arange(n_pts) / n_pts
@@ -295,6 +306,109 @@ def _nearest_dists(pts: Sequence[complex]) -> list[float]:
     return out
 
 
+_RING = 1024
+_RING_START = 64
+_BAD_TURN = math.pi / 2.0
+
+
+@lru_cache(maxsize=None)
+def _unit_ring() -> np.ndarray:
+    """The finest contour, 1024 points on the unit circle, read-only.
+
+    Level m (64 ... 1024 points) takes every (1024 // m)-th point.  For a
+    power of two s, 2*pi*(s*p)/(s*m) rounds exactly as 2*pi*p/m, so these are
+    the bits a fresh m-point sampling gives.
+    """
+    ring = np.exp(1j * (2.0 * math.pi * np.arange(_RING) / _RING))
+    ring.flags.writeable = False
+    return ring
+
+
+class _Contour:
+    """One root's certification circle at its current radius and level.
+
+    vals holds the samples of the current level, one per level point, and
+    known flags those already evaluated.  chase holds the level points that
+    are midpoints of the previous level's bad arcs, still to be checked, or
+    is None when the level is checked in full.
+    """
+
+    __slots__ = ("index", "center", "floor", "radius", "vals", "known", "chase", "certified")
+
+    def __init__(self, index: int, center: complex, radius: float, floor: float):
+        self.index = index
+        self.center = center
+        self.floor = floor
+        self.certified = False
+        self._restart(radius)
+
+    def _restart(self, radius: float) -> None:
+        self.radius = radius
+        self.vals = np.empty(_RING_START, dtype=complex)
+        self.known = np.zeros(_RING_START, dtype=bool)
+        self.chase = None
+
+    def wanted(self) -> np.ndarray:
+        """Level indices to evaluate next."""
+        if self.chase is not None:
+            return self.chase
+        return (~self.known).nonzero()[0]
+
+    def points(self, idx: np.ndarray) -> np.ndarray:
+        """The parameters at level indices idx."""
+        return self.center + self.radius * _unit_ring()[idx * (_RING // self.vals.size)]
+
+    def settle(self, fresh: np.ndarray, g: np.ndarray) -> bool:
+        """Store the values g at level indices fresh and act on them; False
+        once the contour is certified or dropped at the radius floor."""
+        v = self.vals
+        v[fresh] = g
+        self.known[fresh] = True
+        if self.chase is not None:
+            if (np.isnan(g) | (g == 0)).any():
+                return self._halve()
+            # arcs (p - 1, p) and (p, p + 1) around each midpoint p, each
+            # increment formed as the full check below forms it: next / this
+            left = np.abs(np.angle(g / v[fresh - 1]))
+            right = np.abs(np.angle(v[(fresh + 1) % v.size] / g))
+            bad = np.concatenate([fresh[left >= _BAD_TURN] - 1, fresh[right >= _BAD_TURN]])
+            if bad.size:
+                return self._escalate(bad)
+            self.chase = None
+            if not self.known.all():
+                return True
+        if (np.isnan(v) | (v == 0)).any():
+            return self._halve()
+        inc = np.angle(np.concatenate((v[1:], v[:1])) / v)
+        bad = (np.abs(inc) >= _BAD_TURN).nonzero()[0]
+        if bad.size:
+            return self._escalate(bad)
+        w = float(inc.sum()) / (2.0 * math.pi)
+        if abs(w - round(w)) <= 0.25 and int(round(w)) == 1:
+            self.certified = True
+            return False
+        return self._halve()
+
+    def _escalate(self, bad: np.ndarray) -> bool:
+        m = self.vals.size
+        if m == _RING:
+            return self._halve()
+        vals = np.empty(2 * m, dtype=complex)
+        vals[::2] = self.vals
+        known = np.zeros(2 * m, dtype=bool)
+        known[::2] = self.known
+        self.vals, self.known = vals, known
+        self.chase = 2 * bad + 1
+        return True
+
+    def _halve(self) -> bool:
+        radius = self.radius * 0.5
+        if radius < self.floor:
+            return False
+        self._restart(radius)
+        return True
+
+
 def _certify_roots(
     kind: LatticeKind,
     n: int,
@@ -307,51 +421,48 @@ def _certify_roots(
 
     Each root starts just inside its nearest-neighbor distance (capped at a
     quarter of |root| so the circle stays clear of lambda = 0) and follows
-    the _winding_count decision tree: an unresolved contour escalates its
-    sampling up to 1024 points, any other failure halves the radius and
-    resets the sampling, and a winding count of one certifies.  Roots that
-    reach the radius floor uncertified are dropped.  All pending contours of
-    a round share one array evaluation.
+    the _winding_count decision tree: a contour with an arc turning by at
+    least pi/2 escalates its sampling from 64 up to 1024 points, any other
+    failure halves the radius and resets the sampling, and a winding count
+    of one certifies.  Roots that reach the radius floor uncertified are
+    dropped.
+
+    The decisions are the same at every (root, radius, level) while g is
+    evaluated far less often:
+
+    - Nested grid.  Level m samples every (1024/m)-th point of one cached
+      1024-point circle, with the same bits as sampling m points afresh, so
+      a sample once taken is reused at every finer level.
+    - Bad-arc chase.  One bad arc settles a level, so escalating evaluates
+      only the midpoints of the known bad arcs.  A bad half escalates again
+      (or halves the radius at 1024 points) and the chase goes on; when
+      none is bad the rest of the level is filled in and checked in full.
+      A NaN or zero met on the way halves the radius: being on every finer
+      level too, it would halve the full ladder as well.
+
+    All pending contours of a round share one array evaluation.
     """
     floor = max(10.0 * cfg.newton_tol, 1e-10)
     nn = _nearest_dists(roots)
-    state = {}
-    for i, z in enumerate(roots):
-        r0 = max(min(0.25 * abs(z), 0.75 * nn[i]), floor)
-        state[i] = (r0, 64)
+    live = [
+        _Contour(i, z, max(min(0.25 * abs(z), 0.75 * nn[i]), floor), floor)
+        for i, z in enumerate(roots)
+    ]
     out: dict[int, float] = {}
-    while state:
-        idx = sorted(state)
-        chunks = []
-        for i in idx:
-            r, m = state[i]
-            t = 2.0 * math.pi * np.arange(m) / m
-            chunks.append(roots[i] + r * np.exp(1j * t))
-        vals = _g_array(kind, n, j, k, np.concatenate(chunks), cfg)
+    while live:
+        wanted = [c.wanted() for c in live]
+        pts = np.concatenate([c.points(w) for c, w in zip(live, wanted)])
+        vals = _g_array(kind, n, j, k, pts, cfg)
         pos = 0
-        for i in idx:
-            r, m = state[i]
-            v = vals[pos : pos + m]
-            pos += m
-            escalate = False
-            if not (np.any(np.isnan(v)) or np.any(v == 0)):
-                inc = np.angle(np.roll(v, -1) / v)
-                if float(np.max(np.abs(inc))) >= math.pi / 2.0:
-                    escalate = True
-                else:
-                    w = float(inc.sum()) / (2.0 * math.pi)
-                    if abs(w - round(w)) <= 0.25 and int(round(w)) == 1:
-                        out[i] = r
-                        del state[i]
-                        continue
-            if escalate and m < 1024:
-                state[i] = (r, m * 2)
-                continue
-            r *= 0.5
-            if r < floor:
-                del state[i]
-            else:
-                state[i] = (r, 64)
+        still = []
+        for c, w in zip(live, wanted):
+            g = vals[pos : pos + w.size]
+            pos += w.size
+            if c.settle(w, g):
+                still.append(c)
+            elif c.certified:
+                out[c.index] = c.radius
+        live = still
     return out
 
 

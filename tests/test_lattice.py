@@ -169,13 +169,44 @@ def test_crit_value_symmetry(cfg):
     assert abs(f3) < 1e-10
 
 
-def test_wp_array_matches_scalar(cfg, square2):
-    pts = np.array(_interior_points(square2, 40, 23) + [square2.gen1, 0j])
-    vals, poles = wp_array(pts, square2, cfg)
-    assert poles[-2] and poles[-1]
-    for i in range(40):
-        assert not poles[i]
-        assert abs(vals[i] - wp(complex(pts[i]), square2, cfg)) < 1e-9
+def test_wp_array_matches_scalar(cfg, square2, tri1):
+    for lat in (square2, tri1):
+        pts = np.array(_interior_points(lat, 40, 23) + [lat.gen1, 0j])
+        vals, poles = wp_array(pts, lat, cfg)
+        assert poles[-2] and poles[-1]
+        for i in range(40):
+            assert not poles[i]
+            assert abs(vals[i] - wp(complex(pts[i]), lat, cfg)) < 1e-9
+
+
+def test_wp_array_matches_scalar_on_box_ties(cfg, square2, tri1):
+    # generator coordinates at exactly +-1/2 put a point on the edge of the
+    # reduction box, where two or four translates are equally near: the
+    # half-periods, the box corners, edge points, and lattice points
+    gen = np.random.default_rng(29)
+    coords = [-1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5]
+    for lat in (square2, tri1):
+        pts = [a * lat.gen1 + b * lat.gen2 for a in coords for b in coords]
+        for t in gen.uniform(-0.5, 0.5, 12):
+            for half in (-0.5, 0.5):
+                pts.append(half * lat.gen1 + t * lat.gen2)
+                pts.append(t * lat.gen1 + half * lat.gen2)
+        pts.extend(lat.half_periods)
+        vals, poles = wp_array(np.array(pts), lat, cfg)
+        hits = 0
+        for z, val, pole in zip(pts, vals, poles):
+            try:
+                ref = wp(complex(z), lat, cfg)
+            except PoleHit:
+                assert pole
+                hits += 1
+                continue
+            assert not pole
+            assert abs(val - ref) <= 1e-9 * max(1.0, abs(ref))
+        assert hits == 9  # the integer (a, b) pairs of coords
+    for lat, e in ((square2, E1_SQUARE_NORM), (tri1, E1_TRI_NORM)):
+        vals, _ = wp_array(np.array([lat.half_periods[0]]), lat, cfg)
+        assert abs(vals[0] * lat.lam * lat.lam - e) < 1e-9
 
 
 def test_sph_dist_closed_forms():

@@ -1,13 +1,19 @@
 
+import math
+
+import numpy as np
 import pytest
 
 from conftest import CANDIDATE, PREPOLE_SQ, PREPOLE_TRI
-from weierdyn import rng
+from weierdyn import misiurewicz, rng
 from weierdyn.dynamics import AllCriticalPrepole, classify
 from weierdyn.lattice import LatticeKind, make_lattice
 from weierdyn.misiurewicz import (
     DiscTouchesU,
     ViolationKind,
+    _certify_roots,
+    _g_array,
+    _nearest_dists,
     _winding_count,
     covering_steps,
     density_scan,
@@ -181,3 +187,145 @@ def test_covering_steps_validates_inputs(cfg, square2):
         covering_steps(square2, 0j, 0.5, 0.05, 12, 32, cfg)
     with pytest.raises(ValueError):
         covering_steps(square2, 0j, -1.0, 0.05, 12, 64, cfg)
+
+
+# ---------------------------------------------------------------------------
+# certification on nested contours against the full-ladder certifier
+
+
+def _certify_roots_full_ladder(
+    kind: LatticeKind,
+    n: int,
+    j: int,
+    k: int,
+    roots,
+    cfg,
+) -> dict[int, float]:
+    """The full-ladder certifier, every level sampled afresh at m = 64 ...
+    1024 points: the oracle _certify_roots must agree with exactly."""
+    floor = max(10.0 * cfg.newton_tol, 1e-10)
+    nn = _nearest_dists(roots)
+    state = {}
+    for i, z in enumerate(roots):
+        r0 = max(min(0.25 * abs(z), 0.75 * nn[i]), floor)
+        state[i] = (r0, 64)
+    out: dict[int, float] = {}
+    while state:
+        idx = sorted(state)
+        chunks = []
+        for i in idx:
+            r, m = state[i]
+            t = 2.0 * math.pi * np.arange(m) / m
+            chunks.append(roots[i] + r * np.exp(1j * t))
+        vals = _g_array(kind, n, j, k, np.concatenate(chunks), cfg)
+        pos = 0
+        for i in idx:
+            r, m = state[i]
+            v = vals[pos : pos + m]
+            pos += m
+            escalate = False
+            if not (np.any(np.isnan(v)) or np.any(v == 0)):
+                inc = np.angle(np.roll(v, -1) / v)
+                if float(np.max(np.abs(inc))) >= math.pi / 2.0:
+                    escalate = True
+                else:
+                    w = float(inc.sum()) / (2.0 * math.pi)
+                    if abs(w - round(w)) <= 0.25 and int(round(w)) == 1:
+                        out[i] = r
+                        del state[i]
+                        continue
+            if escalate and m < 1024:
+                state[i] = (r, m * 2)
+                continue
+            r *= 0.5
+            if r < floor:
+                del state[i]
+            else:
+                state[i] = (r, 64)
+    return out
+
+
+# (kind, n, j, k, region, grid): small regions of the acceptance sweep; the
+# n = 2 ones hold contours that stay undersampled at 1024 points and halve
+CERTIFY_CASES = [
+    (LatticeKind.SQUARE, 2, -1, -1, (0.52, 0.62, 0.88, 0.98), 16),
+    (LatticeKind.SQUARE, 2, 0, 1, (0.52, 0.64, 0.78, 0.9), 16),
+    (LatticeKind.TRIANGULAR, 2, 1, 0, (0.52, 0.64, 1.1, 1.22), 16),
+    (LatticeKind.SQUARE, 1, 1, -1, (0.5, 0.7, 0.6, 0.8), 16),
+    (LatticeKind.TRIANGULAR, 1, -1, 0, (0.5, 0.6, 0.6, 0.85), 16),
+]
+
+
+def _certifier_input(monkeypatch, kind, n, j, k, region, grid, cfg):
+    """The root list find_prepole_params hands to the certifier."""
+    seen = []
+    real = misiurewicz._certify_roots
+
+    def spy(*args):
+        seen.append(args[4])
+        return real(*args)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(misiurewicz, "_certify_roots", spy)
+        find_prepole_params(kind, n, j, k, region, grid, cfg)
+    return seen[0]
+
+
+def _unresolved_at_1024(kind, n, j, k, center, radius, cfg):
+    t = 2.0 * math.pi * np.arange(1024) / 1024
+    v = _g_array(kind, n, j, k, center + radius * np.exp(1j * t), cfg)
+    return float(np.max(np.abs(np.angle(np.roll(v, -1) / v)))) >= math.pi / 2.0
+
+
+def test_nested_ring_has_the_bits_of_fresh_sampling():
+    for m in (64, 128, 256, 512, 1024):
+        fresh = np.exp(1j * (2.0 * math.pi * np.arange(m) / m))
+        assert fresh.tobytes() == misiurewicz._unit_ring()[:: 1024 // m].tobytes()
+
+
+def test_certify_roots_matches_full_ladder(cfg, monkeypatch):
+    halved_at_1024 = 0
+    for kind, n, j, k, region, grid in CERTIFY_CASES:
+        roots = _certifier_input(monkeypatch, kind, n, j, k, region, grid, cfg)
+        assert roots
+        radii = _certify_roots(kind, n, j, k, roots, cfg)
+        assert radii == _certify_roots_full_ladder(kind, n, j, k, roots, cfg)
+        nn = _nearest_dists(roots)
+        for i, z in enumerate(roots):
+            r0 = max(min(0.25 * abs(z), 0.75 * nn[i]), max(10.0 * cfg.newton_tol, 1e-10))
+            if radii.get(i, 0.0) < r0 and _unresolved_at_1024(kind, n, j, k, z, r0, cfg):
+                halved_at_1024 += 1
+    assert halved_at_1024 > 0
+
+
+def _spoiled(lam, modulus):
+    """A fixed pseudo-random 1-in-modulus subset of the parameters, chosen by
+    their bits, so both certifiers spoil the same samples."""
+    bits = np.ascontiguousarray(lam, dtype=complex).view(np.uint64).reshape(-1, 2)
+    h = (bits[:, 0] ^ (bits[:, 1] >> np.uint64(17))) * np.uint64(0x9E3779B97F4A7C15)
+    return ((h >> np.uint64(40)) % np.uint64(modulus)).astype(np.int64)
+
+
+def test_certify_roots_matches_full_ladder_through_nan_and_zero(cfg, monkeypatch):
+    # orbit deaths and exact zeros on the contour: rare enough that most
+    # contours resolve, frequent enough to land on chased midpoints too
+    real = misiurewicz._g_array
+
+    def spoiled_g(kind, n, j, k, lam, cfg):
+        g = real(kind, n, j, k, lam, cfg)
+        h = _spoiled(lam, 1500)
+        g[h == 0] = complex(np.nan, np.nan)
+        g[h == 1] = 0.0
+        return g
+
+    changed = 0
+    for kind, n, j, k, region, grid in CERTIFY_CASES[:3]:
+        roots = _certifier_input(monkeypatch, kind, n, j, k, region, grid, cfg)
+        clean = _certify_roots(kind, n, j, k, roots, cfg)
+        with monkeypatch.context() as mp:
+            mp.setattr(misiurewicz, "_g_array", spoiled_g)
+            mp.setitem(globals(), "_g_array", spoiled_g)
+            radii = _certify_roots(kind, n, j, k, roots, cfg)
+            assert radii == _certify_roots_full_ladder(kind, n, j, k, roots, cfg)
+        changed += radii != clean
+    assert changed > 0
