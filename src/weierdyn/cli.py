@@ -37,7 +37,7 @@ from .hyperbolic import (
     track_motion,
 )
 from .lattice import LatticeKind, ToleranceConfig, ZeroParameter, make_lattice
-from .misiurewicz import DiscTouchesU, covering_steps, density_scan, find_prepole_params
+from .misiurewicz import DiscTouchesU, covering_steps, density_scan, find_prepole_params_batch
 from .scan import (
     IoFailure,
     ScanGrid,
@@ -354,21 +354,23 @@ def _cmd_find_prepoles(values: dict[str, object]) -> int:
         values["im-min"],
         values["im-max"],
     )
+    for name in ("n-max", "j-range", "k-range"):
+        if values[name] < 0:
+            raise ValueError(f"{name} must be non-negative")
+    jr, kr = values["j-range"], values["k-range"]
+    pairs = [(j, k) for j in range(-jr, jr + 1) for k in range(-kr, kr + 1)]
     lines = ["n,j,k,lambda_re,lambda_im,residual,isolation_radius"]
     count = 0
     for n in range(values["n-max"] + 1):
-        for j in range(-values["j-range"], values["j-range"] + 1):
-            for k in range(-values["k-range"], values["k-range"] + 1):
-                roots = find_prepole_params(
-                    values["kind"], n, j, k, region, values["grid"], cfg
+        batch = find_prepole_params_batch(values["kind"], n, pairs, region, values["grid"], cfg)
+        for roots in batch:
+            for root in roots:
+                lines.append(
+                    f"{root.n},{root.j},{root.k},{root.lambda_star.real!r},"
+                    f"{root.lambda_star.imag!r},{root.residual!r},"
+                    f"{root.isolation_radius!r}"
                 )
-                for root in roots:
-                    lines.append(
-                        f"{root.n},{root.j},{root.k},{root.lambda_star.real!r},"
-                        f"{root.lambda_star.imag!r},{root.residual!r},"
-                        f"{root.isolation_radius!r}"
-                    )
-                    count += 1
+                count += 1
     _write_text(values["csv-out"], "\n".join(lines) + "\n")
     print(f"found {count} roots; wrote {values['csv-out']}")
     return 0

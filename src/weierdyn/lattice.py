@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from functools import lru_cache
 
@@ -222,10 +222,12 @@ def _kind_data(kind: LatticeKind) -> _KindData:
     )
 
 
-def _terms_for_tol(kd: _KindData, eval_tol: float) -> int:
+@lru_cache(maxsize=None)
+def _terms_for_tol(kind: LatticeKind, eval_tol: float) -> int:
     # |c_k z^(2k)| <= (2k+1) * S(2k+2) * q^(2k) with S bounded by a handful of
     # nearest lattice points; keep terms until the geometric tail bound drops
     # two decades below eval_tol.
+    kd = _kind_data(kind)
     q2 = kd.max_ratio_sq
     target = eval_tol * 1e-2
     bound = 8.0
@@ -251,8 +253,9 @@ def make_lattice(kind: LatticeKind, lam: complex, cfg: ToleranceConfig) -> Latti
     lam4 = lam2 * lam2
     g2 = kd.g2 / lam4
     g3 = kd.g3 / (lam4 * lam2)
-    n_terms = _terms_for_tol(kd, cfg.eval_tol)
     half = (gen1 / 2.0, gen2 / 2.0, (gen1 + gen2) / 2.0)
+    # wp reads only kind, lam and n_terms, so the critical values come from
+    # a provisional lattice that lacks them
     lat = Lattice(
         kind=kind,
         lam=lam,
@@ -262,11 +265,9 @@ def make_lattice(kind: LatticeKind, lam: complex, cfg: ToleranceConfig) -> Latti
         g3=g3,
         half_periods=half,
         crit_values=(0j, 0j, 0j),
-        n_terms=n_terms,
+        n_terms=_terms_for_tol(kind, cfg.eval_tol),
     )
-    crit = tuple(wp(h, lat, cfg) for h in half)
-    object.__setattr__(lat, "crit_values", crit)
-    return lat
+    return replace(lat, crit_values=tuple(wp(h, lat, cfg) for h in half))
 
 
 # ---------------------------------------------------------------------------
@@ -404,7 +405,8 @@ def wp_array(z: np.ndarray, lat: Lattice, cfg: ToleranceConfig) -> tuple[np.ndar
     acc = np.zeros_like(u2)
     coeffs = kd.coeffs
     for k in range(lat.n_terms - 1, -1, -1):
-        acc = acc * u2 + coeffs[k]
+        np.multiply(acc, u2, out=acc)
+        np.add(acc, coeffs[k], out=acc)
     val = (1.0 / u2 + acc * u2) / (lat.lam * lat.lam)
     val = np.where(pole, np.nan + 1j * np.nan, val)
     return val, pole

@@ -30,7 +30,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Optional, Sequence
+from itertools import islice
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -63,6 +64,7 @@ __all__ = [
     "pole_location",
     "prepole_residual",
     "find_prepole_params",
+    "find_prepole_params_batch",
     "misiurewicz_check",
     "density_scan",
     "covering_steps",
@@ -70,6 +72,10 @@ __all__ = [
 
 # grid minima of |g| above this are noise, not root candidates
 SEED_THRESHOLD = 10.0
+
+# certification contours evaluated together per round, across every (j, k)
+# of a batch; finished contours are replaced from the queue
+LIVE_CONTOURS = 64
 
 
 class PrematurePole(ArithmeticError):
@@ -156,23 +162,24 @@ def _unit_lattice(kind: LatticeKind, cfg: ToleranceConfig) -> Lattice:
     return make_lattice(kind, 1.0 + 0j, cfg)
 
 
-def _g_array(
-    kind: LatticeKind,
-    n: int,
-    j: int,
-    k: int,
-    lam: np.ndarray,
-    cfg: ToleranceConfig,
-) -> np.ndarray:
-    """g over an array of parameters, vectorized through the normalized lattice.
+def _pole_coef(kind: LatticeKind, j: int, k: int) -> complex:
+    """j + k*tau, the coefficient of the target pole p_{j,k}(lambda)."""
+    return j + k * _kind_data(kind).tau
+
+
+def _critical_orbit(
+    kind: LatticeKind, n: int, lam: np.ndarray, cfg: ToleranceConfig
+) -> tuple[np.ndarray, np.ndarray]:
+    """f^n_lambda(e_lambda) over an array of parameters, and the mask of the
+    orbits still alive, vectorized through the normalized lattice.
 
     f_lambda(z) = lambda^-2 * wp_norm(z / lambda), so the whole array is
-    advanced with one wp_array call per step.  Entries whose orbit dies early
-    (pole capture, lambda = 0) come back as NaN.
+    advanced with one wp_array call per step.  Orbits that die early (pole
+    capture, lambda = 0) are masked out.  The orbit does not depend on the
+    target pole, so one call serves every (j, k).
     """
     latn = _unit_lattice(kind, cfg)
     e1n = latn.crit_values[0]
-    lam = np.asarray(lam, dtype=complex)
     with np.errstate(divide="ignore", invalid="ignore"):
         lam2 = lam * lam
         alive = np.isfinite(lam) & (lam != 0)
@@ -181,13 +188,27 @@ def _g_array(
             vals, poles = wp_array(np.where(alive, w / np.where(alive, lam, 1.0), 2.0 + 2.0j), latn, cfg)
             alive &= ~poles
             w = np.where(alive, vals / lam2, w)
-        tau = _kind_data(kind).tau
-        g = w - (j + k * tau) * lam
-        g = np.where(alive, g, complex(np.nan, np.nan))
-    return g
+    return w, alive
 
 
-def _grid_abs_g(
+def _minus_pole(w: np.ndarray, alive: np.ndarray, coef, lam: np.ndarray) -> np.ndarray:
+    """g = w - coef*lambda, NaN where the orbit died; coef is one j + k*tau
+    or one per element."""
+    with np.errstate(invalid="ignore"):
+        g = w - coef * lam
+    return np.where(alive, g, complex(np.nan, np.nan))
+
+
+def _g_batch(kind: LatticeKind, n: int, coef, lam: np.ndarray, cfg: ToleranceConfig) -> np.ndarray:
+    """g over an array of parameters, each element with its own pole
+    coefficient coef (or one for all); entries whose orbit dies early are
+    NaN.  An element's value does not depend on the rest of the array."""
+    lam = np.asarray(lam, dtype=complex)
+    w, alive = _critical_orbit(kind, n, lam, cfg)
+    return _minus_pole(w, alive, coef, lam)
+
+
+def _g_array(
     kind: LatticeKind,
     n: int,
     j: int,
@@ -195,9 +216,8 @@ def _grid_abs_g(
     lam: np.ndarray,
     cfg: ToleranceConfig,
 ) -> np.ndarray:
-    """|g| on a lambda grid; grid points whose orbit dies early get inf."""
-    g = _g_array(kind, n, j, k, lam, cfg)
-    return np.where(np.isnan(g), np.inf, np.abs(g))
+    """g of the (n, j, k) prepole equation over an array of parameters."""
+    return _g_batch(kind, n, _pole_coef(kind, j, k), lam, cfg)
 
 
 def _local_minima(absg: np.ndarray) -> list[tuple[int, int]]:
@@ -220,39 +240,42 @@ def _local_minima(absg: np.ndarray) -> list[tuple[int, int]]:
 def _polish_batch(
     kind: LatticeKind,
     n: int,
-    j: int,
-    k: int,
     seeds: Sequence[complex],
+    coef: Sequence[complex],
     fd_step: float,
     cfg: ToleranceConfig,
-) -> list[complex]:
-    """Newton on g for every seed in lockstep, central FD derivative.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Newton on g for every seed in lockstep, central FD derivative; seed i
+    solves for the pole coefficient coef[i].  Returns the final parameters
+    and the mask of converged seeds.
 
     A seed retires once its residual clears newton_tol; it dies when the
     derivative degenerates or its orbit hits a pole (NaN from the array
     evaluator is absorbing).  Unconverged seeds after 60 rounds are dropped.
+    Each round evaluates only the seeds still active, g at lambda and at
+    lambda +- fd_step in one array.
     """
     lam = np.asarray(seeds, dtype=complex)
-    active = np.ones(lam.shape, dtype=bool)
+    coef = np.asarray(coef, dtype=complex)
     done = np.zeros(lam.shape, dtype=bool)
+    act = np.arange(lam.size)
     for _ in range(60):
-        if not active.any():
+        if not act.size:
             break
-        g0 = _g_array(kind, n, j, k, lam, cfg)
+        la, ca = lam[act], coef[act]
+        g = _g_batch(
+            kind, n, np.tile(ca, 3), np.concatenate((la, la + fd_step, la - fd_step)), cfg
+        )
+        g0, gplus, gminus = g[: act.size], g[act.size : 2 * act.size], g[2 * act.size :]
         absg = np.abs(g0)
         finite = np.isfinite(absg)
-        newly = active & finite & (absg < cfg.newton_tol)
-        done |= newly
-        active &= finite & ~newly
-        if not active.any():
-            break
-        gp = (
-            _g_array(kind, n, j, k, lam + fd_step, cfg)
-            - _g_array(kind, n, j, k, lam - fd_step, cfg)
-        ) / (2.0 * fd_step)
-        active &= np.isfinite(gp) & (gp != 0)
-        lam = lam - np.where(active, g0 / np.where(active, gp, 1.0), 0.0)
-    return [complex(z) for z, ok in zip(lam, done) if ok]
+        newly = finite & (absg < cfg.newton_tol)
+        done[act[newly]] = True
+        gp = (gplus - gminus) / (2.0 * fd_step)
+        keep = finite & ~newly & np.isfinite(gp) & (gp != 0)
+        act = act[keep]
+        lam[act] = la[keep] - g0[keep] / gp[keep]
+    return lam, done
 
 
 def _winding_count(
@@ -327,16 +350,23 @@ def _unit_ring() -> np.ndarray:
 class _Contour:
     """One root's certification circle at its current radius and level.
 
-    vals holds the samples of the current level, one per level point, and
+    index is the root's position in the root list of (j, k) group group, and
+    coef is that group's j + k*tau.  vals holds the samples of the current level, one per level point, and
     known flags those already evaluated.  chase holds the level points that
     are midpoints of the previous level's bad arcs, still to be checked, or
     is None when the level is checked in full.
     """
 
-    __slots__ = ("index", "center", "floor", "radius", "vals", "known", "chase", "certified")
+    __slots__ = (
+        "group", "index", "coef", "center", "floor", "radius", "vals", "known", "chase", "certified"
+    )
 
-    def __init__(self, index: int, center: complex, radius: float, floor: float):
+    def __init__(
+        self, group: int, index: int, coef: complex, center: complex, radius: float, floor: float
+    ):
+        self.group = group
         self.index = index
+        self.coef = coef
         self.center = center
         self.floor = floor
         self.certified = False
@@ -409,23 +439,36 @@ class _Contour:
         return True
 
 
+def _contours(
+    kind: LatticeKind,
+    pairs: Sequence[tuple[int, int]],
+    root_lists: Sequence[Sequence[complex]],
+    floor: float,
+) -> Iterator[_Contour]:
+    """The certification queue: every root of every (j, k) group in order,
+    each starting just inside its nearest-neighbor distance within its group
+    (capped at a quarter of |root| so the circle stays clear of lambda = 0)."""
+    for group, ((j, k), roots) in enumerate(zip(pairs, root_lists)):
+        coef = _pole_coef(kind, j, k)
+        nn = _nearest_dists(roots)
+        for i, z in enumerate(roots):
+            yield _Contour(group, i, coef, z, max(min(0.25 * abs(z), 0.75 * nn[i]), floor), floor)
+
+
 def _certify_roots(
     kind: LatticeKind,
     n: int,
-    j: int,
-    k: int,
-    roots: Sequence[complex],
+    pairs: Sequence[tuple[int, int]],
+    root_lists: Sequence[Sequence[complex]],
     cfg: ToleranceConfig,
-) -> dict[int, float]:
-    """Certified isolation radius per root index, batched across contours.
+) -> list[dict[int, float]]:
+    """Certified isolation radius per root index, one dict per (j, k) group.
 
-    Each root starts just inside its nearest-neighbor distance (capped at a
-    quarter of |root| so the circle stays clear of lambda = 0) and follows
-    the _winding_count decision tree: a contour with an arc turning by at
-    least pi/2 escalates its sampling from 64 up to 1024 points, any other
-    failure halves the radius and resets the sampling, and a winding count
-    of one certifies.  Roots that reach the radius floor uncertified are
-    dropped.
+    Each contour follows the _winding_count decision tree: a contour with an
+    arc turning by at least pi/2 escalates its sampling from 64 up to 1024
+    points, any other failure halves the radius and resets the sampling, and
+    a winding count of one certifies.  Roots that reach the radius floor
+    uncertified are dropped.
 
     The decisions are the same at every (root, radius, level) while g is
     evaluated far less often:
@@ -440,19 +483,19 @@ def _certify_roots(
       A NaN or zero met on the way halves the radius: being on every finer
       level too, it would halve the full ladder as well.
 
-    All pending contours of a round share one array evaluation.
+    Up to LIVE_CONTOURS contours of any groups share one array evaluation
+    per round; a contour that finishes is replaced from the queue for the
+    next round.
     """
     floor = max(10.0 * cfg.newton_tol, 1e-10)
-    nn = _nearest_dists(roots)
-    live = [
-        _Contour(i, z, max(min(0.25 * abs(z), 0.75 * nn[i]), floor), floor)
-        for i, z in enumerate(roots)
-    ]
-    out: dict[int, float] = {}
+    queue = _contours(kind, pairs, root_lists, floor)
+    live = list(islice(queue, LIVE_CONTOURS))
+    out: list[dict[int, float]] = [{} for _ in pairs]
     while live:
         wanted = [c.wanted() for c in live]
         pts = np.concatenate([c.points(w) for c, w in zip(live, wanted)])
-        vals = _g_array(kind, n, j, k, pts, cfg)
+        coef = np.repeat([c.coef for c in live], [w.size for w in wanted])
+        vals = _g_batch(kind, n, coef, pts, cfg)
         pos = 0
         still = []
         for c, w in zip(live, wanted):
@@ -461,9 +504,105 @@ def _certify_roots(
             if c.settle(w, g):
                 still.append(c)
             elif c.certified:
-                out[c.index] = c.radius
+                out[c.group][c.index] = c.radius
+        still.extend(islice(queue, LIVE_CONTOURS - len(still)))
         live = still
     return out
+
+
+def _dedup(polished: list[complex], dup_tol: float) -> list[complex]:
+    """Roots sorted by (re, im), each kept unless within dup_tol of one
+    already kept."""
+    polished = sorted(polished, key=lambda z: (z.real, z.imag))
+    dedup: list[complex] = []
+    for z in polished:
+        dup = False
+        for q in reversed(dedup):
+            if z.real - q.real > dup_tol:
+                break
+            if abs(z - q) <= dup_tol:
+                dup = True
+                break
+        if not dup:
+            dedup.append(z)
+    return dedup
+
+
+def find_prepole_params_batch(
+    kind: LatticeKind,
+    n: int,
+    pairs: Sequence[tuple[int, int]],
+    region: tuple[float, float, float, float],
+    grid: int,
+    cfg: ToleranceConfig,
+) -> list[list[PrepoleRoot]]:
+    """All certified roots of the (n, j, k) prepole equations in a rectangle,
+    one list per (j, k) of pairs, in order.
+
+    region is (re_min, re_max, im_min, im_max) and must exclude lambda = 0.
+    Grid points that are local minima of |g| under a coarse threshold seed a
+    Newton polish; converged roots are deduplicated and kept only when an
+    argument-principle circle around them counts exactly one root.
+
+    g_{n,j,k}(lambda) = f^n(e_lambda) - (j + k*tau)*lambda, and the orbit
+    term does not depend on (j, k): the seeding grid is iterated once for
+    all pairs, the seeds of every pair are polished in one lockstep batch,
+    and the certification contours of every pair share one queue.  Each
+    pair's roots are those find_prepole_params finds for it alone.
+    """
+    re_min, re_max, im_min, im_max = region
+    if grid < 8:
+        raise ValueError("grid must be at least 8")
+    if not (re_min < re_max and im_min < im_max):
+        raise ValueError("region must have re_min < re_max and im_min < im_max")
+    if n < 0:
+        raise ValueError("n must be non-negative")
+    res = np.linspace(re_min, re_max, grid)
+    ims = np.linspace(im_min, im_max, grid)
+    lam_grid = res[None, :] + 1j * ims[:, None]
+    w, alive = _critical_orbit(kind, n, lam_grid, cfg)
+    coefs = [_pole_coef(kind, j, k) for j, k in pairs]
+    seeds: list[complex] = []
+    seed_group: list[int] = []
+    for group, coef in enumerate(coefs):
+        g = _minus_pole(w, alive, coef, lam_grid)
+        absg = np.where(np.isnan(g), np.inf, np.abs(g))
+        for r, c in _local_minima(absg):
+            seeds.append(complex(lam_grid[r, c]))
+            seed_group.append(group)
+
+    diameter = math.hypot(re_max - re_min, im_max - im_min)
+    lam, done = _polish_batch(
+        kind, n, seeds, [coefs[p] for p in seed_group], 1e-7 * diameter, cfg
+    )
+    polished: list[list[complex]] = [[] for _ in pairs]
+    for z, group, ok in zip(lam, seed_group, done):
+        z = complex(z)
+        if ok and re_min <= z.real <= re_max and im_min <= z.imag <= im_max:
+            polished[group].append(z)
+
+    kept: list[list[tuple[complex, float]]] = []
+    for (j, k), zs in zip(pairs, polished):
+        kept.append([])
+        for z in _dedup(zs, 10.0 * cfg.newton_tol):
+            try:
+                res_val = abs(prepole_residual(kind, z, n, j, k, cfg))
+            except PrematurePole:
+                continue
+            if res_val < cfg.newton_tol:
+                kept[-1].append((z, res_val))
+
+    radii = _certify_roots(kind, n, pairs, [[z for z, _ in ks] for ks in kept], cfg)
+    return [
+        [
+            PrepoleRoot(
+                lambda_star=z, n=n, j=j, k=k, residual=res_val, isolation_radius=rad[i]
+            )
+            for i, (z, res_val) in enumerate(ks)
+            if i in rad
+        ]
+        for (j, k), ks, rad in zip(pairs, kept, radii)
+    ]
 
 
 def find_prepole_params(
@@ -475,61 +614,9 @@ def find_prepole_params(
     grid: int,
     cfg: ToleranceConfig,
 ) -> list[PrepoleRoot]:
-    """All certified roots of the (n, j, k) prepole equation in a rectangle.
-
-    region is (re_min, re_max, im_min, im_max) and must exclude lambda = 0.
-    Grid points that are strict local minima of |g| under a coarse threshold
-    seed a Newton polish; converged roots are deduplicated and kept only when
-    an argument-principle circle around them counts exactly one root.
-    """
-    re_min, re_max, im_min, im_max = region
-    if grid < 8:
-        raise ValueError("grid must be at least 8")
-    res = np.linspace(re_min, re_max, grid)
-    ims = np.linspace(im_min, im_max, grid)
-    lam_grid = res[None, :] + 1j * ims[:, None]
-    absg = _grid_abs_g(kind, n, j, k, lam_grid, cfg)
-    diameter = math.hypot(re_max - re_min, im_max - im_min)
-    fd_step = 1e-7 * diameter
-
-    seeds = [complex(lam_grid[r, c]) for r, c in _local_minima(absg)]
-    polished = [
-        z
-        for z in _polish_batch(kind, n, j, k, seeds, fd_step, cfg)
-        if re_min <= z.real <= re_max and im_min <= z.imag <= im_max
-    ]
-
-    polished.sort(key=lambda z: (z.real, z.imag))
-    dedup: list[complex] = []
-    dup_tol = 10.0 * cfg.newton_tol
-    for z in polished:
-        dup = False
-        for q in reversed(dedup):
-            if z.real - q.real > dup_tol:
-                break
-            if abs(z - q) <= dup_tol:
-                dup = True
-                break
-        if not dup:
-            dedup.append(z)
-
-    kept: list[tuple[complex, float]] = []
-    for z in dedup:
-        try:
-            res_val = abs(prepole_residual(kind, z, n, j, k, cfg))
-        except PrematurePole:
-            continue
-        if res_val < cfg.newton_tol:
-            kept.append((z, res_val))
-
-    radii = _certify_roots(kind, n, j, k, [z for z, _ in kept], cfg)
-    return [
-        PrepoleRoot(
-            lambda_star=z, n=n, j=j, k=k, residual=res_val, isolation_radius=radii[i]
-        )
-        for i, (z, res_val) in enumerate(kept)
-        if i in radii
-    ]
+    """All certified roots of the (n, j, k) prepole equation in a rectangle:
+    the one-pair case of find_prepole_params_batch."""
+    return find_prepole_params_batch(kind, n, [(j, k)], region, grid, cfg)[0]
 
 
 # ---------------------------------------------------------------------------

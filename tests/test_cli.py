@@ -1,6 +1,8 @@
 """Command-line surface: option parsing, config precedence, exit codes, and
 byte-identical reruns of the file-producing subcommands."""
 
+import hashlib
+
 import pytest
 
 from conftest import CANDIDATE, PREPOLE_SQ
@@ -191,6 +193,53 @@ def test_find_prepoles_rejects_tiny_grid(tmp_path, capsys):
     )
     assert code == 1
     assert "error:" in err
+
+
+_SWEEP_ARGS = (
+    "find-prepoles", "--n-max", "2", "--j-range", "1", "--k-range", "1",
+    "--re-min", "0.5", "--re-max", "3", "--im-min", "0.5", "--im-max", "3",
+)
+
+# SHA-256 of the grid-16 sweep CSV of both kinds; the batched solver must
+# write these bytes exactly
+SWEEP_CSV_SHA256 = {
+    "square": "b690bf70e6bc584c415a0a60620fb2347c59ade050c2a15f265054220f27c391",
+    "triangular": "0241535b7c845f7784c2b80ca14c4281695321c81ec807434835d5f641007b9d",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SWEEP_CSV_SHA256))
+def test_find_prepoles_sweep_csv_bytes_pinned(tmp_path, capsys, kind):
+    path = tmp_path / f"{kind}.csv"
+    code, _, _ = _run(
+        capsys, *_SWEEP_ARGS, "--kind", kind, "--grid", "16", "--csv-out", str(path)
+    )
+    assert code == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == SWEEP_CSV_SHA256[kind]
+
+
+@pytest.mark.parametrize(
+    "override",
+    [
+        ("--re-min", "3.0", "--re-max", "0.5"),
+        ("--re-max", "0.5"),
+        ("--im-min", "3.0", "--im-max", "0.5"),
+        ("--im-max", "0.5"),
+        ("--n-max", "-1"),
+        ("--j-range", "-1"),
+        ("--k-range", "-1"),
+    ],
+)
+def test_find_prepoles_rejects_empty_input(tmp_path, capsys, override):
+    path = tmp_path / "r.csv"
+    code, out, err = _run(
+        capsys, *_SWEEP_ARGS, *override, "--kind", "square", "--grid", "16",
+        "--csv-out", str(path),
+    )
+    assert code == 1
+    assert "error:" in err
+    assert "found" not in out
+    assert not path.exists()
 
 
 def test_find_prepoles_demo_region_deterministic(tmp_path, capsys):

@@ -13,11 +13,14 @@ from weierdyn.misiurewicz import (
     ViolationKind,
     _certify_roots,
     _g_array,
+    _g_batch,
     _nearest_dists,
+    _pole_coef,
     _winding_count,
     covering_steps,
     density_scan,
     find_prepole_params,
+    find_prepole_params_batch,
     misiurewicz_check,
     pole_location,
     prepole_residual,
@@ -262,7 +265,7 @@ def _certifier_input(monkeypatch, kind, n, j, k, region, grid, cfg):
     real = misiurewicz._certify_roots
 
     def spy(*args):
-        seen.append(args[4])
+        seen.append(args[3][0])
         return real(*args)
 
     with monkeypatch.context() as mp:
@@ -288,7 +291,7 @@ def test_certify_roots_matches_full_ladder(cfg, monkeypatch):
     for kind, n, j, k, region, grid in CERTIFY_CASES:
         roots = _certifier_input(monkeypatch, kind, n, j, k, region, grid, cfg)
         assert roots
-        radii = _certify_roots(kind, n, j, k, roots, cfg)
+        radii = _certify_roots(kind, n, [(j, k)], [roots], cfg)[0]
         assert radii == _certify_roots_full_ladder(kind, n, j, k, roots, cfg)
         nn = _nearest_dists(roots)
         for i, z in enumerate(roots):
@@ -309,23 +312,87 @@ def _spoiled(lam, modulus):
 def test_certify_roots_matches_full_ladder_through_nan_and_zero(cfg, monkeypatch):
     # orbit deaths and exact zeros on the contour: rare enough that most
     # contours resolve, frequent enough to land on chased midpoints too
-    real = misiurewicz._g_array
+    # the certifier evaluates g through _g_batch, the oracle through _g_array
+    real = misiurewicz._g_batch
 
-    def spoiled_g(kind, n, j, k, lam, cfg):
-        g = real(kind, n, j, k, lam, cfg)
+    def spoil(g, lam):
         h = _spoiled(lam, 1500)
         g[h == 0] = complex(np.nan, np.nan)
         g[h == 1] = 0.0
         return g
 
+    def spoiled_batch(kind, n, coef, lam, cfg):
+        return spoil(real(kind, n, coef, lam, cfg), lam)
+
+    def spoiled_g(kind, n, j, k, lam, cfg):
+        return spoil(real(kind, n, _pole_coef(kind, j, k), lam, cfg), lam)
+
     changed = 0
     for kind, n, j, k, region, grid in CERTIFY_CASES[:3]:
         roots = _certifier_input(monkeypatch, kind, n, j, k, region, grid, cfg)
-        clean = _certify_roots(kind, n, j, k, roots, cfg)
+        clean = _certify_roots(kind, n, [(j, k)], [roots], cfg)[0]
         with monkeypatch.context() as mp:
-            mp.setattr(misiurewicz, "_g_array", spoiled_g)
+            mp.setattr(misiurewicz, "_g_batch", spoiled_batch)
             mp.setitem(globals(), "_g_array", spoiled_g)
-            radii = _certify_roots(kind, n, j, k, roots, cfg)
+            radii = _certify_roots(kind, n, [(j, k)], [roots], cfg)[0]
             assert radii == _certify_roots_full_ladder(kind, n, j, k, roots, cfg)
         changed += radii != clean
     assert changed > 0
+
+
+def test_g_batch_has_the_bits_of_g_array_per_pair(cfg):
+    # one orbit for many (j, k): each element keeps the bits _g_array gives
+    # it, wherever it sits in the array
+    pairs = [(j, k) for j in (-1, 0, 1) for k in (-1, 0, 1)]
+    gen = np.random.default_rng(7)
+    lam = gen.uniform(0.5, 3.0, 900) + 1j * gen.uniform(0.5, 3.0, 900)
+    lam[::97] = 0.0
+    which = gen.integers(0, len(pairs), lam.size)
+    for kind in LatticeKind:
+        coef = np.array([_pole_coef(kind, j, k) for j, k in pairs])[which]
+        for n in (0, 1, 2):
+            g = _g_batch(kind, n, coef, lam, cfg)
+            for p, (j, k) in enumerate(pairs):
+                sel = which == p
+                assert g[sel].tobytes() == _g_array(kind, n, j, k, lam[sel], cfg).tobytes()
+
+
+@pytest.mark.parametrize("slots", [1, 3])
+def test_certify_queue_refills_across_groups(cfg, monkeypatch, slots):
+    # several (j, k) groups in one queue, with so few live contours that
+    # finished ones are replaced mid-queue: each group's radii are still the
+    # full ladder's
+    for cases in (CERTIFY_CASES[:2], CERTIFY_CASES[3:4] + CERTIFY_CASES[3:4]):
+        kind, n = cases[0][:2]
+        pairs, root_lists = [], []
+        for _, _, j, k, region, grid in cases:
+            pairs.append((j, k))
+            root_lists.append(_certifier_input(monkeypatch, kind, n, j, k, region, grid, cfg))
+        with monkeypatch.context() as mp:
+            mp.setattr(misiurewicz, "LIVE_CONTOURS", slots)
+            radii = _certify_roots(kind, n, pairs, root_lists, cfg)
+        assert len(radii) == len(pairs)
+        for (j, k), roots, got in zip(pairs, root_lists, radii):
+            assert len(roots) > slots
+            assert got == _certify_roots_full_ladder(kind, n, j, k, roots, cfg)
+
+
+@pytest.mark.parametrize("kind", list(LatticeKind))
+def test_batch_equals_one_pair_calls(cfg, kind):
+    pairs = [(j, k) for j in (-1, 0, 1) for k in (-1, 0, 1)] + [(1, 0)]
+    region = (0.5, 1.5, 0.5, 1.5)
+    for n in (1, 2):
+        batch = find_prepole_params_batch(kind, n, pairs, region, 16, cfg)
+        single = [find_prepole_params(kind, n, j, k, region, 16, cfg) for j, k in pairs]
+        assert [list(map(repr, roots)) for roots in batch] == [
+            list(map(repr, roots)) for roots in single
+        ]
+        assert sum(map(len, batch)) > 0
+
+
+def test_find_prepole_params_rejects_empty_region(cfg):
+    for region in ((1.0, 0.5, 0.5, 1.0), (0.5, 1.0, 1.0, 1.0), (0.5, math.nan, 0.5, 1.0)):
+        with pytest.raises(ValueError):
+            find_prepole_params_batch(LatticeKind.SQUARE, 1, [(1, 0)], region, 16, cfg)
+    with pytest.raises(ValueError):
+        find_prepole_params(LatticeKind.SQUARE, -1, 1, 0, (0.5, 1.0, 0.5, 1.0), 16, cfg)
