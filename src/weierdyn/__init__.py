@@ -15,7 +15,6 @@ from .lattice import (
     wp,
     wp_array,
     wp_pair,
-    wp_prime,
 )
 
 __all__ = [
@@ -31,5 +30,4 @@ __all__ = [
     "wp",
     "wp_array",
     "wp_pair",
-    "wp_prime",
 ]

@@ -15,6 +15,7 @@ import os
 import re
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Optional
 
 from .dynamics import (
@@ -92,8 +93,8 @@ def parse_radii(text: str) -> tuple[float, ...]:
         radii = tuple(float(p) for p in parts)
     except ValueError as exc:
         raise UsageError(f"cannot parse radii list {text!r}") from exc
-    if any(r <= 0 for r in radii):
-        raise UsageError("radii must be positive")
+    if not all(math.isfinite(r) and r > 0 for r in radii):
+        raise UsageError("radii must be finite and positive")
     return radii
 
 
@@ -251,7 +252,11 @@ def load_config(path: str) -> dict[str, str]:
     return mapping
 
 
+@lru_cache(maxsize=None)
 def _build_parser() -> _Parser:
+    # built on the first call of main and reused: parsing does not change
+    # the parser, and rebuilding it per call left a process that calls main
+    # repeatedly with a heap that grew by about 1 MiB per 90 calls
     parser = _Parser(prog="weierdyn")
     sub = parser.add_subparsers(dest="command", required=True)
     for command, opts in COMMANDS.items():

@@ -30,6 +30,8 @@ from .lattice import (
     LatticeKind,
     ToleranceConfig,
     ZeroParameter,
+    _split_scales,
+    _terms_for_tol,
     _wp_split,
     make_lattice,
     sph_deriv,
@@ -142,7 +144,11 @@ class NewtonDivergence(RuntimeError):
 def escape_scale(lat: Lattice, cfg: ToleranceConfig) -> float:
     """Largest modulus wp can emit: 1/(pole_eps*|lambda|)^2 up to the series
     correction.  Anything bigger marks the orbit as numerically at infinity."""
-    return 1.0 / (cfg.pole_eps * abs(lat.lam)) ** 2
+    return _escape_scale(lat.lam, cfg.pole_eps)
+
+
+def _escape_scale(lam: complex, pole_eps: float) -> float:
+    return 1.0 / (pole_eps * abs(lam)) ** 2
 
 
 def iterate(
@@ -194,17 +200,17 @@ def iterate(
     )
 
 
-_EXHAUSTED, _POLE, _ESCAPED = 0, 1, 2
+_EXHAUSTED, _POLE, _ESCAPED, _STOPPED = 0, 1, 2, 3
 
 
 @dataclass(frozen=True)
 class OrbitBatch:
     """Outcomes of orbit_array, one entry per orbit, in input order.
 
-    status holds _EXHAUSTED, _POLE or _ESCAPED; step, m and n are the fields
-    of the matching iterate outcome (m, n only for pole hits).  size is the
-    length iterate's points would have; ring holds the last ring.shape[1] of
-    them, point k of the orbit in column k % ring.shape[1].
+    status holds _EXHAUSTED, _POLE, _ESCAPED or _STOPPED; step, m and n are
+    the fields of the matching iterate outcome (m, n only for pole hits).
+    size is the length iterate's points would have; ring holds the last
+    ring.shape[1] of them, point k of the orbit in column k % ring.shape[1].
     """
 
     starts: np.ndarray
@@ -224,6 +230,8 @@ class OrbitBatch:
             return PoleHit(step=int(self.step[i]), m=int(self.m[i]), n=int(self.n[i]))
         if code == _ESCAPED:
             return EscapedSphericalBall(step=int(self.step[i]))
+        if code == _STOPPED:
+            return Stopped(step=int(self.step[i]))
         return BudgetExhausted()
 
     def trace(self, i: int) -> OrbitTrace:
@@ -243,19 +251,29 @@ class OrbitBatch:
 
 
 def orbit_array(
-    lats: Sequence[Lattice],
+    kind: LatticeKind,
+    lams: Sequence[complex],
     starts: Sequence[complex],
     max_iter: int,
     cfg: ToleranceConfig,
     *,
     escape: bool = True,
     tail: int = 0,
+    stop: Optional[Callable[[int, np.ndarray, np.ndarray, np.ndarray], np.ndarray]] = None,
 ) -> OrbitBatch:
-    """Orbit i is the iterate orbit of starts[i] on lats[i]; all advance in
-    lockstep, up to max_iter steps, dropping out of the batch as they hit a
-    pole or (with escape) pass the escape scale.  escape=False drops the
-    escape test, as a bare loop over wp does.  The last `tail` points of
-    each orbit are kept in a ring buffer.
+    """Orbit i is the iterate orbit of starts[i] on the lattice of kind and
+    scale lams[i]; all advance in lockstep, up to max_iter steps, dropping
+    out of the batch as they hit a pole or (with escape) pass the escape
+    scale.  escape=False drops the escape test, as a bare loop over wp does.
+    The last `tail` points of each orbit are kept in a ring buffer.
+
+    stop(step, idx, re, im), when given, is asked about the points
+    re + i*im of the orbits idx (batch indices) at the point where iterate
+    asks its stop: once wp has evaluated them without a pole hit.  It
+    returns a mask over idx; the orbits it flags end with Stopped(step).
+
+    Raises ZeroParameter when a scale is one make_lattice refuses.  The
+    truncation is make_lattice's, _terms_for_tol(kind, cfg.eval_tol).
 
     Element by element the result has the same bits as scalar iterate, for
     any batch: each element's arithmetic depends on nothing else in it.
@@ -270,12 +288,13 @@ def orbit_array(
     """
     if max_iter < 0:
         raise ValueError("max_iter must be non-negative")
-    count = len(lats)
-    kinds = {lat.kind for lat in lats}
-    terms = {lat.n_terms for lat in lats}
-    if len(kinds) > 1 or len(terms) > 1:
-        raise ValueError("orbit_array needs lattices of one kind and one truncation")
-    z0 = np.array(starts, dtype=complex).reshape(count)
+    lam_c = np.asarray(lams, dtype=complex).reshape(-1)
+    z0 = np.asarray(starts, dtype=complex).reshape(-1)
+    count = z0.size
+    if lam_c.size != count:
+        raise ValueError("orbit_array needs one scale per start")
+    if not (np.isfinite(lam_c) & (lam_c != 0)).all():
+        raise ZeroParameter("lattice scale must be nonzero and finite")
     status = np.zeros(count, dtype=np.int64)  # _EXHAUSTED
     step = np.zeros(count, dtype=np.int64)
     m = np.zeros(count, dtype=np.int64)
@@ -285,10 +304,8 @@ def orbit_array(
     if count == 0:
         return OrbitBatch(z0, status, step, m, n, size, ring)
 
-    kind = kinds.pop()
-    n_terms = terms.pop()
-    lam = np.array([lat.lam for lat in lats], dtype=complex)
-    lam2 = np.array([lat.lam * lat.lam for lat in lats], dtype=complex)
+    n_terms = _terms_for_tol(kind, cfg.eval_tol)
+    lam, lam2 = _split_scales(lam_c)
     if tail:
         ring[:, 0] = z0
     # the orbits still running: batch index, current point, per-orbit constants
@@ -296,10 +313,11 @@ def orbit_array(
         "idx": np.arange(count),
         "re": z0.real.copy(),
         "im": z0.imag.copy(),
-        "lam": np.array([lam.real, lam.imag]),
-        "lam2": np.array([lam2.real, lam2.imag]),
-        "esc": np.array([escape_scale(lat, cfg) for lat in lats]),
+        "lam": lam,
+        "lam2": lam2,
     }
+    if escape:
+        live["esc"] = np.array([_escape_scale(v, cfg.pole_eps) for v in lam_c.tolist()])
 
     def retire(mask: np.ndarray, code: int, at: int, hit_m=None, hit_n=None) -> None:
         nonlocal live
@@ -308,7 +326,8 @@ def orbit_array(
             return
         status[idx] = code
         step[idx] = at
-        size[idx] = at + 1
+        # iterate records the point wp gave before it asks stop
+        size[idx] = at + (2 if code == _STOPPED else 1)
         if hit_m is not None:
             m[idx] = hit_m[mask]
             n[idx] = hit_n[mask]
@@ -322,14 +341,17 @@ def orbit_array(
             check_escape(s)
         if live["idx"].size == 0:
             break
+        zr, zi = live["re"], live["im"]
         live["re"], live["im"], pole, hit_m, hit_n = _wp_split(
-            live["re"], live["im"], live["lam"], live["lam2"], kind, n_terms, cfg.pole_eps
+            zr, zi, live["lam"], live["lam2"], kind, n_terms, cfg.pole_eps
         )
         retire(pole, _POLE, s, hit_m, hit_n)
         if tail:
             col = (s + 1) % tail
             ring.real[live["idx"], col] = live["re"]
             ring.imag[live["idx"], col] = live["im"]
+        if stop is not None and live["idx"].size:
+            retire(np.asarray(stop(s, live["idx"], zr[~pole], zi[~pole]), dtype=bool), _STOPPED, s)
     else:
         if escape:
             check_escape(max_iter)
@@ -500,15 +522,15 @@ def classify_batch(
             lats.append(make_lattice(kind, lam, cfg))
         except ZeroParameter:
             lats.append(None)
-    orbit_lats: list[Lattice] = []
+    orbit_lams: list[complex] = []
     starts: list[complex] = []
     spans: list[range] = []
     for lat in lats:
         crit = [] if lat is None else _critical_starts(kind, lat)
         spans.append(range(len(starts), len(starts) + len(crit)))
-        orbit_lats.extend([lat] * len(crit))
+        orbit_lams.extend(lat.lam for _ in crit)
         starts.extend(crit)
-    batch = orbit_array(orbit_lats, starts, budget, cfg, tail=DEFAULT_MAX_PERIOD + 1)
+    batch = orbit_array(kind, orbit_lams, starts, budget, cfg, tail=DEFAULT_MAX_PERIOD + 1)
     return [
         None if lat is None else _verdict(kind, lat, [batch.trace(i) for i in span], budget, cfg)
         for lat, span in zip(lats, spans)

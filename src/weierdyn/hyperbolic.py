@@ -352,10 +352,14 @@ def track_motion(
 
 
 def x_function(sample: HyperbolicSample, lam: complex, cfg: ToleranceConfig) -> complex:
-    """x(lambda) = e_lambda - h_lambda(e_lambda0); zero exactly at lambda0."""
-    frame = track_motion(sample, sample.points[0], lam, DEFAULT_N_STEPS, cfg)
+    """x(lambda) = e_lambda - h_lambda(e_lambda0); zero exactly at lambda0.
+
+    h is track_motion's h_value at points[0], from the one pullback chain it
+    needs; the conjugacy residual track_motion also computes is not.
+    """
+    h_value, _ = _pullback_chain(sample, lam, 0, DEFAULT_N_STEPS, cfg)
     lat = make_lattice(sample.kind, lam, cfg)
-    return lat.crit_values[0] - frame.h_value
+    return lat.crit_values[0] - h_value
 
 
 def winding_number(values: list[complex]) -> int:

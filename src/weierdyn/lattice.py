@@ -58,7 +58,6 @@ __all__ = [
     "make_lattice",
     "reduce",
     "wp",
-    "wp_prime",
     "wp_pair",
     "wp_array",
     "wp_direct_sum",
@@ -238,14 +237,20 @@ def _terms_for_tol(kind: LatticeKind, eval_tol: float) -> int:
     return len(kd.coeffs)
 
 
+def _check_scale(lam: complex) -> complex:
+    """lam as a complex, or ZeroParameter for lam = 0 (or a non-finite lam)."""
+    lam = complex(lam)
+    if lam == 0 or not (math.isfinite(lam.real) and math.isfinite(lam.imag)):
+        raise ZeroParameter("lattice scale must be nonzero and finite")
+    return lam
+
+
 def make_lattice(kind: LatticeKind, lam: complex, cfg: ToleranceConfig) -> Lattice:
     """Build a lattice for the given family and scale.
 
     Raises ZeroParameter for lam = 0 (or a non-finite lam).
     """
-    lam = complex(lam)
-    if lam == 0 or not (math.isfinite(lam.real) and math.isfinite(lam.imag)):
-        raise ZeroParameter("lattice scale must be nonzero and finite")
+    lam = _check_scale(lam)
     kd = _kind_data(kind)
     gen1 = lam
     gen2 = kd.tau * lam
@@ -339,21 +344,8 @@ def wp(z: complex, lat: Lattice, cfg: ToleranceConfig) -> complex:
     return val / (lat.lam * lat.lam)
 
 
-def wp_prime(z: complex, lat: Lattice, cfg: ToleranceConfig) -> complex:
-    """Evaluate the derivative of the Weierstrass function at z."""
-    kd = _kind_data(lat.kind)
-    u0, _, _ = _norm_point(z, lat, cfg)
-    u2 = u0 * u0
-    acc = 0j
-    dcoeffs = kd.dcoeffs
-    for k in range(lat.n_terms - 1, -1, -1):
-        acc = acc * u2 + dcoeffs[k]
-    val = -2.0 / (u2 * u0) + acc * u0
-    return val / (lat.lam * lat.lam * lat.lam)
-
-
 def wp_pair(z: complex, lat: Lattice, cfg: ToleranceConfig) -> tuple[complex, complex]:
-    """wp and wp_prime together, sharing the reduction."""
+    """wp and its derivative wp' together, sharing the reduction."""
     kd = _kind_data(lat.kind)
     u0, _, _ = _norm_point(z, lat, cfg)
     u2 = u0 * u0
@@ -413,7 +405,8 @@ def wp_array(z: np.ndarray, lat: Lattice, cfg: ToleranceConfig) -> tuple[np.ndar
 
 
 # ---------------------------------------------------------------------------
-# wp on split float64 arrays, bit for bit equal to the scalar wp
+# the scalar path on split float64 arrays: wp, half-periods and critical
+# values bit for bit, chordal distances up to the rounding of a square
 #
 # numpy's complex ufuncs round differently from CPython's complex type, so
 # these helpers carry real and imaginary parts as separate float64 arrays and
@@ -452,19 +445,12 @@ def _split_coeffs(kind: LatticeKind) -> np.ndarray:
     return np.array([[[c.real], [c.imag]] for c in _kind_data(kind).coeffs])
 
 
-def _wp_split(zr, zi, lam, lam2, kind: LatticeKind, n_terms: int, pole_eps: float):
-    """wp at zr + i*zi, element by element the same bits as scalar `wp`.
-
-    lam and lam2 are (real, imag) pairs of arrays holding each element's
-    lat.lam and lat.lam * lat.lam.  Returns (val_re, val_im, pole, m, n):
-    pole flags the points scalar wp refuses with PoleHit(m, n), and val is
-    meaningless there.
-    """
-    kd = _kind_data(kind)
-    tau_re, tau_im = kd.tau.real, kd.tau.imag
-    ur, ui = _cdiv(zr, zi, lam[0], lam[1])
+def _nearest_translate(ur, ui, kd: _KindData):
+    """_reduce_coords and _recenter on split 1-D arrays: the representative
+    u0 = u - (m + n*tau) of smallest modulus, as (u0_re, u0_im, m, n) with m
+    and n as floats, each element the same bits as the scalar pair."""
     b = ui * kd.inv_im_tau
-    a = ur - b * tau_re
+    a = ur - b * kd.tau.real
     fa = np.floor(a + 0.5)
     fb = np.floor(b + 0.5)
     a -= fa
@@ -473,16 +459,25 @@ def _wp_split(zr, zi, lam, lam2, kind: LatticeKind, n_terms: int, pole_eps: floa
     # minimum, as its strict < scan does
     re = a - _OFFSET_M[:, None]
     im = b - _OFFSET_N[:, None]
-    re += im * tau_re
-    im *= tau_im
+    re += im * kd.tau.real
+    im *= kd.tau.imag
     d = re * re
     d += im * im
     pick = d.argmin(axis=0)
     cols = np.arange(pick.size)
-    re = re[pick, cols]
-    im = im[pick, cols]
-    dm = _OFFSET_M[pick]
-    dn = _OFFSET_N[pick]
+    return re[pick, cols], im[pick, cols], fa + _OFFSET_M[pick], fb + _OFFSET_N[pick]
+
+
+def _wp_split(zr, zi, lam, lam2, kind: LatticeKind, n_terms: int, pole_eps: float):
+    """wp at zr + i*zi, element by element the same bits as scalar `wp`.
+
+    lam and lam2 are (real, imag) pairs of arrays holding each element's
+    lat.lam and lat.lam * lat.lam.  Returns (val_re, val_im, pole, m, n):
+    pole flags the points scalar wp refuses with PoleHit(m, n), and val is
+    meaningless there.
+    """
+    ur, ui = _cdiv(zr, zi, lam[0], lam[1])
+    re, im, m, n = _nearest_translate(ur, ui, _kind_data(kind))
     pole = np.hypot(re, im) < pole_eps
 
     # Horner in u^2 on stacked (real, imag) rows: with v = i*u^2 = (-u2i, u2r),
@@ -504,7 +499,41 @@ def _wp_split(zr, zi, lam, lam2, kind: LatticeKind, n_terms: int, pole_eps: floa
         ir, ii = _cdiv(1.0, 0.0, u2r, u2i)
         pr, pi = _cmul(acc[0], acc[1], u2r, u2i)
         vr, vi = _cdiv(ir + pr, ii + pi, lam2[0], lam2[1])
-    return vr, vi, pole, fa + dm, fb + dn
+    return vr, vi, pole, m, n
+
+
+def _split_scales(lams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(lam, lam2) for a complex array of scales: lat.lam and CPython's
+    lat.lam * lat.lam, each as a (real, imag) array of shape (2, size)."""
+    lr = np.ascontiguousarray(lams.real, dtype=float)
+    li = np.ascontiguousarray(lams.imag, dtype=float)
+    return np.array([lr, li]), np.array(_cmul(lr, li, lr, li))
+
+
+def _half_periods_split(kind: LatticeKind, lam: np.ndarray) -> np.ndarray:
+    """make_lattice's half_periods for each scale of the split pair lam, as
+    an array of shape (3, 2, size): tau*lam as CPython's product and each
+    half as its quotient by complex(2.0, 0.0)."""
+    tau = _kind_data(kind).tau
+    lr, li = lam
+    gr, gi = _cmul(tau.real, tau.imag, lr, li)
+    two, zero = np.float64(2.0), np.float64(0.0)
+    return np.array([
+        _cdiv(lr, li, two, zero), _cdiv(gr, gi, two, zero), _cdiv(lr + gr, li + gi, two, zero)
+    ])
+
+
+def _crit_values_split(
+    kind: LatticeKind, lam: np.ndarray, lam2: np.ndarray, half: np.ndarray, cfg: ToleranceConfig
+) -> np.ndarray:
+    """make_lattice's crit_values for the leading half-periods given, shape
+    (count, 2, size) like half, all through one _wp_split call."""
+    count, _, size = half.shape
+    vr, vi, _, _, _ = _wp_split(
+        half[:, 0].ravel(), half[:, 1].ravel(), np.tile(lam, count), np.tile(lam2, count),
+        kind, _terms_for_tol(kind, cfg.eval_tol), cfg.pole_eps,
+    )
+    return np.stack([vr.reshape(count, size), vi.reshape(count, size)], axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -616,3 +645,41 @@ def crit_sph_dist(z: complex, lat: Lattice) -> float:
         if d < best:
             best = d
     return best
+
+
+# The split forms of the chordal distances below follow the scalar formulas
+# operation by operation, with one exception: the scalar |z| ** 2 is libm's
+# pow, which numpy cannot reproduce, and in about 1 in 1,000 points the two
+# squares differ by an ulp.  The distances then differ by a few ulps, so a
+# caller comparing them with a threshold re-decides close calls with the
+# scalar helpers.  Points must be finite.
+
+
+def _sph_dist_split(zr, zi, wr, wi):
+    """sph_dist for finite points, up to the rounding of the squares."""
+    hz = np.hypot(zr, zi)
+    hw = np.hypot(wr, wi)
+    return 2.0 * np.hypot(zr - wr, zi - wi) / (np.sqrt(1.0 + hz * hz) * np.sqrt(1.0 + hw * hw))
+
+
+def _sph_dist_to_inf_split(zr, zi):
+    """sph_dist_to_inf for finite points, up to the rounding of the square."""
+    h = np.hypot(zr, zi)
+    return 2.0 / np.sqrt(1.0 + h * h)
+
+
+def _crit_sph_dist_split(kind: LatticeKind, zr, zi, lam: np.ndarray, half: np.ndarray):
+    """crit_sph_dist for finite points, up to the rounding of the squares;
+    lam (2, size) and half (3, 2, size) hold each point's lattice scale and
+    half_periods in split form."""
+    count = half.shape[0]
+    zr = np.tile(zr, count)
+    zi = np.tile(zi, count)
+    lr, li = np.tile(lam, count)
+    with np.errstate(invalid="ignore", over="ignore"):
+        ur, ui = _cdiv(zr - half[:, 0].ravel(), zi - half[:, 1].ravel(), lr, li)
+        u0r, u0i, _, _ = _nearest_translate(ur, ui, _kind_data(kind))
+        pr, pi = _cmul(u0r, u0i, lr, li)
+        d = _sph_dist_split(zr, zi, zr - pr, zi - pi)
+    # the scalar loop keeps the smallest with d < best, so it skips NaN
+    return np.fmin.reduce(d.reshape(count, -1), axis=0)

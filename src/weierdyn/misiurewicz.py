@@ -36,18 +36,22 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from . import rng
-from .dynamics import PoleHit, escape_scale, iterate
+from .dynamics import _POLE, _STOPPED, OrbitBatch, escape_scale, orbit_array
 from .lattice import (
     Lattice,
     LatticeKind,
     ToleranceConfig,
-    ZeroParameter,
+    _check_scale,
+    _crit_sph_dist_split,
+    _crit_values_split,
+    _half_periods_split,
     _kind_data,
+    _sph_dist_to_inf_split,
+    _split_scales,
     crit_sph_dist,
     make_lattice,
     pole_euclid_dist,
     sph_dist_to_inf,
-    wp,
     wp_array,
     wp_pair,
 )
@@ -76,6 +80,10 @@ SEED_THRESHOLD = 10.0
 # certification contours evaluated together per round, across every (j, k)
 # of a batch; finished contours are replaced from the queue
 LIVE_CONTOURS = 64
+
+# density samples whose critical orbits run in one lockstep batch; like
+# scan.BLOCK_SIZE, larger blocks are faster but cost peak memory
+BLOCK_SIZE = 512
 
 
 class PrematurePole(ArithmeticError):
@@ -133,23 +141,35 @@ def pole_location(kind: LatticeKind, lam: complex, j: int, k: int) -> complex:
     return j * lam + k * tau * lam
 
 
-def _orbit_value(kind: LatticeKind, lam: complex, n: int, cfg: ToleranceConfig) -> complex:
-    """f^n_lambda(e_lambda), raising PrematurePole on early capture."""
-    lat = make_lattice(kind, lam, cfg)
-    z = lat.crit_values[0]
-    for step in range(n):
-        try:
-            z = wp(z, lat, cfg)
-        except PoleError:
-            raise PrematurePole(step) from None
-    return z
+def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """The complex array with exactly these parts (re + 1j*im may flip the
+    sign of a zero)."""
+    out = np.empty(re.shape, dtype=complex)
+    out.real = re
+    out.imag = im
+    return out
+
+
+def _orbit_values(kind: LatticeKind, lams: np.ndarray, n: int, cfg: ToleranceConfig) -> OrbitBatch:
+    """f^n_lambda(e_lambda) for every scale of lams, as the last point of
+    each orbit of the batch (tail 1); an orbit captured by a pole before
+    step n ends in PoleHit there.  The critical values and orbits have the
+    bits of make_lattice's e1 iterated by scalar wp."""
+    lam, lam2 = _split_scales(lams)
+    half = _half_periods_split(kind, lam)
+    e1 = _crit_values_split(kind, lam, lam2, half[:1], cfg)[0]
+    return orbit_array(kind, lams, _complex(*e1), n, cfg, escape=False, tail=1)
 
 
 def prepole_residual(
     kind: LatticeKind, lam: complex, n: int, j: int, k: int, cfg: ToleranceConfig
 ) -> complex:
-    """g(lambda) = f^n_lambda(e_lambda) - p_{j,k}(lambda)."""
-    return _orbit_value(kind, lam, n, cfg) - pole_location(kind, lam, j, k)
+    """g(lambda) = f^n_lambda(e_lambda) - p_{j,k}(lambda); raises
+    PrematurePole when the orbit is captured before step n."""
+    batch = _orbit_values(kind, np.array([_check_scale(lam)]), n, cfg)
+    if batch.status[0] == _POLE:
+        raise PrematurePole(int(batch.step[0]))
+    return complex(batch.ring[0, 0]) - pole_location(kind, lam, j, k)
 
 
 # ---------------------------------------------------------------------------
@@ -581,16 +601,22 @@ def find_prepole_params_batch(
         if ok and re_min <= z.real <= re_max and im_min <= z.imag <= im_max:
             polished[group].append(z)
 
+    # the residual re-check of every deduplicated root, one orbit batch
+    deduped = [_dedup(zs, 10.0 * cfg.newton_tol) for zs in polished]
+    batch = _orbit_values(kind, np.array([z for zs in deduped for z in zs], dtype=complex), n, cfg)
+    status = batch.status.tolist()
+    ends = batch.ring[:, 0].tolist()
     kept: list[list[tuple[complex, float]]] = []
-    for (j, k), zs in zip(pairs, polished):
+    pos = 0
+    for (j, k), zs in zip(pairs, deduped):
         kept.append([])
-        for z in _dedup(zs, 10.0 * cfg.newton_tol):
-            try:
-                res_val = abs(prepole_residual(kind, z, n, j, k, cfg))
-            except PrematurePole:
+        for i, z in enumerate(zs, start=pos):
+            if status[i] == _POLE:
                 continue
+            res_val = abs(ends[i] - pole_location(kind, z, j, k))
             if res_val < cfg.newton_tol:
                 kept[-1].append((z, res_val))
+        pos += len(zs)
 
     radii = _certify_roots(kind, n, pairs, [[z for z, _ in ks] for ks in kept], cfg)
     return [
@@ -623,45 +649,83 @@ def find_prepole_params(
 # separation check and density experiment
 
 
-def _orbit_first_violation(
-    kind: LatticeKind, lam: complex, delta: float, M: int, cfg: ToleranceConfig
-) -> Optional[Violation]:
-    """First violation along the non-pole critical orbits.
+# violation codes of _first_violations, indices into _VIOLATION_KINDS
+_VIOLATION_KINDS = (
+    None, ViolationKind.NEAR_CRITICAL, ViolationKind.NEAR_INFINITY, ViolationKind.POLE_HIT
+)
+_NEAR_CRITICAL, _NEAR_INFINITY, _POLE_HIT = 1, 2, 3
+
+# split distances within this relative distance of delta are re-decided by
+# the scalar helpers; the two forms differ by a few ulps at most
+_GUARD_BAND = 1e-12
+
+
+def _first_violations(
+    kind: LatticeKind, lams: np.ndarray, delta: float, M: int, cfg: ToleranceConfig
+) -> list[Optional[Violation]]:
+    """First violation along the non-pole critical orbits, for every scale
+    of lams (each one make_lattice accepts); all orbits run in one lockstep
+    orbit_array batch with no Lattice per parameter.
 
     Pole capture is a violation at any step including 0; proximity checks
     apply to iterates only (step >= 1).  A value chordally close to infinity
     is also chordally close to far-out critical translates, so the infinity
-    label takes precedence; exact capture outranks both.
+    label takes precedence; exact capture outranks both.  An orbit ends at
+    its first violation.  One that escapes or runs out of steps is tested at
+    its last point, and the earliest violation of a parameter's orbits wins,
+    the first orbit on a tie.
     """
-    lat = make_lattice(kind, lam, cfg)
-    crits = lat.crit_values if kind is LatticeKind.TRIANGULAR else (lat.crit_values[0],)
+    lams = np.asarray(lams, dtype=complex).reshape(-1)
+    lam, lam2 = _split_scales(lams)
+    half = _half_periods_split(kind, lam)
+    # the orbits of e1 (and e2, e3 for triangular) one after the other
+    per = 3 if kind is LatticeKind.TRIANGULAR else 1
+    crit = _crit_values_split(kind, lam, lam2, half[:per], cfg)
+    consts = np.tile(np.concatenate([lam, half.reshape(6, -1)]), per)
+    orbit_lams = np.tile(lams, per)
 
-    def near(s: int, z: complex) -> bool:
-        return s >= 1 and (sph_dist_to_inf(z) < delta or crit_sph_dist(z, lat) < delta)
+    def near_codes(idx: np.ndarray, zr: np.ndarray, zi: np.ndarray) -> np.ndarray:
+        """The proximity code of the point zr + i*zi of each orbit idx, as
+        the scalar helpers decide it: a split distance too close to delta to
+        be sure of is decided again by the scalar helper."""
+        c = consts[:, idx]
+        d_inf = _sph_dist_to_inf_split(zr, zi)
+        d_crit = _crit_sph_dist_split(kind, zr, zi, c[:2], c[2:].reshape(3, 2, -1))
+        codes = np.where(d_inf < delta, _NEAR_INFINITY, np.where(d_crit < delta, _NEAR_CRITICAL, 0))
+        band = _GUARD_BAND * delta
+        unsure = ~(np.abs(d_inf - delta) > band) | ~(np.abs(d_crit - delta) > band)
+        for i in unsure.nonzero()[0].tolist():
+            z = complex(zr[i], zi[i])
+            if sph_dist_to_inf(z) < delta:
+                codes[i] = _NEAR_INFINITY
+            elif crit_sph_dist(z, make_lattice(kind, orbit_lams[idx[i]], cfg)) < delta:
+                codes[i] = _NEAR_CRITICAL
+            else:
+                codes[i] = 0
+        return codes
 
-    best: Optional[Violation] = None
-    for e in crits:
-        # the orbit ends at its first proximity violation; the scan below
-        # ranks it against a pole hit or an escape
-        trace = iterate(lat, e, M, cfg, stop=near)
-        pole_step = trace.outcome.step if isinstance(trace.outcome, PoleHit) else None
-        for s in range(0, len(trace.points)):
-            if best is not None and s > best.step:
-                break
-            v: Optional[Violation] = None
-            if pole_step == s:
-                v = Violation(step=s, kind=ViolationKind.POLE_HIT)
-            elif s >= 1:
-                z = trace.points[s]
-                if sph_dist_to_inf(z) < delta:
-                    v = Violation(step=s, kind=ViolationKind.NEAR_INFINITY)
-                elif crit_sph_dist(z, lat) < delta:
-                    v = Violation(step=s, kind=ViolationKind.NEAR_CRITICAL)
-            if v is not None:
-                if best is None or v.step < best.step:
-                    best = v
-                break
-    return best
+    near = np.zeros(orbit_lams.size, dtype=np.int64)
+
+    def stop(step: int, idx: np.ndarray, zr: np.ndarray, zi: np.ndarray) -> np.ndarray:
+        if step == 0:
+            return np.zeros(idx.size, dtype=bool)
+        near[idx] = near_codes(idx, zr, zi)
+        return near[idx] != 0
+
+    starts = _complex(crit[:, 0].ravel(), crit[:, 1].ravel())
+    batch = orbit_array(kind, orbit_lams, starts, M, cfg, tail=1, stop=stop)
+    step = np.where(batch.status == _STOPPED, batch.step, batch.size - 1)
+    code = np.where(batch.status == _POLE, _POLE_HIT, near)
+    # an orbit that escaped or ran out of steps is tested at its last point
+    last = ((batch.status != _POLE) & (batch.status != _STOPPED) & (step >= 1)).nonzero()[0]
+    code[last] = near_codes(last, batch.ring.real[last, 0], batch.ring.imag[last, 0])
+    step = np.where(code != 0, step, M + 1).reshape(per, -1)
+    first = step.argmin(axis=0)
+    cols = np.arange(lams.size)
+    return [
+        None if c == 0 else Violation(step=s, kind=_VIOLATION_KINDS[c])
+        for s, c in zip(step[first, cols].tolist(), code.reshape(per, -1)[first, cols].tolist())
+    ]
 
 
 def misiurewicz_check(
@@ -671,11 +735,12 @@ def misiurewicz_check(
 
     Passes when the first M iterates of every non-pole critical value keep
     chordal distance at least delta from the critical points and from
-    infinity and never land on a pole outright.
+    infinity and never land on a pole outright.  The one-parameter case of
+    _first_violations; raises ZeroParameter for lam = 0.
     """
     if M < 1:
         raise ValueError("M must be at least 1")
-    violation = _orbit_first_violation(kind, lam, delta, M, cfg)
+    violation = _first_violations(kind, np.array([_check_scale(lam)]), delta, M, cfg)[0]
     if violation is None:
         return CheckReport(passed=True, iterations=M, first_violation=None)
     return CheckReport(
@@ -698,22 +763,27 @@ def density_scan(
     Sample i of radius index ri is lambda0 + r * unit_disc_point(seed, ri, i),
     a counter-based substream, so rows are reproducible independently of
     evaluation order.  Parameters that fall on lambda = 0 count as failures
-    (the family is undefined there).
+    (the family is undefined there).  The samples of a radius are checked in
+    blocks of BLOCK_SIZE, each one _first_violations batch.
     """
     if cfg is None:
         cfg = ToleranceConfig()
+    if n_samples < 1:
+        raise ValueError("n_samples must be at least 1")
+    if not all(math.isfinite(r) and r > 0 for r in radii):
+        raise ValueError("radii must be finite and positive")
+    if M < 1:
+        raise ValueError("M must be at least 1")
+    if math.isnan(delta) or delta < 0:
+        raise ValueError("delta must be non-negative")
     rows = []
     for ri, r in enumerate(radii):
-        fails = 0
-        for i in range(n_samples):
-            lam = lambda0 + r * rng.unit_disc_point(seed, ri, i)
-            try:
-                report = misiurewicz_check(kind, lam, delta, M, cfg)
-            except ZeroParameter:
-                fails += 1
-                continue
-            if not report.passed:
-                fails += 1
+        lams = np.array([lambda0 + r * rng.unit_disc_point(seed, ri, i) for i in range(n_samples)])
+        lams = lams[np.isfinite(lams) & (lams != 0)]
+        fails = n_samples - lams.size
+        for at in range(0, lams.size, BLOCK_SIZE):
+            block = _first_violations(kind, lams[at : at + BLOCK_SIZE], delta, M, cfg)
+            fails += sum(v is not None for v in block)
         rows.append(
             DensityRow(
                 radius=float(r),

@@ -25,7 +25,7 @@ from .dynamics import (
     classify_batch,
     orbit_array,
 )
-from .lattice import LatticeKind, ToleranceConfig, ZeroParameter, make_lattice
+from .lattice import LatticeKind, ToleranceConfig, ZeroParameter
 
 # pixels per lockstep block, rounded down to whole rows.  Each parameter
 # holds a lattice and a 65-point orbit tail (about 1.6 KiB) while its block
@@ -152,10 +152,9 @@ def _dyn_rows(
     cfg: ToleranceConfig,
     rows: range,
 ) -> list[tuple[int, list[tuple[int, int, int]]]]:
-    lat = make_lattice(kind, lam, cfg)
     width = grid.width_px
     starts = [grid.pixel_to_plane(px, py) for py in rows for px in range(width)]
-    batch = orbit_array([lat] * len(starts), starts, budget, cfg, escape=False)
+    batch = orbit_array(kind, [lam] * len(starts), starts, budget, cfg, escape=False)
     colors = []
     for i in range(len(batch)):
         outcome = batch.outcome(i)

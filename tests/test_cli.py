@@ -56,6 +56,9 @@ def test_parse_radii():
         parse_radii("1e-3,-1")
     with pytest.raises(UsageError):
         parse_radii("fast")
+    for bad in ("1e-3,nan", "1e-3,inf", "-inf"):
+        with pytest.raises(UsageError):
+            parse_radii(bad)
 
 
 def test_load_config_skips_comments_and_blanks(tmp_path):
@@ -183,6 +186,30 @@ def test_density_reruns_identical(tmp_path, capsys):
     text = out_a.read_text()
     assert text.splitlines()[0] == "radius,n_samples,fail_fraction,seed"
     assert len(text.splitlines()) == 3
+
+
+@pytest.mark.parametrize(
+    "override",
+    [
+        ("--samples", "0"),
+        ("--samples", "-3"),
+        ("--radii", "1e-3,nan"),
+        ("--radii", "1e-3,inf"),
+        ("--m-steps", "0"),
+        ("--delta", "nan"),
+        ("--delta", "-0.05"),
+    ],
+)
+def test_density_rejects_bad_input(tmp_path, capsys, override):
+    path = tmp_path / "d.csv"
+    code, out, err = _run(
+        capsys, "density", "--kind", "square", "--lambda0", PREPOLE_SQ_ARG,
+        "--radii", "1e-3", "--samples", "5", "--seed", "7", *override, "--out", str(path),
+    )
+    assert code == 1
+    assert "error:" in err
+    assert "fail_fraction" not in out
+    assert not path.exists()
 
 
 def test_find_prepoles_rejects_tiny_grid(tmp_path, capsys):

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from conftest import ATTRACTING_SQ, CANDIDATE, CANDIDATE_ABS_MULT
+from weierdyn import hyperbolic
 from weierdyn.hyperbolic import (
+    DEFAULT_N_STEPS,
     DegenerateRadius,
     InsufficientSampling,
     NearZero,
@@ -21,7 +23,7 @@ from weierdyn.hyperbolic import (
     winding_number,
     x_function,
 )
-from weierdyn.lattice import LatticeKind, sph_deriv, wp_pair
+from weierdyn.lattice import LatticeKind, make_lattice, sph_deriv, wp_pair
 
 
 def test_build_sample_certificates(candidate_sample):
@@ -148,6 +150,33 @@ def test_x_function_zero_only_at_base(cfg, candidate_sample):
     for kk in range(16):
         lam = CANDIDATE + 1e-3 * cmath.exp(2j * math.pi * kk / 16.0)
         assert abs(x_function(candidate_sample, lam, cfg)) > 1e-4
+
+
+def test_x_function_runs_one_chain_and_equals_track_motion(cfg, candidate_sample, monkeypatch):
+    # the order_K circle: x is e_lambda minus track_motion's h_value, bit for
+    # bit, from one pullback chain per call (track_motion runs two)
+    lams = [
+        candidate_sample.lambda0 + 1e-3 * complex(math.cos(t), math.sin(t))
+        for t in (2.0 * math.pi * i / 64 for i in range(64))
+    ]
+    e0 = candidate_sample.points[0]
+    want = [
+        make_lattice(LatticeKind.SQUARE, lam, cfg).crit_values[0]
+        - track_motion(candidate_sample, e0, lam, DEFAULT_N_STEPS, cfg).h_value
+        for lam in lams
+    ]
+    calls = []
+    real = hyperbolic._pullback_chain
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(hyperbolic, "_pullback_chain", spy)
+    for lam, w in zip(lams, want):
+        calls.clear()
+        assert x_function(candidate_sample, lam, cfg) == w
+        assert len(calls) == 1
 
 
 def test_winding_number_synthetic_loops():

@@ -1,17 +1,29 @@
 
 import math
+from typing import Optional
 
 import numpy as np
 import pytest
 
 from conftest import CANDIDATE, PREPOLE_SQ, PREPOLE_TRI
-from weierdyn import misiurewicz, rng
-from weierdyn.dynamics import AllCriticalPrepole, classify
-from weierdyn.lattice import LatticeKind, make_lattice
+from weierdyn import lattice, misiurewicz, rng
+from weierdyn.dynamics import AllCriticalPrepole, EscapedSphericalBall, PoleHit, classify, iterate
+from weierdyn.lattice import (
+    LatticeKind,
+    ToleranceConfig,
+    ZeroParameter,
+    crit_sph_dist,
+    make_lattice,
+    sph_dist_to_inf,
+    wp,
+)
 from weierdyn.misiurewicz import (
     DiscTouchesU,
+    PrematurePole,
+    Violation,
     ViolationKind,
     _certify_roots,
+    _first_violations,
     _g_array,
     _g_batch,
     _nearest_dists,
@@ -396,3 +408,208 @@ def test_find_prepole_params_rejects_empty_region(cfg):
             find_prepole_params_batch(LatticeKind.SQUARE, 1, [(1, 0)], region, 16, cfg)
     with pytest.raises(ValueError):
         find_prepole_params(LatticeKind.SQUARE, -1, 1, 0, (0.5, 1.0, 0.5, 1.0), 16, cfg)
+
+
+# ---------------------------------------------------------------------------
+# the lockstep separation check against the scalar check it replaced
+
+
+def _orbit_first_violation(
+    kind: LatticeKind, lam: complex, delta: float, M: int, cfg: ToleranceConfig
+) -> Optional[Violation]:
+    """First violation along the non-pole critical orbits.
+
+    Pole capture is a violation at any step including 0; proximity checks
+    apply to iterates only (step >= 1).  A value chordally close to infinity
+    is also chordally close to far-out critical translates, so the infinity
+    label takes precedence; exact capture outranks both.
+    """
+    lat = make_lattice(kind, lam, cfg)
+    crits = lat.crit_values if kind is LatticeKind.TRIANGULAR else (lat.crit_values[0],)
+
+    def near(s: int, z: complex) -> bool:
+        return s >= 1 and (sph_dist_to_inf(z) < delta or crit_sph_dist(z, lat) < delta)
+
+    best: Optional[Violation] = None
+    for e in crits:
+        # the orbit ends at its first proximity violation; the scan below
+        # ranks it against a pole hit or an escape
+        trace = iterate(lat, e, M, cfg, stop=near)
+        pole_step = trace.outcome.step if isinstance(trace.outcome, PoleHit) else None
+        for s in range(0, len(trace.points)):
+            if best is not None and s > best.step:
+                break
+            v: Optional[Violation] = None
+            if pole_step == s:
+                v = Violation(step=s, kind=ViolationKind.POLE_HIT)
+            elif s >= 1:
+                z = trace.points[s]
+                if sph_dist_to_inf(z) < delta:
+                    v = Violation(step=s, kind=ViolationKind.NEAR_INFINITY)
+                elif crit_sph_dist(z, lat) < delta:
+                    v = Violation(step=s, kind=ViolationKind.NEAR_CRITICAL)
+            if v is not None:
+                if best is None or v.step < best.step:
+                    best = v
+                break
+    return best
+
+
+# refusing a large disc around each lattice point makes pole hits and
+# escapes common at every step
+WIDE_POLES = ToleranceConfig(pole_eps=0.4)
+
+# (kind, lambda0, radius, delta, M, cfg) of the agreement cases
+VIOLATION_CASES = [
+    (LatticeKind.SQUARE, PREPOLE_SQ, 1e-3, 0.05, 200, None),
+    (LatticeKind.SQUARE, PREPOLE_SQ, 1e-4, 0.05, 200, None),
+    (LatticeKind.SQUARE, CANDIDATE, 1e-3, 0.05, 200, None),
+    (LatticeKind.SQUARE, CANDIDATE, 1e-5, 0.05, 200, None),
+    (LatticeKind.SQUARE, CANDIDATE, 1e-8, 0.05, 200, None),
+    (LatticeKind.SQUARE, 2.0 + 0j, 0.5, 0.05, 6, None),
+    (LatticeKind.SQUARE, 1.5 + 1.0j, 1.0, 0.5, 30, WIDE_POLES),
+    (LatticeKind.TRIANGULAR, PREPOLE_TRI, 1e-3, 0.05, 200, None),
+    (LatticeKind.TRIANGULAR, 1.5 + 1.0j, 0.3, 0.05, 200, None),
+    (LatticeKind.TRIANGULAR, 2.2 + 0.3j, 0.3, 0.05, 200, None),
+    (LatticeKind.TRIANGULAR, 1.5 + 1.0j, 1.0, 0.5, 30, WIDE_POLES),
+]
+
+
+@pytest.mark.parametrize("case", VIOLATION_CASES, ids=lambda c: f"{c[0].name}-{c[1]}-{c[2]}")
+def test_first_violations_equal_scalar_check(case, cfg):
+    kind, lam0, r, delta, M, case_cfg = case
+    case_cfg = case_cfg or cfg
+    lams = [lam0 + r * rng.unit_disc_point(41, 0, i) for i in range(40)]
+    got = _first_violations(kind, np.array(lams), delta, M, case_cfg)
+    want = [_orbit_first_violation(kind, lam, delta, M, case_cfg) for lam in lams]
+    assert got == want
+    # a parameter the family excludes is refused, as the scalar check did
+    with pytest.raises(ZeroParameter):
+        _orbit_first_violation(kind, 0j, delta, M, case_cfg)
+    with pytest.raises(ZeroParameter):
+        misiurewicz_check(kind, 0j, delta, M, case_cfg)
+
+
+def test_first_violations_cover_every_outcome(cfg):
+    # the cases above reach every ranking rule: pole hits, both proximity
+    # labels, parameters that pass, and violations found at the point where
+    # an orbit escapes
+    seen = set()
+    at_escape = 0
+    for kind, lam0, r, delta, M, case_cfg in VIOLATION_CASES:
+        case_cfg = case_cfg or cfg
+        lams = [lam0 + r * rng.unit_disc_point(41, 0, i) for i in range(40)]
+        got = _first_violations(kind, np.array(lams), delta, M, case_cfg)
+        seen |= {v and v.kind for v in got}
+        for lam, v in zip(lams, got):
+            lat = make_lattice(kind, lam, case_cfg)
+            outcome = iterate(lat, lat.crit_values[0], M, case_cfg).outcome
+            if isinstance(outcome, EscapedSphericalBall) and v is not None:
+                at_escape += v.step == outcome.step
+    assert seen == {None, *ViolationKind}
+    assert at_escape > 0
+
+
+def _close_calls(kind, lams, which, cfg):
+    """(lam, delta) for the parameters whose first iterate z_1 of e1 has a
+    split distance (which = 0: to the critical points, 1: to infinity) that
+    rounds below its scalar one; delta is the scalar distance.  For the
+    critical points, z_1 is also farther than delta from infinity, whose
+    label would take precedence."""
+    lams = np.array(lams)
+    lam, _ = lattice._split_scales(lams)
+    half = lattice._half_periods_split(kind, lam)
+    z1 = misiurewicz._orbit_values(kind, lams, 1, cfg).ring[:, 0]
+    split = (
+        lattice._crit_sph_dist_split(kind, z1.real, z1.imag, lam, half),
+        lattice._sph_dist_to_inf_split(z1.real, z1.imag),
+    )
+    out = []
+    for i in range(lams.size):
+        lat = make_lattice(kind, lams[i], cfg)
+        scalar = (crit_sph_dist(complex(z1[i]), lat), sph_dist_to_inf(complex(z1[i])))
+        if split[which][i] < scalar[which] and (which == 1 or scalar[1] > scalar[0]):
+            out.append((complex(lams[i]), scalar[which]))
+    return out
+
+
+@pytest.mark.parametrize("which", [0, 1], ids=["crit", "inf"])
+def test_first_violations_redecide_close_calls(cfg, monkeypatch, which):
+    # delta is the scalar distance of z_1 where the split one rounds below
+    # it: the scalar check does not call z_1 near, a bare split check would
+    lams = [1.7 + 1.7j + 1.2 * rng.unit_disc_point(43, 0, i) for i in range(8000)]
+    found = _close_calls(LatticeKind.SQUARE, lams, which, cfg)
+    assert found
+    calls = []
+    real = misiurewicz.make_lattice
+    monkeypatch.setattr(
+        misiurewicz, "make_lattice", lambda *args: calls.append(args) or real(*args)
+    )
+    for lam, delta in found[:3]:
+        got = _first_violations(LatticeKind.SQUARE, np.array([lam]), delta, 40, cfg)
+        assert got == [_orbit_first_violation(LatticeKind.SQUARE, lam, delta, 40, cfg)]
+        wrong = ViolationKind.NEAR_CRITICAL if which == 0 else ViolationKind.NEAR_INFINITY
+        assert got[0] != Violation(step=1, kind=wrong)
+    assert len(calls) >= len(found[:3])
+
+
+@pytest.mark.parametrize("block", [1, 7])
+def test_density_scan_rows_do_not_depend_on_block_size(cfg, monkeypatch, block):
+    cases = [
+        (LatticeKind.SQUARE, CANDIDATE, (1e-3, 1e-5), 20),
+        (LatticeKind.TRIANGULAR, 1.5 + 1.0j, (0.3,), 12),
+    ]
+    def scan_all():
+        return [
+            density_scan(kind, lam0, radii, 30, 0.05, M, 5, cfg) for kind, lam0, radii, M in cases
+        ]
+
+    whole = scan_all()
+    assert any(0.0 < row.fail_fraction < 1.0 for rows in whole for row in rows)
+    monkeypatch.setattr(misiurewicz, "BLOCK_SIZE", block)
+    assert scan_all() == whole
+
+
+def test_density_scan_counts_excluded_parameters_as_failures(cfg):
+    for lam0 in (complex(math.nan, 0.0), complex(math.inf, 1.0)):
+        rows = density_scan(LatticeKind.SQUARE, lam0, (1e-3,), 5, 0.05, 10, 1, cfg)
+        assert [r.fail_fraction for r in rows] == [1.0]
+
+
+@pytest.mark.parametrize(
+    "override",
+    [
+        {"n_samples": 0},
+        {"n_samples": -3},
+        {"radii": (1e-3, 0.0)},
+        {"radii": (-1e-3,)},
+        {"radii": (1e-3, math.nan)},
+        {"radii": (math.inf,)},
+        {"M": 0},
+        {"delta": math.nan},
+        {"delta": -0.05},
+    ],
+    ids=lambda o: "-".join(f"{k}={v}" for k, v in o.items()),
+)
+def test_density_scan_rejects_bad_input(cfg, override):
+    args = {"radii": (1e-3,), "n_samples": 4, "delta": 0.05, "M": 10} | override
+    with pytest.raises(ValueError):
+        density_scan(
+            LatticeKind.SQUARE, PREPOLE_SQ, args["radii"], args["n_samples"],
+            args["delta"], args["M"], 1, cfg,
+        )
+
+
+def test_prepole_residual_equals_scalar_wp_loop(cfg):
+    cases = ((LatticeKind.SQUARE, PREPOLE_SQ, 1), (LatticeKind.TRIANGULAR, 1.3 + 0.8j, 3))
+    for kind, lam, n in cases:
+        lat = make_lattice(kind, lam, cfg)
+        z = lat.crit_values[0]
+        for _ in range(n):
+            z = wp(z, lat, cfg)
+        assert prepole_residual(kind, lam, n, 1, -1, cfg) == z - pole_location(kind, lam, 1, -1)
+    with pytest.raises(PrematurePole) as hit:
+        prepole_residual(LatticeKind.SQUARE, PREPOLE_SQ, 3, 0, 0, ToleranceConfig(pole_eps=1e-4))
+    assert hit.value.step == 1
+    with pytest.raises(ZeroParameter):
+        prepole_residual(LatticeKind.SQUARE, 0j, 1, 1, 0, cfg)

@@ -1,12 +1,14 @@
 """The lockstep orbit kernel against the scalar path it replaces: equal bits,
 not closeness, for orbits, verdicts and separation reports."""
 
+import math
 import random
 
+import numpy as np
 import pytest
 
 from conftest import ATTRACTING_SQ, CANDIDATE, PREPOLE_SQ, PREPOLE_TRI, TRI_ONE, TRI_THREE
-from weierdyn import rng
+from weierdyn import lattice, rng
 from weierdyn.dynamics import (
     AllCriticalPrepole,
     AttractingCycles,
@@ -14,12 +16,21 @@ from weierdyn.dynamics import (
     EscapedSphericalBall,
     Indeterminate,
     PoleHit,
+    Stopped,
     classify,
     classify_batch,
     iterate,
     orbit_array,
 )
-from weierdyn.lattice import LatticeKind, ToleranceConfig, ZeroParameter, make_lattice, wp
+from weierdyn.lattice import (
+    LatticeKind,
+    ToleranceConfig,
+    ZeroParameter,
+    crit_sph_dist,
+    make_lattice,
+    sph_dist_to_inf,
+    wp,
+)
 from weierdyn.lattice import PoleHit as PoleError
 from weierdyn.misiurewicz import misiurewicz_check
 
@@ -40,8 +51,12 @@ def _random_orbits(kind, cfg, count, seed):
     return lats, starts
 
 
-def _assert_matches_iterate(lats, starts, budget, cfg):
-    batch = orbit_array(lats, starts, budget, cfg, tail=budget + 1)
+def _lams(lats):
+    return [lat.lam for lat in lats]
+
+
+def _assert_matches_iterate(kind, lats, starts, budget, cfg):
+    batch = orbit_array(kind, _lams(lats), starts, budget, cfg, tail=budget + 1)
     outcomes = set()
     for i, (lat, z0) in enumerate(zip(lats, starts)):
         want = iterate(lat, z0, budget, cfg)
@@ -65,14 +80,14 @@ def test_orbit_array_points_equal_iterate(kind, cfg):
         crit = make_lattice(kind, lam, cfg)
         lats.append(crit)
         starts.append(crit.crit_values[0])
-    outcomes = _assert_matches_iterate(lats, starts, 120, cfg)
+    outcomes = _assert_matches_iterate(kind, lats, starts, 120, cfg)
     assert outcomes == {BudgetExhausted, PoleHit, EscapedSphericalBall}
 
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_orbit_array_pole_and_escape_steps_equal_iterate(kind):
     lats, starts = _random_orbits(kind, WIDE_POLES, 200, seed=5)
-    batch = orbit_array(lats, starts, 40, WIDE_POLES)
+    batch = orbit_array(kind, _lams(lats), starts, 40, WIDE_POLES)
     late = {PoleHit: 0, EscapedSphericalBall: 0}
     for i, (lat, z0) in enumerate(zip(lats, starts)):
         want = iterate(lat, z0, 40, WIDE_POLES)
@@ -80,14 +95,14 @@ def test_orbit_array_pole_and_escape_steps_equal_iterate(kind):
         if type(want.outcome) in late and want.outcome.step > 0:
             late[type(want.outcome)] += 1
     assert all(late.values())
-    _assert_matches_iterate(lats[:40], starts[:40], 40, WIDE_POLES)
+    _assert_matches_iterate(kind, lats[:40], starts[:40], 40, WIDE_POLES)
 
 
 def test_orbit_array_tail_and_block_independence(cfg):
     lats, starts = _random_orbits(LatticeKind.SQUARE, cfg, 12, seed=9)
-    whole = orbit_array(lats, starts, 90, cfg, tail=7)
+    whole = orbit_array(LatticeKind.SQUARE, _lams(lats), starts, 90, cfg, tail=7)
     for i in range(12):
-        alone = orbit_array(lats[i:i + 1], starts[i:i + 1], 90, cfg, tail=7)
+        alone = orbit_array(LatticeKind.SQUARE, [lats[i].lam], starts[i:i + 1], 90, cfg, tail=7)
         assert alone.trace(0) == whole.trace(i)
         full = iterate(lats[i], starts[i], 90, cfg)
         assert whole.trace(i).points == full.points[-7:]
@@ -110,17 +125,86 @@ def test_orbit_array_without_escape_equals_bare_wp_loop(kind):
     lats, starts = _random_orbits(kind, WIDE_POLES, 40, seed=17)
     lats.append(lats[0])
     starts.append(complex(1e13, -3e12))
-    batch = orbit_array(lats, starts, 30, WIDE_POLES, escape=False, tail=31)
+    batch = orbit_array(kind, _lams(lats), starts, 30, WIDE_POLES, escape=False, tail=31)
     for i, (lat, z0) in enumerate(zip(lats, starts)):
         points, outcome = _bare_wp_loop(lat, z0, 30, WIDE_POLES)
         assert batch.trace(i).points == tuple(points)
         assert batch.outcome(i) == outcome
 
 
-def test_orbit_array_rejects_mixed_kinds(cfg):
-    lats = [make_lattice(kind, 1.0 + 0j, cfg) for kind in KINDS]
+@pytest.mark.parametrize("kind", KINDS)
+def test_orbit_array_stop_equals_iterate_stop(kind):
+    # stop at the first point past modulus 4 from step 2 on: iterate asks
+    # its stop about each point, orbit_array asks about all live points;
+    # three orbits start past the escape scale
+    cfg = ToleranceConfig(pole_eps=0.1)
+    lats, starts = _random_orbits(kind, cfg, 120, seed=23)
+    lats += lats[:3]
+    starts += [complex(1e4, 0.0)] * 3
+    asked = []
+
+    def stop_array(step, idx, re, im):
+        asked.append((step, idx.copy()))
+        return (np.hypot(re, im) > 4.0) & (step >= 2)
+
+    batch = orbit_array(kind, _lams(lats), starts, 6, cfg, tail=7, stop=stop_array)
+    seen = set()
+    for i, (lat, z0) in enumerate(zip(lats, starts)):
+        want = iterate(lat, z0, 6, cfg, stop=lambda step, z: step >= 2 and abs(z) > 4.0)
+        assert batch.trace(i).points == want.points
+        assert batch.outcome(i) == want.outcome
+        seen.add(type(want.outcome))
+    assert seen == {Stopped, PoleHit, EscapedSphericalBall, BudgetExhausted}
+    # stop is asked once per step, about the orbits still running there
+    assert [step for step, _ in asked] == list(range(6))
+    for step, idx in asked:
+        assert (batch.size[idx] >= step + 2).all()
+
+
+def test_orbit_array_rejects_bad_scales_and_lengths(cfg):
+    for lams in ([1.0, 0j], [1.0, complex(math.nan, 1.0)], [complex(math.inf, 0.0), 1.0]):
+        with pytest.raises(ZeroParameter):
+            orbit_array(LatticeKind.SQUARE, lams, [0.3j, 0.3j], 5, cfg)
     with pytest.raises(ValueError):
-        orbit_array(lats, [0.3j, 0.3j], 5, cfg)
+        orbit_array(LatticeKind.SQUARE, [1.0 + 0j], [0.3j, 0.3j], 5, cfg)
+    with pytest.raises(ValueError):
+        orbit_array(LatticeKind.SQUARE, [1.0 + 0j], [0.3j], -1, cfg)
+
+
+def test_split_lattice_data_equals_make_lattice(cfg):
+    # half-periods, critical values and lam * lam for many scales, with the
+    # bits of make_lattice's Python complex arithmetic
+    gen = random.Random(29)
+    lams = [complex(gen.uniform(-3.0, 3.0), gen.uniform(-3.0, 3.0)) for _ in range(300)]
+    lams += [1.0 + 0j, -0.0 + 1j, 1e-3 + 0j, CANDIDATE, PREPOLE_SQ, PREPOLE_TRI]
+    lam, lam2 = lattice._split_scales(np.array(lams))
+    for kind in KINDS:
+        half = lattice._half_periods_split(kind, lam)
+        crit = lattice._crit_values_split(kind, lam, lam2, half, cfg)
+        for i, value in enumerate(lams):
+            lat = make_lattice(kind, value, cfg)
+            assert complex(*lam2[:, i]) == value * value
+            assert tuple(complex(*half[c, :, i]) for c in range(3)) == lat.half_periods
+            assert tuple(complex(*crit[c, :, i]) for c in range(3)) == lat.crit_values
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_split_distances_within_ulps_of_scalar(kind, cfg):
+    # only the squares differ (libm pow against x*x), so the distances agree
+    # to a few ulps, the nearest critical translate bit for bit
+    gen = random.Random(31)
+    lams = [complex(gen.uniform(0.3, 3.0), gen.uniform(-3.0, 3.0)) for _ in range(400)]
+    zs = [complex(gen.uniform(-6.0, 6.0), gen.uniform(-6.0, 6.0)) for _ in lams]
+    lam, _ = lattice._split_scales(np.array(lams))
+    half = lattice._half_periods_split(kind, lam)
+    zr = np.array([z.real for z in zs])
+    zi = np.array([z.imag for z in zs])
+    d_crit = lattice._crit_sph_dist_split(kind, zr, zi, lam, half)
+    d_inf = lattice._sph_dist_to_inf_split(zr, zi)
+    for i, (value, z) in enumerate(zip(lams, zs)):
+        lat = make_lattice(kind, value, cfg)
+        assert abs(d_crit[i] - crit_sph_dist(z, lat)) <= 1e-15 * crit_sph_dist(z, lat)
+        assert abs(d_inf[i] - sph_dist_to_inf(z)) <= 1e-15 * sph_dist_to_inf(z)
 
 
 def test_classify_batch_equals_classify_square(cfg):
