@@ -105,10 +105,19 @@ Outcome = Union[BudgetExhausted, PoleHit, EscapedSphericalBall, Stopped]
 
 @dataclass(frozen=True)
 class OrbitTrace:
+    """derivs[k] is the flat derivative wp'(points[k]) of the step
+    points[k] -> points[k+1]."""
+
     start: complex
     points: tuple[complex, ...]
-    sph_derivs: tuple[float, ...]
+    derivs: tuple[complex, ...]
     outcome: Outcome
+
+    @property
+    def sph_derivs(self) -> tuple[float, ...]:
+        """The spherical derivative factor of each recorded step."""
+        pts = self.points
+        return tuple(sph_deriv(d, pts[k], pts[k + 1]) for k, d in enumerate(self.derivs))
 
 
 @dataclass(frozen=True)
@@ -141,13 +150,10 @@ class NewtonDivergence(RuntimeError):
     """Cycle refinement failed to converge."""
 
 
-def escape_scale(lat: Lattice, cfg: ToleranceConfig) -> float:
-    """Largest modulus wp can emit: 1/(pole_eps*|lambda|)^2 up to the series
-    correction.  Anything bigger marks the orbit as numerically at infinity."""
-    return _escape_scale(lat.lam, cfg.pole_eps)
-
-
-def _escape_scale(lam: complex, pole_eps: float) -> float:
+def escape_scale(lam: complex, pole_eps: float) -> float:
+    """Largest modulus wp on the lattice of scale lam can emit:
+    1/(pole_eps*|lam|)^2 up to the series correction.  Anything bigger marks
+    the orbit as numerically at infinity."""
     return 1.0 / (pole_eps * abs(lam)) ** 2
 
 
@@ -160,7 +166,7 @@ def iterate(
 ) -> OrbitTrace:
     """Forward orbit of z0 under wp, at most max_iter applications.
 
-    points[0] = z0; sph_derivs[k] is the spherical derivative factor of the
+    points[0] = z0; derivs[k] is wp'(points[k]), the flat derivative of the
     step points[k] -> points[k+1].  Stops early at a pole hit or once a point
     exceeds the escape scale; those outcomes are encoded, never thrown.
     stop(step, z), when given, is asked about z = points[step] once wp has
@@ -169,10 +175,10 @@ def iterate(
     """
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
-    esc = escape_scale(lat, cfg)
+    esc = escape_scale(lat.lam, cfg.pole_eps)
     z = complex(z0)
     points = [z]
-    derivs: list[float] = []
+    derivs: list[complex] = []
     outcome: Outcome = BudgetExhausted()
     for step in range(max_iter):
         if abs(z) > esc:
@@ -183,7 +189,7 @@ def iterate(
         except PoleError as hit:
             outcome = PoleHit(step=step, m=hit.m, n=hit.n)
             break
-        derivs.append(sph_deriv(dval, z, val))
+        derivs.append(dval)
         points.append(val)
         if stop is not None and stop(step, z):
             outcome = Stopped(step=step)
@@ -195,7 +201,7 @@ def iterate(
     return OrbitTrace(
         start=complex(z0),
         points=tuple(points),
-        sph_derivs=tuple(derivs),
+        derivs=tuple(derivs),
         outcome=outcome,
     )
 
@@ -236,7 +242,7 @@ class OrbitBatch:
 
     def trace(self, i: int) -> OrbitTrace:
         """The OrbitTrace iterate gives for orbit i, except that points holds
-        only its kept tail and sph_derivs is empty."""
+        only its kept tail and derivs is empty."""
         size = int(self.size[i])
         width = self.ring.shape[1]
         row = self.ring[i].tolist()
@@ -245,7 +251,7 @@ class OrbitBatch:
         return OrbitTrace(
             start=complex(self.starts[i]),
             points=tuple(points),
-            sph_derivs=(),
+            derivs=(),
             outcome=self.outcome(i),
         )
 
@@ -317,7 +323,7 @@ def orbit_array(
         "lam2": lam2,
     }
     if escape:
-        live["esc"] = np.array([_escape_scale(v, cfg.pole_eps) for v in lam_c.tolist()])
+        live["esc"] = np.array([escape_scale(v, cfg.pole_eps) for v in lam_c.tolist()])
 
     def retire(mask: np.ndarray, code: int, at: int, hit_m=None, hit_n=None) -> None:
         nonlocal live

@@ -27,10 +27,8 @@ downstream estimates:
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 from .lattice import (
     Lattice,
@@ -45,7 +43,7 @@ from .lattice import (
     wp_pair,
 )
 from .lattice import PoleHit as PoleError
-from .dynamics import escape_scale
+from .dynamics import BudgetExhausted, iterate
 
 __all__ = [
     "HyperbolicSample",
@@ -186,28 +184,13 @@ def build_sample(
     if M < 0:
         raise ValueError("M must be nonnegative")
     lat = make_lattice(kind, lambda0, cfg)
-    esc = escape_scale(lat, cfg)
-    e = lat.crit_values[0]
-    ext_points = [e]
-    ext_factors: list[float] = []
-    z = e
-    died: Optional[int] = None
-    for s in range(M + EXTENSION):
-        if abs(z) > esc:
-            died = s
-            break
-        try:
-            val, dval = wp_pair(z, lat, cfg)
-        except PoleError:
-            died = s
-            break
-        ext_factors.append(sph_deriv(dval, z, val))
-        z = val
-        ext_points.append(z)
-    if died is not None and died <= M:
-        raise SeparationViolated(step=died, kind="infinity")
+    trace = iterate(lat, lat.crit_values[0], M + EXTENSION, cfg)
+    if not isinstance(trace.outcome, BudgetExhausted) and trace.outcome.step <= M:
+        raise SeparationViolated(step=trace.outcome.step, kind="infinity")
+    ext_points = trace.points
+    ext_factors = trace.sph_derivs
 
-    points = tuple(ext_points[: M + 1])
+    points = ext_points[: M + 1]
     for s, p in enumerate(points):
         if sph_dist_to_inf(p) < delta:
             raise SeparationViolated(step=s, kind="infinity")
@@ -248,8 +231,8 @@ def build_sample(
         min_inf_dist=min_inf,
         N_exp=N_exp,
         a_tilde=A_TILDE,
-        ext_points=tuple(ext_points),
-        ext_factors=tuple(ext_factors),
+        ext_points=ext_points,
+        ext_factors=ext_factors,
         ext_usable=ext_usable,
     )
 
@@ -447,28 +430,15 @@ def fit_expansion(sample: HyperbolicSample, n_range: int) -> ExpansionReport:
 
 def _param_orbit(
     kind: LatticeKind, lam: complex, n_max: int, cfg: ToleranceConfig
-) -> tuple[list[complex], list[complex]]:
+) -> tuple[tuple[complex, ...], tuple[complex, ...]]:
     """Critical orbit of lam with flat derivatives, stopping early at poles."""
     lat = make_lattice(kind, lam, cfg)
-    esc = escape_scale(lat, cfg)
-    pts = [lat.crit_values[0]]
-    ders: list[complex] = []
-    z = pts[0]
-    for _ in range(n_max):
-        if abs(z) > esc:
-            break
-        try:
-            val, dval = wp_pair(z, lat, cfg)
-        except PoleError:
-            break
-        ders.append(dval)
-        z = val
-        pts.append(z)
-    return pts, ders
+    trace = iterate(lat, lat.crit_values[0], n_max, cfg)
+    return trace.points, trace.derivs
 
 
 def _close_horizon(
-    sample: HyperbolicSample, pts: list[complex], delta_p: float
+    sample: HyperbolicSample, pts: tuple[complex, ...], delta_p: float
 ) -> int:
     """Largest n with the orbit within delta_p of the reference at all k <= n."""
     n = 0
@@ -498,6 +468,9 @@ def distortion_report(
         raise ValueError("r must be positive")
     delta_p = min(sample.delta / 4.0, r * DISTORTION_BUDGET)
     M = len(sample.points) - 1
+    if M < 3:
+        # an orbit of M steps has M derivatives, too few for any pair
+        raise DegenerateRadius("no pair kept its orbits close for 3 steps")
 
     max_ratio = 0.0
     pairs_used = 0

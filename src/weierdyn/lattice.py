@@ -23,8 +23,8 @@ covering radius of the lattice (|z|^2 <= |lambda|^2 / 3 triangular,
 <= |lambda|^2 / 2 square), so the series converges geometrically and the
 truncation length is chosen from that explicit tail bound.  The literal
 truncated lattice sum converges far too slowly for the tolerances used
-here (its tail decays only like 1/radius); it is kept as `wp_direct_sum`
-for cross-checking.
+here (its tail decays only like 1/radius), so it serves only as a test
+oracle.
 
 Everything is computed on the normalized lattice [1, tau] and rescaled with
 the homogeneity laws wp(cz; cL) = c^-2 wp(z; L), g2(cL) = c^-4 g2(L),
@@ -60,8 +60,6 @@ __all__ = [
     "wp",
     "wp_pair",
     "wp_array",
-    "wp_direct_sum",
-    "eisenstein_direct_sum",
     "sph_dist",
     "sph_deriv",
     "is_infinite",
@@ -103,21 +101,17 @@ class ToleranceConfig:
                        normalized units (Euclidean distance of z/lambda to
                        the nearest lattice point of [1, tau])
     newton_tol         residual threshold for Newton refinements
-    max_lattice_radius index cutoff for the direct-sum oracles
     """
 
     eval_tol: float = 1e-12
     pole_eps: float = 1e-6
     newton_tol: float = 1e-9
-    max_lattice_radius: int = 300
 
     def __post_init__(self):
         if not (self.eval_tol > 0 and self.pole_eps > 0 and self.newton_tol > 0):
             raise ValueError("tolerances must be positive")
         if not self.eval_tol < self.pole_eps:
             raise ValueError("eval_tol must be smaller than pole_eps")
-        if self.max_lattice_radius <= 0:
-            raise ValueError("max_lattice_radius must be positive")
 
 
 @dataclass(frozen=True)
@@ -368,29 +362,8 @@ def wp_array(z: np.ndarray, lat: Lattice, cfg: ToleranceConfig) -> tuple[np.ndar
     raising."""
     kd = _kind_data(lat.kind)
     u = np.asarray(z, dtype=complex) / lat.lam
-    b = u.imag * kd.inv_im_tau
-    a = u.real - b * kd.tau.real
-    a0 = a - np.floor(a + 0.5)
-    b0 = b - np.floor(b + 0.5)
-    # nearest of the nine candidate translates by float distance; a strict <
-    # keeps the first of equal distances, as _recenter does
-    best_d = best_m = best_n = None
-    for dm, dn in _NEIGHBOR_OFFSETS:
-        re = (a0 - dm) + (b0 - dn) * kd.tau.real
-        im = (b0 - dn) * kd.tau.imag
-        d = re * re + im * im
-        if best_d is None:
-            best_d = d
-            best_m = np.full(d.shape, float(dm))
-            best_n = np.full(d.shape, float(dn))
-        else:
-            take = d < best_d
-            best_d = np.where(take, d, best_d)
-            best_m[take] = dm
-            best_n[take] = dn
-    re = (a0 - best_m) + (b0 - best_n) * kd.tau.real
-    im = (b0 - best_n) * kd.tau.imag
-    best = re + 1j * im
+    re, im, _, _ = _nearest_translate(u.real.ravel(), u.imag.ravel(), kd)
+    best = (re + 1j * im).reshape(u.shape)
     pole = np.abs(best) < cfg.pole_eps
     u0 = np.where(pole, 1.0 + 0j, best)
     u2 = u0 * u0
@@ -405,8 +378,8 @@ def wp_array(z: np.ndarray, lat: Lattice, cfg: ToleranceConfig) -> tuple[np.ndar
 
 
 # ---------------------------------------------------------------------------
-# the scalar path on split float64 arrays: wp, half-periods and critical
-# values bit for bit, chordal distances up to the rounding of a square
+# the scalar path on split float64 arrays: wp, half-periods, critical values
+# and chordal distances bit for bit
 #
 # numpy's complex ufuncs round differently from CPython's complex type, so
 # these helpers carry real and imaginary parts as separate float64 arrays and
@@ -537,51 +510,6 @@ def _crit_values_split(
 
 
 # ---------------------------------------------------------------------------
-# direct-sum oracles
-
-_DISK_FACTOR = {LatticeKind.TRIANGULAR: math.sqrt(3.0) / 2.0, LatticeKind.SQUARE: 1.0}
-
-
-def _disk_points(kind: LatticeKind, radius: int) -> np.ndarray:
-    """Nonzero lattice points of [1, tau] inside the disk |w| <= factor*radius.
-
-    A disk is invariant under the lattice rotation, so symmetric cancellation
-    in the truncated sums is exact up to roundoff; an index box is not.
-    """
-    kd = _kind_data(kind)
-    idx = np.arange(-radius, radius + 1)
-    m, n = np.meshgrid(idx, idx, indexing="ij")
-    w = m + n * kd.tau
-    r = abs(w)
-    cutoff = _DISK_FACTOR[kind] * radius
-    mask = (r > 0) & (r <= cutoff)
-    return w[mask]
-
-
-def eisenstein_direct_sum(kind: LatticeKind, power: int, radius: int) -> complex:
-    """Literal truncated Eisenstein sum over the disk of index radius."""
-    w = _disk_points(kind, radius)
-    terms = w ** (-power)
-    return complex(np.sum(terms))
-
-
-def wp_direct_sum(z: complex, lat: Lattice, radius: int) -> complex:
-    """Literal truncated lattice sum for wp, the defining series itself.
-
-    Slowly convergent (the tail decays like radius^-2 after symmetric
-    pairing); used only as a cross-check oracle.
-    """
-    kd = _kind_data(lat.kind)
-    u = complex(z) / lat.lam
-    a0, b0, _, _ = _reduce_coords(u, kd)
-    u0, _, _ = _recenter(a0, b0, kd)
-    w = _disk_points(lat.kind, radius)
-    terms = 1.0 / ((u0 - w) ** 2) - 1.0 / (w ** 2)
-    total = 1.0 / (u0 * u0) + complex(np.sum(terms))
-    return total / (lat.lam * lat.lam)
-
-
-# ---------------------------------------------------------------------------
 # spherical metric
 
 
@@ -599,9 +527,11 @@ def sph_dist(z: complex, w: complex) -> float:
     if zi and wi:
         return 0.0
     if zi or wi:
-        f = w if zi else z
-        return 2.0 / math.sqrt(1.0 + abs(f) ** 2)
-    return 2.0 * abs(z - w) / (math.sqrt(1.0 + abs(z) ** 2) * math.sqrt(1.0 + abs(w) ** 2))
+        h = abs(w if zi else z)
+        return 2.0 / math.sqrt(1.0 + h * h)
+    hz = abs(z)
+    hw = abs(w)
+    return 2.0 * abs(z - w) / (math.sqrt(1.0 + hz * hz) * math.sqrt(1.0 + hw * hw))
 
 
 def sph_deriv(fprime: complex, z: complex, fz: complex) -> float:
@@ -613,7 +543,8 @@ def sph_dist_to_inf(z: complex) -> float:
     """Chordal distance from z to the point at infinity."""
     if is_infinite(z):
         return 0.0
-    return 2.0 / math.sqrt(1.0 + abs(z) ** 2)
+    h = abs(z)
+    return 2.0 / math.sqrt(1.0 + h * h)
 
 
 def pole_euclid_dist(z: complex, lat: Lattice) -> float:
@@ -648,30 +579,25 @@ def crit_sph_dist(z: complex, lat: Lattice) -> float:
 
 
 # The split forms of the chordal distances below follow the scalar formulas
-# operation by operation, with one exception: the scalar |z| ** 2 is libm's
-# pow, which numpy cannot reproduce, and in about 1 in 1,000 points the two
-# squares differ by an ulp.  The distances then differ by a few ulps, so a
-# caller comparing them with a threshold re-decides close calls with the
-# scalar helpers.  Points must be finite.
+# operation by operation, so they give the same bits.  Points must be finite.
 
 
 def _sph_dist_split(zr, zi, wr, wi):
-    """sph_dist for finite points, up to the rounding of the squares."""
+    """sph_dist for finite points."""
     hz = np.hypot(zr, zi)
     hw = np.hypot(wr, wi)
     return 2.0 * np.hypot(zr - wr, zi - wi) / (np.sqrt(1.0 + hz * hz) * np.sqrt(1.0 + hw * hw))
 
 
 def _sph_dist_to_inf_split(zr, zi):
-    """sph_dist_to_inf for finite points, up to the rounding of the square."""
+    """sph_dist_to_inf for finite points."""
     h = np.hypot(zr, zi)
     return 2.0 / np.sqrt(1.0 + h * h)
 
 
 def _crit_sph_dist_split(kind: LatticeKind, zr, zi, lam: np.ndarray, half: np.ndarray):
-    """crit_sph_dist for finite points, up to the rounding of the squares;
-    lam (2, size) and half (3, 2, size) hold each point's lattice scale and
-    half_periods in split form."""
+    """crit_sph_dist for finite points; lam (2, size) and half (3, 2, size)
+    hold each point's lattice scale and half_periods in split form."""
     count = half.shape[0]
     zr = np.tile(zr, count)
     zi = np.tile(zi, count)

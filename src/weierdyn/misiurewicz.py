@@ -298,38 +298,6 @@ def _polish_batch(
     return lam, done
 
 
-def _winding_count(
-    kind: LatticeKind,
-    n: int,
-    j: int,
-    k: int,
-    center: complex,
-    radius: float,
-    cfg: ToleranceConfig,
-) -> Optional[int]:
-    """Roots of g inside the circle by the argument principle; None when the
-    circle cannot be resolved (undersampled or orbit death on the contour).
-
-    This is the plain full-ladder rule, each level sampled afresh, that
-    _certify_roots reaches the same decisions as with fewer evaluations; it
-    is kept independent of it as the oracle behind criterion 3's spot-check.
-    """
-    n_pts = 64
-    while n_pts <= 1024:
-        t = 2.0 * math.pi * np.arange(n_pts) / n_pts
-        vals = _g_array(kind, n, j, k, center + radius * np.exp(1j * t), cfg)
-        if np.any(np.isnan(vals)) or np.any(vals == 0):
-            return None
-        inc = np.angle(np.roll(vals, -1) / vals)
-        if float(np.max(np.abs(inc))) < math.pi / 2.0:
-            w = float(inc.sum()) / (2.0 * math.pi)
-            if abs(w - round(w)) > 0.25:
-                return None
-            return int(round(w))
-        n_pts *= 2
-    return None
-
-
 def _nearest_dists(pts: Sequence[complex]) -> list[float]:
     """Nearest-neighbor distance per point via a sorted real-axis sweep."""
     order = sorted(range(len(pts)), key=lambda i: (pts[i].real, pts[i].imag))
@@ -484,11 +452,12 @@ def _certify_roots(
 ) -> list[dict[int, float]]:
     """Certified isolation radius per root index, one dict per (j, k) group.
 
-    Each contour follows the _winding_count decision tree: a contour with an
-    arc turning by at least pi/2 escalates its sampling from 64 up to 1024
-    points, any other failure halves the radius and resets the sampling, and
-    a winding count of one certifies.  Roots that reach the radius floor
-    uncertified are dropped.
+    Each contour follows the plain argument-principle rule that samples
+    each level afresh (kept in the tests as the oracle behind criterion 3's
+    spot-check): a contour with an arc turning by at least pi/2 escalates
+    its sampling from 64 up to 1024 points, any other failure halves the
+    radius and resets the sampling, and a winding count of one certifies.
+    Roots that reach the radius floor uncertified are dropped.
 
     The decisions are the same at every (root, radius, level) while g is
     evaluated far less often:
@@ -655,10 +624,6 @@ _VIOLATION_KINDS = (
 )
 _NEAR_CRITICAL, _NEAR_INFINITY, _POLE_HIT = 1, 2, 3
 
-# split distances within this relative distance of delta are re-decided by
-# the scalar helpers; the two forms differ by a few ulps at most
-_GUARD_BAND = 1e-12
-
 
 def _first_violations(
     kind: LatticeKind, lams: np.ndarray, delta: float, M: int, cfg: ToleranceConfig
@@ -686,23 +651,11 @@ def _first_violations(
 
     def near_codes(idx: np.ndarray, zr: np.ndarray, zi: np.ndarray) -> np.ndarray:
         """The proximity code of the point zr + i*zi of each orbit idx, as
-        the scalar helpers decide it: a split distance too close to delta to
-        be sure of is decided again by the scalar helper."""
+        the scalar helpers decide it."""
         c = consts[:, idx]
         d_inf = _sph_dist_to_inf_split(zr, zi)
         d_crit = _crit_sph_dist_split(kind, zr, zi, c[:2], c[2:].reshape(3, 2, -1))
-        codes = np.where(d_inf < delta, _NEAR_INFINITY, np.where(d_crit < delta, _NEAR_CRITICAL, 0))
-        band = _GUARD_BAND * delta
-        unsure = ~(np.abs(d_inf - delta) > band) | ~(np.abs(d_crit - delta) > band)
-        for i in unsure.nonzero()[0].tolist():
-            z = complex(zr[i], zi[i])
-            if sph_dist_to_inf(z) < delta:
-                codes[i] = _NEAR_INFINITY
-            elif crit_sph_dist(z, make_lattice(kind, orbit_lams[idx[i]], cfg)) < delta:
-                codes[i] = _NEAR_CRITICAL
-            else:
-                codes[i] = 0
-        return codes
+        return np.where(d_inf < delta, _NEAR_INFINITY, np.where(d_crit < delta, _NEAR_CRITICAL, 0))
 
     near = np.zeros(orbit_lams.size, dtype=np.int64)
 
@@ -862,7 +815,7 @@ def covering_steps(
     target_arr = np.array(targets, dtype=complex) if targets else None
 
     bound_part = 10.0 * max(abs(v) for v in lat.crit_values) + 1.0
-    esc = escape_scale(lat, cfg)
+    esc = escape_scale(lat.lam, cfg.pole_eps)
 
     # states: 0 = ball (w, rho), 1 = neighborhood of infinity (r_ch), 2 = all,
     # 3 = lost (dropped from the union)

@@ -1,0 +1,95 @@
+"""Independent oracles the tests check the library against.
+
+None of these is on a production path: each is a literal, slow form of a
+quantity the library computes another way.
+"""
+
+import math
+from typing import Optional
+
+import numpy as np
+
+from weierdyn.lattice import Lattice, LatticeKind, ToleranceConfig, _kind_data, _recenter, _reduce_coords
+from weierdyn.misiurewicz import _g_array
+
+# ---------------------------------------------------------------------------
+# direct lattice sums
+
+_DISK_FACTOR = {LatticeKind.TRIANGULAR: math.sqrt(3.0) / 2.0, LatticeKind.SQUARE: 1.0}
+
+
+def _disk_points(kind: LatticeKind, radius: int) -> np.ndarray:
+    """Nonzero lattice points of [1, tau] inside the disk |w| <= factor*radius.
+
+    A disk is invariant under the lattice rotation, so symmetric cancellation
+    in the truncated sums is exact up to roundoff; an index box is not.
+    """
+    kd = _kind_data(kind)
+    idx = np.arange(-radius, radius + 1)
+    m, n = np.meshgrid(idx, idx, indexing="ij")
+    w = m + n * kd.tau
+    r = abs(w)
+    cutoff = _DISK_FACTOR[kind] * radius
+    mask = (r > 0) & (r <= cutoff)
+    return w[mask]
+
+
+def eisenstein_direct_sum(kind: LatticeKind, power: int, radius: int) -> complex:
+    """Literal truncated Eisenstein sum over the disk of index radius."""
+    w = _disk_points(kind, radius)
+    terms = w ** (-power)
+    return complex(np.sum(terms))
+
+
+def wp_direct_sum(z: complex, lat: Lattice, radius: int) -> complex:
+    """Literal truncated lattice sum for wp, the defining series itself.
+
+    Slowly convergent (the tail decays like radius^-2 after symmetric
+    pairing).
+    """
+    kd = _kind_data(lat.kind)
+    u = complex(z) / lat.lam
+    a0, b0, _, _ = _reduce_coords(u, kd)
+    u0, _, _ = _recenter(a0, b0, kd)
+    w = _disk_points(lat.kind, radius)
+    terms = 1.0 / ((u0 - w) ** 2) - 1.0 / (w ** 2)
+    total = 1.0 / (u0 * u0) + complex(np.sum(terms))
+    return total / (lat.lam * lat.lam)
+
+
+# ---------------------------------------------------------------------------
+# argument principle
+
+
+def winding_count(
+    kind: LatticeKind,
+    n: int,
+    j: int,
+    k: int,
+    center: complex,
+    radius: float,
+    cfg: ToleranceConfig,
+) -> Optional[int]:
+    """Roots of the prepole equation g inside the circle by the argument
+    principle; None when the circle cannot be resolved (undersampled or
+    orbit death on the contour).
+
+    This is the plain full-ladder rule, each level sampled afresh, that
+    misiurewicz._certify_roots reaches the same decisions as with fewer
+    evaluations; it is kept independent of it as the oracle behind
+    criterion 3's spot-check.
+    """
+    n_pts = 64
+    while n_pts <= 1024:
+        t = 2.0 * math.pi * np.arange(n_pts) / n_pts
+        vals = _g_array(kind, n, j, k, center + radius * np.exp(1j * t), cfg)
+        if np.any(np.isnan(vals)) or np.any(vals == 0):
+            return None
+        inc = np.angle(np.roll(vals, -1) / vals)
+        if float(np.max(np.abs(inc))) < math.pi / 2.0:
+            w = float(inc.sum()) / (2.0 * math.pi)
+            if abs(w - round(w)) > 0.25:
+                return None
+            return int(round(w))
+        n_pts *= 2
+    return None

@@ -16,6 +16,7 @@ import numpy as np
 
 import conftest
 from conftest import CANDIDATE, DEMO_REGION, PREPOLE_SQ
+from oracles import winding_count
 from weierdyn.cli import main
 from weierdyn.dynamics import AllCriticalPrepole, classify
 from weierdyn.hyperbolic import distortion_report, order_K, track_motion
@@ -27,11 +28,7 @@ from weierdyn.lattice import (
     wp_array,
     wp_pair,
 )
-from weierdyn.misiurewicz import (
-    _winding_count,
-    density_scan,
-    find_prepole_params,
-)
+from weierdyn.misiurewicz import density_scan, find_prepole_params
 from weierdyn.rng import SplitMix
 from weierdyn.scan import Image, write_ppm
 
@@ -158,7 +155,7 @@ def test_criterion_3_prepole_solver(cfg):
         # spot-check the certification on a few roots spread over the sweep
         for root in (square_roots[0], square_roots[len(square_roots) // 2],
                      square_roots[-1]):
-            count = _winding_count(
+            count = winding_count(
                 LatticeKind.SQUARE, root.n, root.j, root.k,
                 root.lambda_star, root.isolation_radius, cfg,
             )

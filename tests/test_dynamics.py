@@ -23,7 +23,7 @@ from weierdyn.dynamics import (
     find_cycle,
     iterate,
 )
-from weierdyn.lattice import LatticeKind, make_lattice, sph_dist, wp
+from weierdyn.lattice import LatticeKind, make_lattice, sph_deriv, sph_dist, wp, wp_pair
 
 ZETA = cmath.exp(2j * math.pi / 3)
 
@@ -45,6 +45,13 @@ def test_iterate_records_composition(cfg, square2):
     assert len(trace.sph_derivs) == len(trace.points) - 1
     for a, b in zip(trace.points, trace.points[1:]):
         assert abs(wp(a, square2, cfg) - b) < 1e-12 * max(1.0, abs(b))
+    # the stored flat derivatives and the spherical factors made from them
+    # are wp_pair's and sph_deriv's own bits
+    assert len(trace.derivs) == len(trace.points) - 1
+    sph = trace.sph_derivs
+    for k, d in enumerate(trace.derivs):
+        assert d == wp_pair(trace.points[k], square2, cfg)[1]
+        assert sph[k] == sph_deriv(d, trace.points[k], trace.points[k + 1])
 
 
 def test_attracting_orbit_steps_shrink(cfg):

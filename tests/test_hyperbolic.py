@@ -257,6 +257,13 @@ def test_distortion_rejects_degenerate_radius(cfg, candidate_sample):
         distortion_report(candidate_sample, 1e-6, 0, cfg)
 
 
+def test_distortion_rejects_single_point_sample(cfg):
+    # an M = 0 sample compares no steps: the radius is degenerate, whatever r
+    sample = build_sample(LatticeKind.SQUARE, CANDIDATE, 0, 0.02, cfg)
+    with pytest.raises(DegenerateRadius):
+        distortion_report(sample, 1e-6, 20, cfg)
+
+
 def test_distortion_reruns_identically(cfg, candidate_sample):
     a = distortion_report(candidate_sample, 1e-6, 20, cfg)
     b = distortion_report(candidate_sample, 1e-6, 20, cfg)

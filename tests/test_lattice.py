@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 
 from conftest import E1_SQUARE_NORM, E1_TRI_NORM
+from oracles import eisenstein_direct_sum, wp_direct_sum
 from weierdyn.lattice import (
     LatticeKind,
     PoleHit,
     ZeroParameter,
     crit_sph_dist,
-    eisenstein_direct_sum,
     is_infinite,
     make_lattice,
     reduce,
@@ -19,7 +19,6 @@ from weierdyn.lattice import (
     sph_dist_to_inf,
     wp,
     wp_array,
-    wp_direct_sum,
     wp_pair,
 )
 
@@ -176,6 +175,21 @@ def test_wp_array_matches_scalar(cfg, square2, tri1):
         for i in range(40):
             assert not poles[i]
             assert abs(vals[i] - wp(complex(pts[i]), lat, cfg)) < 1e-9
+
+
+def test_wp_array_keeps_shape_with_the_bits_of_the_raveled_call(cfg, square2, tri1):
+    gen = np.random.default_rng(37)
+    for lat in (square2, tri1):
+        flat = gen.uniform(-4, 4, 60) + 1j * gen.uniform(-4, 4, 60)
+        flat[:6] = [0j, lat.gen1, lat.half_periods[2], complex(np.nan, 1.0), complex(np.inf, 0.0), -0.0j]
+        with np.errstate(invalid="ignore"):  # the nan and inf entries
+            vals, poles = wp_array(flat, lat, cfg)
+        for shape in ((6, 10), (3, 4, 5)):
+            with np.errstate(invalid="ignore"):
+                got, got_poles = wp_array(flat.reshape(shape), lat, cfg)
+            assert got.shape == got_poles.shape == shape
+            assert np.array_equal(got.ravel().view(np.int64), vals.view(np.int64))
+            assert np.array_equal(got_poles.ravel(), poles)
 
 
 def test_wp_array_matches_scalar_on_box_ties(cfg, square2, tri1):

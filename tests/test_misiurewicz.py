@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import CANDIDATE, PREPOLE_SQ, PREPOLE_TRI
+from oracles import winding_count
 from weierdyn import lattice, misiurewicz, rng
 from weierdyn.dynamics import AllCriticalPrepole, EscapedSphericalBall, PoleHit, classify, iterate
 from weierdyn.lattice import (
@@ -28,7 +29,6 @@ from weierdyn.misiurewicz import (
     _g_batch,
     _nearest_dists,
     _pole_coef,
-    _winding_count,
     covering_steps,
     density_scan,
     find_prepole_params,
@@ -79,7 +79,7 @@ def test_find_prepole_params_locates_pinned_root(cfg):
     assert root.residual < cfg.newton_tol
     assert root.isolation_radius > 0
     # the reported circle really does count exactly one root
-    count = _winding_count(
+    count = winding_count(
         LatticeKind.SQUARE, 1, 1, 0, root.lambda_star, root.isolation_radius, cfg
     )
     assert count == 1
@@ -510,47 +510,51 @@ def test_first_violations_cover_every_outcome(cfg):
     assert at_escape > 0
 
 
-def _close_calls(kind, lams, which, cfg):
-    """(lam, delta) for the parameters whose first iterate z_1 of e1 has a
-    split distance (which = 0: to the critical points, 1: to infinity) that
-    rounds below its scalar one; delta is the scalar distance.  For the
-    critical points, z_1 is also farther than delta from infinity, whose
-    label would take precedence."""
-    lams = np.array(lams)
-    lam, _ = lattice._split_scales(lams)
-    half = lattice._half_periods_split(kind, lam)
-    z1 = misiurewicz._orbit_values(kind, lams, 1, cfg).ring[:, 0]
-    split = (
-        lattice._crit_sph_dist_split(kind, z1.real, z1.imag, lam, half),
-        lattice._sph_dist_to_inf_split(z1.real, z1.imag),
-    )
-    out = []
-    for i in range(lams.size):
-        lat = make_lattice(kind, lams[i], cfg)
-        scalar = (crit_sph_dist(complex(z1[i]), lat), sph_dist_to_inf(complex(z1[i])))
-        if split[which][i] < scalar[which] and (which == 1 or scalar[1] > scalar[0]):
-            out.append((complex(lams[i]), scalar[which]))
-    return out
+def _step_one_label(dists, delta):
+    """The proximity label the scalar rules give step 1, from the (crit, inf)
+    distances of the z_1 of each critical orbit in order: infinity before
+    the critical points, the first near orbit on a tie."""
+    for d_crit, d_inf in dists:
+        if d_inf < delta:
+            return ViolationKind.NEAR_INFINITY
+        if d_crit < delta:
+            return ViolationKind.NEAR_CRITICAL
+    return None
 
 
 @pytest.mark.parametrize("which", [0, 1], ids=["crit", "inf"])
-def test_first_violations_redecide_close_calls(cfg, monkeypatch, which):
-    # delta is the scalar distance of z_1 where the split one rounds below
-    # it: the scalar check does not call z_1 near, a bare split check would
-    lams = [1.7 + 1.7j + 1.2 * rng.unit_disc_point(43, 0, i) for i in range(8000)]
-    found = _close_calls(LatticeKind.SQUARE, lams, which, cfg)
-    assert found
-    calls = []
-    real = misiurewicz.make_lattice
-    monkeypatch.setattr(
-        misiurewicz, "make_lattice", lambda *args: calls.append(args) or real(*args)
-    )
-    for lam, delta in found[:3]:
-        got = _first_violations(LatticeKind.SQUARE, np.array([lam]), delta, 40, cfg)
-        assert got == [_orbit_first_violation(LatticeKind.SQUARE, lam, delta, 40, cfg)]
-        wrong = ViolationKind.NEAR_CRITICAL if which == 0 else ViolationKind.NEAR_INFINITY
-        assert got[0] != Violation(step=1, kind=wrong)
-    assert len(calls) >= len(found[:3])
+def test_first_violations_decide_at_the_exact_distance(cfg, which):
+    # delta is d, the smallest scalar distance of the z_1 of the critical
+    # orbits (which = 0: to the critical points, 1: to infinity), then the
+    # next float above it: the strict test calls that z_1 near only at the
+    # second, and the lockstep check must draw the line where the scalar
+    # check does.  Parameters whose step-1 label at the second delta is
+    # the other one are skipped.
+    label = (ViolationKind.NEAR_CRITICAL, ViolationKind.NEAR_INFINITY)[which]
+    for kind in (LatticeKind.SQUARE, LatticeKind.TRIANGULAR):
+        tried = 0
+        for i in range(200):
+            lam = 1.7 + 1.7j + 1.2 * rng.unit_disc_point(43, 0, i)
+            lat = make_lattice(kind, lam, cfg)
+            crits = lat.crit_values if kind is LatticeKind.TRIANGULAR else lat.crit_values[:1]
+            try:
+                zs = [wp(e, lat, cfg) for e in crits]
+            except lattice.PoleHit:
+                continue
+            dists = [(crit_sph_dist(z, lat), sph_dist_to_inf(z)) for z in zs]
+            d = min(pair[which] for pair in dists)
+            above = math.nextafter(d, math.inf)
+            if _step_one_label(dists, above) is not label:
+                continue
+            assert _step_one_label(dists, d) is not label
+            for delta in (d, above):
+                got = _first_violations(kind, np.array([lam]), delta, 40, cfg)
+                assert got == [_orbit_first_violation(kind, lam, delta, 40, cfg)]
+                assert (got[0] == Violation(step=1, kind=label)) == (delta == above)
+            tried += 1
+            if tried == 4:
+                break
+        assert tried == 4
 
 
 @pytest.mark.parametrize("block", [1, 7])
