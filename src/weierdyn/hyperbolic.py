@@ -29,11 +29,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
+
+import numpy as np
 
 from .lattice import (
     Lattice,
     LatticeKind,
     ToleranceConfig,
+    _arg_increments,
     crit_sph_dist,
     make_lattice,
     sph_deriv,
@@ -345,23 +349,19 @@ def x_function(sample: HyperbolicSample, lam: complex, cfg: ToleranceConfig) -> 
     return lat.crit_values[0] - h_value
 
 
-def winding_number(values: list[complex]) -> int:
+def winding_number(values: Sequence[complex]) -> int:
     """Winding of a sampled closed loop about 0 by summed argument increments.
 
     Raises InsufficientSampling when consecutive samples turn by a quarter
-    circle or more, or when the total fails to close up to an integer.
+    circle or more (or a sample is 0), or when the total fails to close up
+    to an integer.
     """
-    n = len(values)
-    total = 0.0
-    for i in range(n):
-        a = values[i]
-        b = values[(i + 1) % n]
-        ratio = b / a
-        inc = math.atan2(ratio.imag, ratio.real)
-        if abs(inc) >= math.pi / 2.0:
-            raise InsufficientSampling(f"argument increment {inc:.3f} at sample {i}")
-        total += inc
-    w = total / (2.0 * math.pi)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inc = _arg_increments(np.asarray(values, dtype=complex)).tolist()
+    for i, turn in enumerate(inc):
+        if not abs(turn) < math.pi / 2.0:
+            raise InsufficientSampling(f"argument increment {turn:.3f} at sample {i}")
+    w = sum(inc) / (2.0 * math.pi)
     if abs(w - round(w)) > 0.1:
         raise InsufficientSampling(f"winding sum {w:.4f} is not near an integer")
     return int(round(w))
@@ -450,6 +450,23 @@ def _close_horizon(
     return n
 
 
+def _pair_ratio(
+    sample: HyperbolicSample, a: complex, b: complex, delta_p: float, cfg: ToleranceConfig
+) -> tuple[float, int]:
+    """(|product of f_a'/f_b' over the first n steps - 1|, n) for one pair:
+    n is the largest step both critical orbits stay within delta_p of the
+    reference orbit, at most the derivatives either orbit has."""
+    M = len(sample.points) - 1
+    pts_a, ders_a = _param_orbit(sample.kind, a, M, cfg)
+    pts_b, ders_b = _param_orbit(sample.kind, b, M, cfg)
+    n = min(_close_horizon(sample, pts_a, delta_p), _close_horizon(sample, pts_b, delta_p))
+    n = min(n, len(ders_a), len(ders_b))
+    prod = 1.0 + 0j
+    for k in range(n):
+        prod *= ders_a[k] / ders_b[k]
+    return abs(prod - 1.0), n
+
+
 def distortion_report(
     sample: HyperbolicSample, r: float, n_pairs: int, cfg: ToleranceConfig
 ) -> DistortionReport:
@@ -479,16 +496,10 @@ def distortion_report(
         a = sample.lambda0 + r * complex(math.cos(t), math.sin(t))
         t2 = t + math.pi / n_pairs
         b = sample.lambda0 + 0.5 * r * complex(math.cos(t2), math.sin(t2))
-        pts_a, ders_a = _param_orbit(sample.kind, a, M, cfg)
-        pts_b, ders_b = _param_orbit(sample.kind, b, M, cfg)
-        n = min(_close_horizon(sample, pts_a, delta_p), _close_horizon(sample, pts_b, delta_p))
-        n = min(n, len(ders_a), len(ders_b))
+        ratio, n = _pair_ratio(sample, a, b, delta_p, cfg)
         if n < 3:
             continue
-        prod = 1.0 + 0j
-        for k in range(n):
-            prod *= ders_a[k] / ders_b[k]
-        max_ratio = max(max_ratio, abs(prod - 1.0))
+        max_ratio = max(max_ratio, ratio)
         pairs_used += 1
     if pairs_used == 0:
         raise DegenerateRadius("no pair kept its orbits close for 3 steps")

@@ -418,10 +418,23 @@ def _split_coeffs(kind: LatticeKind) -> np.ndarray:
     return np.array([[[c.real], [c.imag]] for c in _kind_data(kind).coeffs])
 
 
+# _nearest_translate holds nine candidates per point at once, so longer
+# inputs go through in column chunks of this many points: 9 * 512, the
+# largest call of a 512-sample render or density block (three critical
+# orbits times three half-periods), which thus runs whole
+_TRANSLATE_CHUNK = 4608
+
+
 def _nearest_translate(ur, ui, kd: _KindData):
     """_reduce_coords and _recenter on split 1-D arrays: the representative
     u0 = u - (m + n*tau) of smallest modulus, as (u0_re, u0_im, m, n) with m
     and n as floats, each element the same bits as the scalar pair."""
+    if ur.size > _TRANSLATE_CHUNK:
+        parts = [
+            _nearest_translate(ur[at : at + _TRANSLATE_CHUNK], ui[at : at + _TRANSLATE_CHUNK], kd)
+            for at in range(0, ur.size, _TRANSLATE_CHUNK)
+        ]
+        return tuple(np.concatenate(col) for col in zip(*parts))
     b = ui * kd.inv_im_tau
     a = ur - b * kd.tau.real
     fa = np.floor(a + 0.5)
@@ -532,6 +545,16 @@ def sph_dist(z: complex, w: complex) -> float:
     hz = abs(z)
     hw = abs(w)
     return 2.0 * abs(z - w) / (math.sqrt(1.0 + hz * hz) * math.sqrt(1.0 + hw * hw))
+
+
+def _arg_increments(this: np.ndarray, nxt: np.ndarray | None = None) -> np.ndarray:
+    """The turns of the argument from each sample to the next, angle(nxt /
+    this) in (-pi, pi]; with nxt None, along the closed loops on this's last
+    axis, the last sample turning back to the first.  A winding number is
+    their sum over 2*pi."""
+    if nxt is None:
+        nxt = np.concatenate((this[..., 1:], this[..., :1]), axis=-1)
+    return np.angle(nxt / this)
 
 
 def sph_deriv(fprime: complex, z: complex, fz: complex) -> float:

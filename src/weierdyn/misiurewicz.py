@@ -41,6 +41,7 @@ from .lattice import (
     Lattice,
     LatticeKind,
     ToleranceConfig,
+    _arg_increments,
     _check_scale,
     _crit_sph_dist_split,
     _crit_values_split,
@@ -178,7 +179,7 @@ def prepole_residual(
 
 @lru_cache(maxsize=None)
 def _unit_lattice(kind: LatticeKind, cfg: ToleranceConfig) -> Lattice:
-    """The normalized (lambda = 1) lattice every _g_array call works on."""
+    """The normalized (lambda = 1) lattice every _critical_orbit call works on."""
     return make_lattice(kind, 1.0 + 0j, cfg)
 
 
@@ -226,18 +227,6 @@ def _g_batch(kind: LatticeKind, n: int, coef, lam: np.ndarray, cfg: ToleranceCon
     lam = np.asarray(lam, dtype=complex)
     w, alive = _critical_orbit(kind, n, lam, cfg)
     return _minus_pole(w, alive, coef, lam)
-
-
-def _g_array(
-    kind: LatticeKind,
-    n: int,
-    j: int,
-    k: int,
-    lam: np.ndarray,
-    cfg: ToleranceConfig,
-) -> np.ndarray:
-    """g of the (n, j, k) prepole equation over an array of parameters."""
-    return _g_batch(kind, n, _pole_coef(kind, j, k), lam, cfg)
 
 
 def _local_minima(absg: np.ndarray) -> list[tuple[int, int]]:
@@ -335,112 +324,118 @@ def _unit_ring() -> np.ndarray:
     return ring
 
 
-class _Contour:
-    """One root's certification circle at its current radius and level.
+@lru_cache(maxsize=None)
+def _level_masks() -> np.ndarray:
+    """Row s flags the ring positions of the level of stride s; row 0, a
+    free row's, flags none."""
+    s = np.arange(_RING // _RING_START + 1)[:, None]
+    return (np.arange(_RING) % np.maximum(s, 1) == 0) & (s > 0)
 
-    index is the root's position in the root list of (j, k) group group, and
-    coef is that group's j + k*tau.  vals holds the samples of the current level, one per level point, and
-    known flags those already evaluated.  chase holds the level points that
-    are midpoints of the previous level's bad arcs, still to be checked, or
-    is None when the level is checked in full.
+
+class _Slots:
+    """The live certification contours, one row each.
+
+    Row r certifies root index[r] of (j, k) group group[r], whose pole
+    coefficient is coef[r], on the circle center[r] + radius[r] * ring.  Its
+    level samples every stride[r]-th of the 1024 ring positions (strides 16
+    ... 1 for 64 ... 1024 points); a free row has stride 0.  vals and known
+    hold a row's samples by ring position, so a sample keeps its place at
+    every finer level.  A row with chase[r] set evaluates only its target
+    positions, the midpoints of the previous level's bad arcs; any other row
+    fills in its level and checks it in full.
     """
 
-    __slots__ = (
-        "group", "index", "coef", "center", "floor", "radius", "vals", "known", "chase", "certified"
-    )
-
-    def __init__(
-        self, group: int, index: int, coef: complex, center: complex, radius: float, floor: float
-    ):
-        self.group = group
-        self.index = index
-        self.coef = coef
-        self.center = center
+    def __init__(self, size: int, floor: float):
         self.floor = floor
-        self.certified = False
-        self._restart(radius)
+        self.group, self.index, self.stride = np.zeros((3, size), dtype=np.int64)
+        self.coef, self.center = np.zeros((2, size), dtype=complex)
+        self.radius = np.zeros(size)
+        self.chase = np.zeros(size, dtype=bool)
+        self.vals = np.zeros((size, _RING), dtype=complex)
+        self.known, self.target = np.zeros((2, size, _RING), dtype=bool)
 
-    def _restart(self, radius: float) -> None:
-        self.radius = radius
-        self.vals = np.empty(_RING_START, dtype=complex)
-        self.known = np.zeros(_RING_START, dtype=bool)
-        self.chase = None
+    def refill(self, queue: Iterator[tuple]) -> None:
+        """Start the next contours of the queue in the free rows, in order."""
+        free = (self.stride == 0).nonzero()[0]
+        new = list(islice(queue, free.size))
+        if new:
+            rows = free[: len(new)]
+            group, index, coef, center, radius = zip(*new)
+            self.group[rows], self.index[rows], self.coef[rows] = group, index, coef
+            self.center[rows], self.radius[rows] = center, radius
+            self._restart(rows)
 
-    def wanted(self) -> np.ndarray:
-        """Level indices to evaluate next."""
-        if self.chase is not None:
-            return self.chase
-        return (~self.known).nonzero()[0]
+    def _restart(self, rows: np.ndarray) -> None:
+        self.stride[rows] = _RING // _RING_START
+        self.chase[rows] = False
+        self.known[rows] = False
 
-    def points(self, idx: np.ndarray) -> np.ndarray:
-        """The parameters at level indices idx."""
-        return self.center + self.radius * _unit_ring()[idx * (_RING // self.vals.size)]
+    def wanted(self) -> tuple[np.ndarray, np.ndarray]:
+        """(rows, ring positions) of the samples every row needs next."""
+        want = _level_masks()[self.stride]
+        want &= ~self.known
+        want[self.chase] = self.target[self.chase]
+        return np.divmod(np.flatnonzero(want), _RING)
 
-    def settle(self, fresh: np.ndarray, g: np.ndarray) -> bool:
-        """Store the values g at level indices fresh and act on them; False
-        once the contour is certified or dropped at the radius floor."""
-        v = self.vals
-        v[fresh] = g
-        self.known[fresh] = True
-        if self.chase is not None:
-            if (np.isnan(g) | (g == 0)).any():
-                return self._halve()
-            # arcs (p - 1, p) and (p, p + 1) around each midpoint p, each
-            # increment formed as the full check below forms it: next / this
-            left = np.abs(np.angle(g / v[fresh - 1]))
-            right = np.abs(np.angle(v[(fresh + 1) % v.size] / g))
-            bad = np.concatenate([fresh[left >= _BAD_TURN] - 1, fresh[right >= _BAD_TURN]])
-            if bad.size:
-                return self._escalate(bad)
-            self.chase = None
-            if not self.known.all():
-                return True
-        if (np.isnan(v) | (v == 0)).any():
-            return self._halve()
-        inc = np.angle(np.concatenate((v[1:], v[:1])) / v)
-        bad = (np.abs(inc) >= _BAD_TURN).nonzero()[0]
-        if bad.size:
-            return self._escalate(bad)
-        w = float(inc.sum()) / (2.0 * math.pi)
-        if abs(w - round(w)) <= 0.25 and int(round(w)) == 1:
-            self.certified = True
-            return False
-        return self._halve()
-
-    def _escalate(self, bad: np.ndarray) -> bool:
-        m = self.vals.size
-        if m == _RING:
-            return self._halve()
-        vals = np.empty(2 * m, dtype=complex)
-        vals[::2] = self.vals
-        known = np.zeros(2 * m, dtype=bool)
-        known[::2] = self.known
-        self.vals, self.known = vals, known
-        self.chase = 2 * bad + 1
-        return True
-
-    def _halve(self) -> bool:
-        radius = self.radius * 0.5
-        if radius < self.floor:
-            return False
-        self._restart(radius)
-        return True
-
-
-def _contours(
-    kind: LatticeKind,
-    pairs: Sequence[tuple[int, int]],
-    root_lists: Sequence[Sequence[complex]],
-    floor: float,
-) -> Iterator[_Contour]:
-    """The certification queue: every root of every (j, k) group in order,
-    each starting just inside its nearest-neighbor distance within its group
-    (capped at a quarter of |root| so the circle stays clear of lambda = 0)."""
-    for group, ((j, k), roots) in enumerate(zip(pairs, root_lists)):
-        coef = _pole_coef(kind, j, k)
-        nn = _nearest_dists(roots)
-        for i, z in enumerate(roots):
-            yield _Contour(group, i, coef, z, max(min(0.25 * abs(z), 0.75 * nn[i]), floor), floor)
+    def settle(self, rows: np.ndarray, pos: np.ndarray, g: np.ndarray) -> np.ndarray:
+        """Store the samples g at (rows, pos) and act on every row at once;
+        returns the rows certified.  Rows dropped at the radius floor or
+        certified are freed."""
+        vals, stride = self.vals, self.stride
+        vals[rows, pos] = g
+        self.known[rows, pos] = True
+        halve, certify, escalate = np.zeros((3, stride.size), dtype=bool)
+        # chase rows: the arcs (p - s, p) and (p, p + s) around each midpoint
+        # p, a NaN or zero halving the radius
+        chased = self.chase[rows]
+        cr, cp, cg = rows[chased], pos[chased], g[chased]
+        s = stride[cr]
+        self.target[cr, cp] = False
+        self.chase[cr] = False
+        halve[cr[np.isnan(cg) | (cg == 0)]] = True
+        with np.errstate(divide="ignore", invalid="ignore"):
+            left = np.abs(_arg_increments(vals[cr, cp - s], cg)) >= _BAD_TURN
+            right = np.abs(_arg_increments(cg, vals[cr, (cp + s) % _RING])) >= _BAD_TURN
+        bad_rows = [cr[left], cr[right]]
+        bad_mids = [cp[left] - s[left] // 2, cp[right] + s[right] // 2]
+        escalate[np.concatenate(bad_rows)] = True
+        escalate &= ~halve
+        # full checks, one (rows, m) array per level, of the rows whose level
+        # is now complete
+        full = (stride > 0) & ~self.chase & ~halve & ~escalate
+        for step in (16, 8, 4, 2, 1):
+            at = (full & (stride == step)).nonzero()[0]
+            at = at[self.known[:, ::step][at].all(axis=1)]
+            if not at.size:
+                continue
+            level = vals[:, ::step][at]
+            spoiled = (np.isnan(level) | (level == 0)).any(axis=1)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                inc = _arg_increments(level)
+            bad = (np.abs(inc) >= _BAD_TURN) & ~spoiled[:, None]
+            turned = bad.any(axis=1)
+            w = inc.sum(axis=1) / (2.0 * math.pi)
+            # a winding sum within 0.25 of an integer, and that integer 1
+            certify[at] = ~spoiled & ~turned & (np.abs(w - 1.0) <= 0.25)
+            halve[at] = ~certify[at] & ~turned
+            escalate[at] = turned
+            arc_row, arc = bad.nonzero()
+            bad_rows.append(at[arc_row])
+            bad_mids.append(arc * step + step // 2)
+        # a level of 1024 points cannot escalate: it halves instead
+        halve |= escalate & (stride == 1)
+        escalate &= stride > 1
+        bad_rows, bad_mids = np.concatenate(bad_rows), np.concatenate(bad_mids)
+        keep = escalate[bad_rows]
+        self.target[bad_rows[keep], bad_mids[keep]] = True
+        stride[escalate] //= 2
+        self.chase[escalate] = True
+        halved = halve.nonzero()[0]
+        self.radius[halved] *= 0.5
+        self._restart(halved)
+        stride[halved[self.radius[halved] < self.floor]] = 0
+        stride[certify] = 0
+        return certify.nonzero()[0]
 
 
 def _certify_roots(
@@ -472,30 +467,30 @@ def _certify_roots(
       A NaN or zero met on the way halves the radius: being on every finer
       level too, it would halve the full ladder as well.
 
-    Up to LIVE_CONTOURS contours of any groups share one array evaluation
-    per round; a contour that finishes is replaced from the queue for the
-    next round.
+    Up to LIVE_CONTOURS contours of any groups are the rows of one set of
+    arrays (_Slots).  A round evaluates every row's samples in one g batch
+    and settles all rows at once, in array operations whose count does not
+    grow with the rows; a finished row is refilled from the queue.
     """
     floor = max(10.0 * cfg.newton_tol, 1e-10)
-    queue = _contours(kind, pairs, root_lists, floor)
-    live = list(islice(queue, LIVE_CONTOURS))
+    # the queue as (group, index, coef, center, radius): every root of every
+    # group in order, each starting just inside its nearest-neighbor distance
+    # in its group (capped at |root| / 4 so the circle stays clear of 0)
+    queue = (
+        (group, i, _pole_coef(kind, j, k), z, max(min(0.25 * abs(z), 0.75 * nn), floor))
+        for group, ((j, k), roots) in enumerate(zip(pairs, root_lists))
+        for i, (z, nn) in enumerate(zip(roots, _nearest_dists(roots)))
+    )
+    slots = _Slots(LIVE_CONTOURS, floor)
+    slots.refill(queue)
     out: list[dict[int, float]] = [{} for _ in pairs]
-    while live:
-        wanted = [c.wanted() for c in live]
-        pts = np.concatenate([c.points(w) for c, w in zip(live, wanted)])
-        coef = np.repeat([c.coef for c in live], [w.size for w in wanted])
-        vals = _g_batch(kind, n, coef, pts, cfg)
-        pos = 0
-        still = []
-        for c, w in zip(live, wanted):
-            g = vals[pos : pos + w.size]
-            pos += w.size
-            if c.settle(w, g):
-                still.append(c)
-            elif c.certified:
-                out[c.group][c.index] = c.radius
-        still.extend(islice(queue, LIVE_CONTOURS - len(still)))
-        live = still
+    while slots.stride.any():
+        rows, pos = slots.wanted()
+        pts = slots.center[rows] + slots.radius[rows] * _unit_ring()[pos]
+        g = _g_batch(kind, n, slots.coef[rows], pts, cfg)
+        for r in slots.settle(rows, pos, g).tolist():
+            out[int(slots.group[r])][int(slots.index[r])] = float(slots.radius[r])
+        slots.refill(queue)
     return out
 
 
@@ -731,7 +726,7 @@ def density_scan(
         raise ValueError("delta must be non-negative")
     rows = []
     for ri, r in enumerate(radii):
-        lams = np.array([lambda0 + r * rng.unit_disc_point(seed, ri, i) for i in range(n_samples)])
+        lams = rng.disc_samples(lambda0, r, n_samples, seed, ri)
         lams = lams[np.isfinite(lams) & (lams != 0)]
         fails = n_samples - lams.size
         for at in range(0, lams.size, BLOCK_SIZE):

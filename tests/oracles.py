@@ -10,7 +10,7 @@ from typing import Optional
 import numpy as np
 
 from weierdyn.lattice import Lattice, LatticeKind, ToleranceConfig, _kind_data, _recenter, _reduce_coords
-from weierdyn.misiurewicz import _g_array
+from weierdyn.misiurewicz import _g_batch, _pole_coef
 
 # ---------------------------------------------------------------------------
 # direct lattice sums
@@ -59,6 +59,14 @@ def wp_direct_sum(z: complex, lat: Lattice, radius: int) -> complex:
 
 # ---------------------------------------------------------------------------
 # argument principle
+
+
+def _g_array(
+    kind: LatticeKind, n: int, j: int, k: int, lam: np.ndarray, cfg: ToleranceConfig
+) -> np.ndarray:
+    """g of the (n, j, k) prepole equation over an array of parameters: the
+    one-pair form of misiurewicz._g_batch."""
+    return _g_batch(kind, n, _pole_coef(kind, j, k), lam, cfg)
 
 
 def winding_count(

@@ -236,16 +236,18 @@ def test_distortion_shrinks_with_radius(cfg, candidate_sample):
 
 
 def test_distortion_identical_parameters_give_unit_product(cfg, candidate_sample):
-    # the pair ratio is a product of derivative quotients; same orbit on
-    # both sides collapses it to exactly 1
-    from weierdyn.hyperbolic import _param_orbit
-
-    M = len(candidate_sample.points) - 1
-    _, ders = _param_orbit(candidate_sample.kind, CANDIDATE + 1e-7, M, cfg)
-    prod = 1.0 + 0j
-    for d in ders:
-        prod *= d / d
-    assert abs(prod - 1.0) < 1e-15
+    # the pair ratio is a product of derivative quotients; the same parameter
+    # on both sides of distortion_report's pair loop collapses it to 1
+    r = 1e-6
+    delta_p = min(candidate_sample.delta / 4.0, r * hyperbolic.DISTORTION_BUDGET)
+    a = CANDIDATE + r * cmath.exp(0.3j)
+    ratio, n = hyperbolic._pair_ratio(candidate_sample, a, a, delta_p, cfg)
+    assert n >= 3
+    assert ratio <= 1e-15
+    # a distinct pair through the same loop does not collapse
+    ratio, n = hyperbolic._pair_ratio(candidate_sample, a, CANDIDATE + 0.5 * r, delta_p, cfg)
+    assert n >= 3
+    assert ratio > 1e-9
 
 
 def test_distortion_rejects_degenerate_radius(cfg, candidate_sample):

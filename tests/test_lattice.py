@@ -1,11 +1,13 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import E1_SQUARE_NORM, E1_TRI_NORM
 from oracles import eisenstein_direct_sum, wp_direct_sum
+from weierdyn import lattice
 from weierdyn.lattice import (
     LatticeKind,
     PoleHit,
@@ -190,6 +192,38 @@ def test_wp_array_keeps_shape_with_the_bits_of_the_raveled_call(cfg, square2, tr
             assert got.shape == got_poles.shape == shape
             assert np.array_equal(got.ravel().view(np.int64), vals.view(np.int64))
             assert np.array_equal(got_poles.ravel(), poles)
+
+
+def test_wp_array_chunks_long_inputs_with_the_same_bits(cfg, square2, tri1, monkeypatch):
+    # an input longer than the chunk runs in pieces, with the bits of one
+    # whole-array pass (a chunk as long as the input)
+    gen = np.random.default_rng(41)
+    z = gen.uniform(-4, 4, 3 * lattice._TRANSLATE_CHUNK + 17)
+    z = z + 1j * gen.uniform(-4, 4, z.size)
+    for lat in (square2, tri1):
+        chunked = wp_array(z, lat, cfg)
+        monkeypatch.setattr(lattice, "_TRANSLATE_CHUNK", z.size)
+        whole = wp_array(z, lat, cfg)
+        monkeypatch.undo()
+        assert chunked[0].tobytes() == whole[0].tobytes()
+        assert np.array_equal(chunked[1], whole[1])
+
+
+def test_wp_array_peak_memory_on_a_long_input(cfg, square2):
+    # 50,000 points: the nine candidate translates per point are held one
+    # chunk at a time.  Measured peaks: 6.5 MiB chunked, 17.2 MiB with all
+    # nine rows of the whole input at once, 9.3 MiB for the older loop that
+    # kept one candidate at a time.
+    gen = np.random.default_rng(43)
+    z = gen.uniform(-3, 3, 50_000) + 1j * gen.uniform(-3, 3, 50_000)
+    wp_array(z[:10], square2, cfg)
+    tracemalloc.start()
+    try:
+        wp_array(z, square2, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 9.3 * 2**20
 
 
 def test_wp_array_matches_scalar_on_box_ties(cfg, square2, tri1):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import CANDIDATE, PREPOLE_SQ, PREPOLE_TRI
-from oracles import winding_count
+from oracles import _g_array, winding_count
 from weierdyn import lattice, misiurewicz, rng
 from weierdyn.dynamics import AllCriticalPrepole, EscapedSphericalBall, PoleHit, classify, iterate
 from weierdyn.lattice import (
@@ -25,7 +25,6 @@ from weierdyn.misiurewicz import (
     ViolationKind,
     _certify_roots,
     _first_violations,
-    _g_array,
     _g_batch,
     _nearest_dists,
     _pole_coef,
@@ -46,6 +45,19 @@ def test_splitmix_streams_are_deterministic():
     # distinct keys give distinct streams, same keys replay
     assert rng.SplitMix(1, 2, 3).uniform() == 0.4849690070744087
     assert rng.SplitMix(1, 2, 4).uniform() != 0.4849690070744087
+
+
+def test_disc_samples_have_the_bits_of_unit_disc_point():
+    # the array streams against the scalar reference, rejections included
+    for center, r, keys in [
+        (PREPOLE_SQ, 1e-3, (20260816, 0)),
+        (PREPOLE_SQ, 1e-4, (20260816, 1)),
+        (-0.0 - 0.0j, 2, (7, 3)),
+        (1.5, np.float64(0.25), (-5, 2)),
+    ]:
+        got = rng.disc_samples(center, r, 3000, *keys)
+        want = np.array([center + r * rng.unit_disc_point(*keys, i) for i in range(3000)])
+        assert got.tobytes() == want.tobytes()
 
 
 def test_unit_disc_point_stays_in_disc():
@@ -298,6 +310,23 @@ def test_nested_ring_has_the_bits_of_fresh_sampling():
         assert fresh.tobytes() == misiurewicz._unit_ring()[:: 1024 // m].tobytes()
 
 
+def test_level_rows_sum_as_one_contour_does():
+    # the stacked full check sums each row of a (rows, m) gather of the
+    # ring buffer; every row must give the bits of the 1-D sum of that
+    # contour's increments alone
+    gen = np.random.default_rng(11)
+    vals = gen.normal(size=(64, 1024)) + 1j * gen.normal(size=(64, 1024))
+    for step in (16, 8, 4, 2, 1):
+        rows = np.sort(gen.choice(64, 23, replace=False))
+        inc = lattice._arg_increments(vals[:, ::step][rows])
+        sums = inc.sum(axis=1)
+        for i, r in enumerate(rows):
+            v = vals[r, ::step].copy()
+            one = np.angle(np.concatenate((v[1:], v[:1])) / v)
+            assert one.tobytes() == inc[i].tobytes()
+            assert float(one.sum()) == sums[i]
+
+
 def test_certify_roots_matches_full_ladder(cfg, monkeypatch):
     halved_at_1024 = 0
     for kind, n, j, k, region, grid in CERTIFY_CASES:
@@ -369,7 +398,50 @@ def test_g_batch_has_the_bits_of_g_array_per_pair(cfg):
                 assert g[sel].tobytes() == _g_array(kind, n, j, k, lam[sel], cfg).tobytes()
 
 
-@pytest.mark.parametrize("slots", [1, 3])
+def test_certify_settles_every_level_and_mode_in_one_round(cfg, monkeypatch):
+    # two groups in one queue of 64 rows, with NaN and zero samples spoiled
+    # in: some round holds rows at every level in full mode and at every
+    # level above 64 in chase mode, and each group's radii are still the
+    # full ladder's
+    real_g = misiurewicz._g_batch
+    real_settle = misiurewicz._Slots.settle
+
+    def spoil(g, lam):
+        h = _spoiled(lam, 1500)
+        g[h == 0] = complex(np.nan, np.nan)
+        g[h == 1] = 0.0
+        return g
+
+    def spoiled_batch(kind, n, coef, lam, cfg):
+        return spoil(real_g(kind, n, coef, lam, cfg), lam)
+
+    def spoiled_g(kind, n, j, k, lam, cfg):
+        return spoil(real_g(kind, n, _pole_coef(kind, j, k), lam, cfg), lam)
+
+    rounds = []
+
+    def spy(slots, rows, pos, g):
+        busy = slots.stride > 0
+        rounds.append(set(zip((1024 // slots.stride[busy]).tolist(), slots.chase[busy].tolist())))
+        return real_settle(slots, rows, pos, g)
+
+    cases = CERTIFY_CASES[:2]
+    kind, n = cases[0][:2]
+    pairs = [(j, k) for _, _, j, k, _, _ in cases]
+    root_lists = [_certifier_input(monkeypatch, *case, cfg) for case in cases]
+    with monkeypatch.context() as mp:
+        mp.setattr(misiurewicz, "_g_batch", spoiled_batch)
+        mp.setitem(globals(), "_g_array", spoiled_g)
+        mp.setattr(misiurewicz._Slots, "settle", spy)
+        radii = _certify_roots(kind, n, pairs, root_lists, cfg)
+        for (j, k), roots, got in zip(pairs, root_lists, radii):
+            assert got == _certify_roots_full_ladder(kind, n, j, k, roots, cfg)
+    levels = (64, 128, 256, 512, 1024)
+    every = {(m, False) for m in levels} | {(m, True) for m in levels[1:]}
+    assert any(every <= seen for seen in rounds)
+
+
+@pytest.mark.parametrize("slots", [1, 2, 3])
 def test_certify_queue_refills_across_groups(cfg, monkeypatch, slots):
     # several (j, k) groups in one queue, with so few live contours that
     # finished ones are replaced mid-queue: each group's radii are still the
