@@ -29,15 +29,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
-
-import numpy as np
 
 from .lattice import (
     Lattice,
     LatticeKind,
     ToleranceConfig,
-    _arg_increments,
     crit_sph_dist,
     make_lattice,
     sph_deriv,
@@ -349,19 +345,23 @@ def x_function(sample: HyperbolicSample, lam: complex, cfg: ToleranceConfig) -> 
     return lat.crit_values[0] - h_value
 
 
-def winding_number(values: Sequence[complex]) -> int:
+def winding_number(values: list[complex]) -> int:
     """Winding of a sampled closed loop about 0 by summed argument increments.
 
     Raises InsufficientSampling when consecutive samples turn by a quarter
-    circle or more (or a sample is 0), or when the total fails to close up
-    to an integer.
+    circle or more, or when the total fails to close up to an integer.
     """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inc = _arg_increments(np.asarray(values, dtype=complex)).tolist()
-    for i, turn in enumerate(inc):
-        if not abs(turn) < math.pi / 2.0:
-            raise InsufficientSampling(f"argument increment {turn:.3f} at sample {i}")
-    w = sum(inc) / (2.0 * math.pi)
+    n = len(values)
+    total = 0.0
+    for i in range(n):
+        a = values[i]
+        b = values[(i + 1) % n]
+        ratio = b / a
+        inc = math.atan2(ratio.imag, ratio.real)
+        if abs(inc) >= math.pi / 2.0:
+            raise InsufficientSampling(f"argument increment {inc:.3f} at sample {i}")
+        total += inc
+    w = total / (2.0 * math.pi)
     if abs(w - round(w)) > 0.1:
         raise InsufficientSampling(f"winding sum {w:.4f} is not near an integer")
     return int(round(w))

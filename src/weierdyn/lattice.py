@@ -547,16 +547,6 @@ def sph_dist(z: complex, w: complex) -> float:
     return 2.0 * abs(z - w) / (math.sqrt(1.0 + hz * hz) * math.sqrt(1.0 + hw * hw))
 
 
-def _arg_increments(this: np.ndarray, nxt: np.ndarray | None = None) -> np.ndarray:
-    """The turns of the argument from each sample to the next, angle(nxt /
-    this) in (-pi, pi]; with nxt None, along the closed loops on this's last
-    axis, the last sample turning back to the first.  A winding number is
-    their sum over 2*pi."""
-    if nxt is None:
-        nxt = np.concatenate((this[..., 1:], this[..., :1]), axis=-1)
-    return np.angle(nxt / this)
-
-
 def sph_deriv(fprime: complex, z: complex, fz: complex) -> float:
     """Spherical derivative factor |f'| (1+|z|^2) / (1+|fz|^2); fz finite."""
     return abs(fprime) * (1.0 + abs(z) ** 2) / (1.0 + abs(fz) ** 2)

@@ -41,7 +41,6 @@ from .lattice import (
     Lattice,
     LatticeKind,
     ToleranceConfig,
-    _arg_increments,
     _check_scale,
     _crit_sph_dist_split,
     _crit_values_split,
@@ -394,8 +393,8 @@ class _Slots:
         self.chase[cr] = False
         halve[cr[np.isnan(cg) | (cg == 0)]] = True
         with np.errstate(divide="ignore", invalid="ignore"):
-            left = np.abs(_arg_increments(vals[cr, cp - s], cg)) >= _BAD_TURN
-            right = np.abs(_arg_increments(cg, vals[cr, (cp + s) % _RING])) >= _BAD_TURN
+            left = np.abs(np.angle(cg / vals[cr, cp - s])) >= _BAD_TURN
+            right = np.abs(np.angle(vals[cr, (cp + s) % _RING] / cg)) >= _BAD_TURN
         bad_rows = [cr[left], cr[right]]
         bad_mids = [cp[left] - s[left] // 2, cp[right] + s[right] // 2]
         escalate[np.concatenate(bad_rows)] = True
@@ -411,7 +410,7 @@ class _Slots:
             level = vals[:, ::step][at]
             spoiled = (np.isnan(level) | (level == 0)).any(axis=1)
             with np.errstate(divide="ignore", invalid="ignore"):
-                inc = _arg_increments(level)
+                inc = np.angle(np.concatenate((level[:, 1:], level[:, :1]), axis=1) / level)
             bad = (np.abs(inc) >= _BAD_TURN) & ~spoiled[:, None]
             turned = bad.any(axis=1)
             w = inc.sum(axis=1) / (2.0 * math.pi)
@@ -726,7 +725,7 @@ def density_scan(
         raise ValueError("delta must be non-negative")
     rows = []
     for ri, r in enumerate(radii):
-        lams = rng.disc_samples(lambda0, r, n_samples, seed, ri)
+        lams = np.array([lambda0 + r * rng.unit_disc_point(seed, ri, i) for i in range(n_samples)])
         lams = lams[np.isfinite(lams) & (lams != 0)]
         fails = n_samples - lams.size
         for at in range(0, lams.size, BLOCK_SIZE):

@@ -10,8 +10,6 @@ order.
 
 from __future__ import annotations
 
-import numpy as np
-
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 
@@ -57,47 +55,3 @@ def unit_disc_point(*keys: int) -> complex:
         y = g.uniform_signed()
         if x * x + y * y <= 1.0:
             return complex(x, y)
-
-
-def _mix_array(x: np.ndarray) -> np.ndarray:
-    """_mix on uint64 arrays, whose arithmetic wraps modulo 2**64."""
-    x = (x ^ (x >> 30)) * np.uint64(0xBF58476D1CE4E5B9)
-    x = (x ^ (x >> 27)) * np.uint64(0x94D049BB133111EB)
-    return x ^ (x >> 31)
-
-
-def _signed_array(u: np.ndarray) -> np.ndarray:
-    """SplitMix.uniform_signed of each draw u."""
-    return 2.0 * ((u >> 11).astype(float) * 2.0**-53) - 1.0
-
-
-def disc_samples(center: complex, r: float, count: int, *keys: int) -> np.ndarray:
-    """center + r * unit_disc_point(*keys, i) for i in range(count), bit for
-    bit, as one array.
-
-    Every stream runs at once in uint64 arithmetic, and each rejection round
-    redraws only the points not yet accepted.  The scaled point is formed
-    with CPython's complex formulas, r as (r, 0) times (x, y) plus center.
-    """
-    s = 0
-    for k in keys:
-        s = _mix((s + _GAMMA) ^ (k & _MASK))
-    state = _mix_array(np.uint64((s + _GAMMA) & _MASK) ^ np.arange(count, dtype=np.uint64))
-    gamma = np.uint64(_GAMMA)
-    x = np.empty(count)
-    y = np.empty(count)
-    todo = np.arange(count)
-    while todo.size:
-        state[todo] += gamma
-        xs = _signed_array(_mix_array(state[todo]))
-        state[todo] += gamma
-        ys = _signed_array(_mix_array(state[todo]))
-        inside = xs * xs + ys * ys <= 1.0
-        x[todo[inside]] = xs[inside]
-        y[todo[inside]] = ys[inside]
-        todo = todo[~inside]
-    center, r = complex(center), float(r)
-    out = np.empty(count, dtype=complex)
-    out.real = center.real + (r * x - 0.0 * y)
-    out.imag = center.imag + (r * y + 0.0 * x)
-    return out
