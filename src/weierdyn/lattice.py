@@ -12,7 +12,8 @@ g2 = 0 (triangular) and g3 = 0 (square).  The Weierstrass function
     wp(z) = 1/z^2 + sum over nonzero lattice points w of (1/(z-w)^2 - 1/w^2)
 
 is evaluated by reducing z to the fundamental cell, re-centering on the
-nearest lattice translate, and summing the Laurent expansion
+nearest lattice translate (decoded in closed form, with a nine-way comparison
+only at Voronoi cell edges), and summing the Laurent expansion
 
     wp(z) = 1/z^2 + sum_{k>=1} c_k z^(2k),   c_1 = g2/20,  c_2 = g3/28,
     c_k = 3/((2k+3)(k-2)) * sum_{m=1}^{k-2} c_m c_{k-1-m}   (k >= 3),
@@ -147,6 +148,7 @@ class _KindData:
     coeffs: tuple[complex, ...]   # c_k for k = 1..len
     dcoeffs: tuple[complex, ...]  # 2k * c_k
     max_ratio_sq: float           # worst |z|^2 after re-centering, lattice [1, tau]
+    hexagonal: bool               # Voronoi cells are hexagons (triangular kind)
 
 
 _ZETA4 = math.pi ** 4 / 90.0
@@ -212,6 +214,7 @@ def _kind_data(kind: LatticeKind) -> _KindData:
         coeffs=coeffs,
         dcoeffs=dcoeffs,
         max_ratio_sq=max_ratio_sq,
+        hexagonal=kind is LatticeKind.TRIANGULAR,
     )
 
 
@@ -272,9 +275,27 @@ def make_lattice(kind: LatticeKind, lam: complex, cfg: ToleranceConfig) -> Latti
 # ---------------------------------------------------------------------------
 # reduction and evaluation
 
-# translate offsets tried when re-centering on the nearest lattice point;
-# the nearest neighbor of any point of the coordinate box lies within these.
+# Re-centering decodes the translate (a - dm) + (b - dn)*tau of the box
+# representative a + b*tau nearest to 0 in closed form: (0, 0) on the square
+# lattice; on the triangular one, dm = round(p) or dn = round(q) for the larger
+# of |p| and |q|, where p = a - b/2, q = b - a/2 and the hexagon edges are at
+# +-1/2.  A translate not strictly inside its Voronoi cell shrunk by
+# _CELL_MARGIN (near an edge, or non-finite: NaN fails every comparison) is
+# replaced by the argmin over the nine offsets below.  Inside, every other
+# offset is farther in squared distance by >= 2 * _CELL_MARGIN, about 1e9
+# times the rounding error of the distances, so the argmin and its first-
+# minimum tie rule pick the same offset, computed with the same operations.
+_CELL_MARGIN = 1e-6
 _NEIGHBOR_OFFSETS = [(dm, dn) for dm in (-1, 0, 1) for dn in (-1, 0, 1)]
+
+
+def _inside_cell(aa, bb, hexagonal: bool):
+    """Whether aa + bb*tau is strictly inside the Voronoi cell of 0 shrunk by
+    _CELL_MARGIN, for floats or arrays."""
+    h = 0.5 - _CELL_MARGIN
+    if not hexagonal:
+        return (abs(aa) < h) & (abs(bb) < h)
+    return (abs(aa - 0.5 * bb) < h) & (abs(bb - 0.5 * aa) < h) & (abs(aa + bb) < 2.0 * h)
 
 
 def _reduce_coords(u: complex, kd: _KindData) -> tuple[float, float, int, int]:
@@ -286,21 +307,31 @@ def _reduce_coords(u: complex, kd: _KindData) -> tuple[float, float, int, int]:
     return a - m, b - n, m, n
 
 
-def _recenter(a0: float, b0: float, kd: _KindData) -> tuple[complex, int, int]:
-    # nearest lattice translate of the box representative, Euclidean norm
-    tau = kd.tau
-    best = None
-    best_d = math.inf
-    for dm, dn in _NEIGHBOR_OFFSETS:
-        aa = a0 - dm
-        bb = b0 - dn
-        re = aa + bb * tau.real
-        im = bb * tau.imag
-        d = re * re + im * im
-        if d < best_d:
-            best_d = d
-            best = (complex(re, im), dm, dn)
-    return best
+def _recenter(u: complex, kd: _KindData) -> tuple[complex, int, int]:
+    """The representative u0 = u - (m + n*tau) of smallest modulus, as
+    (u0, m, n): the closed form above, or _recenter_argmin."""
+    a0, b0, m, n = _reduce_coords(u, kd)
+    dm = dn = 0
+    if kd.hexagonal:
+        p, q = a0 - 0.5 * b0, b0 - 0.5 * a0
+        if abs(p) >= abs(q):
+            dm = math.floor(p + 0.5)
+        else:
+            dn = math.floor(q + 0.5)
+    aa, bb = a0 - dm, b0 - dn
+    if _inside_cell(aa, bb, kd.hexagonal):
+        u0 = complex(aa + bb * kd.tau.real, bb * kd.tau.imag)
+    else:
+        u0, dm, dn = _recenter_argmin(a0, b0, kd)
+    return u0, m + dm, n + dn
+
+
+def _recenter_argmin(a0: float, b0: float, kd: _KindData) -> tuple[complex, int, int]:
+    # nearest of the nine translates, Euclidean norm; min keeps the first on a tie
+    t = kd.tau
+    cands = [(a0 - dm + (b0 - dn) * t.real, (b0 - dn) * t.imag, dm, dn) for dm, dn in _NEIGHBOR_OFFSETS]
+    re, im, dm, dn = min(cands, key=lambda c: c[0] * c[0] + c[1] * c[1])
+    return complex(re, im), dm, dn
 
 
 def reduce(z: complex, lat: Lattice) -> tuple[complex, int, int]:
@@ -316,13 +347,10 @@ def reduce(z: complex, lat: Lattice) -> tuple[complex, int, int]:
 def _norm_point(z: complex, lat: Lattice, cfg: ToleranceConfig) -> tuple[complex, int, int]:
     """Normalized re-centered representative u0 = z/lam - (m + n*tau) with
     |u0| minimal; raises PoleHit when |u0| < pole_eps."""
-    kd = _kind_data(lat.kind)
-    u = complex(z) / lat.lam
-    a0, b0, m, n = _reduce_coords(u, kd)
-    u0, dm, dn = _recenter(a0, b0, kd)
+    u0, m, n = _recenter(complex(z) / lat.lam, _kind_data(lat.kind))
     if abs(u0) < cfg.pole_eps:
-        raise PoleHit(m + dm, n + dn)
-    return u0, m + dm, n + dn
+        raise PoleHit(m, n)
+    return u0, m, n
 
 
 def wp(z: complex, lat: Lattice, cfg: ToleranceConfig) -> complex:
@@ -418,31 +446,47 @@ def _split_coeffs(kind: LatticeKind) -> np.ndarray:
     return np.array([[[c.real], [c.imag]] for c in _kind_data(kind).coeffs])
 
 
-# _nearest_translate holds nine candidates per point at once, so longer
-# inputs go through in column chunks of this many points: 9 * 512, the
-# largest call of a 512-sample render or density block (three critical
-# orbits times three half-periods), which thus runs whole
+# _translate_argmin holds nine candidates per point at once, so it takes
+# longer inputs in column chunks of this many points
 _TRANSLATE_CHUNK = 4608
 
 
 def _nearest_translate(ur, ui, kd: _KindData):
-    """_reduce_coords and _recenter on split 1-D arrays: the representative
-    u0 = u - (m + n*tau) of smallest modulus, as (u0_re, u0_im, m, n) with m
-    and n as floats, each element the same bits as the scalar pair."""
-    if ur.size > _TRANSLATE_CHUNK:
-        parts = [
-            _nearest_translate(ur[at : at + _TRANSLATE_CHUNK], ui[at : at + _TRANSLATE_CHUNK], kd)
-            for at in range(0, ur.size, _TRANSLATE_CHUNK)
-        ]
-        return tuple(np.concatenate(col) for col in zip(*parts))
+    """_recenter on split 1-D arrays: (u0_re, u0_im, m, n) with m and n as
+    floats, each element the same bits as the scalar form."""
     b = ui * kd.inv_im_tau
     a = ur - b * kd.tau.real
     fa = np.floor(a + 0.5)
     fb = np.floor(b + 0.5)
     a -= fa
     b -= fb
-    # the nine translates of _recenter, one per row; argmin keeps the first
-    # minimum, as its strict < scan does
+    aa, bb, m, n = a, b, fa, fb
+    if kd.hexagonal:
+        p, q = a - 0.5 * b, b - 0.5 * a
+        on_p = np.abs(p) >= np.abs(q)
+        # +0.0 where no step is taken, as the argmin's offset rows hold
+        dm = np.where(on_p, np.floor(p + 0.5), 0.0)
+        dn = np.where(on_p, 0.0, np.floor(q + 0.5))
+        aa, bb, m, n = a - dm, b - dn, fa + dm, fb + dn
+        del p, q, on_p, dm, dn  # long inputs: free them before the cell test
+    re = aa + bb * kd.tau.real
+    im = bb * kd.tau.imag
+    out = np.flatnonzero(~_inside_cell(aa, bb, kd.hexagonal))
+    if out.size:
+        re[out], im[out], m[out], n[out] = _translate_argmin(a[out], b[out], fa[out], fb[out], kd)
+    return re, im, m, n
+
+
+def _translate_argmin(a, b, fa, fb, kd: _KindData):
+    """_recenter_argmin on split arrays, adding its offsets to fa and fb."""
+    if a.size > _TRANSLATE_CHUNK:
+        parts = [
+            _translate_argmin(*(x[at : at + _TRANSLATE_CHUNK] for x in (a, b, fa, fb)), kd)
+            for at in range(0, a.size, _TRANSLATE_CHUNK)
+        ]
+        return tuple(np.concatenate(col) for col in zip(*parts))
+    # the nine translates, one per row; argmin keeps the first minimum, as
+    # the strict < scan does
     re = a - _OFFSET_M[:, None]
     im = b - _OFFSET_N[:, None]
     re += im * kd.tau.real
@@ -562,10 +606,7 @@ def sph_dist_to_inf(z: complex) -> float:
 
 def pole_euclid_dist(z: complex, lat: Lattice) -> float:
     """Euclidean distance from z to the nearest lattice point."""
-    kd = _kind_data(lat.kind)
-    u = complex(z) / lat.lam
-    a0, b0, _, _ = _reduce_coords(u, kd)
-    u0, _, _ = _recenter(a0, b0, kd)
+    u0, _, _ = _recenter(complex(z) / lat.lam, _kind_data(lat.kind))
     return abs(u0) * abs(lat.lam)
 
 
@@ -581,9 +622,7 @@ def crit_sph_dist(z: complex, lat: Lattice) -> float:
     kd = _kind_data(lat.kind)
     best = math.inf
     for c in lat.half_periods:
-        u = (complex(z) - c) / lat.lam
-        a0, b0, _, _ = _reduce_coords(u, kd)
-        u0, _, _ = _recenter(a0, b0, kd)
+        u0, _, _ = _recenter((complex(z) - c) / lat.lam, kd)
         nearest = z - u0 * lat.lam
         d = sph_dist(z, nearest)
         if d < best:

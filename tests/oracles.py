@@ -9,7 +9,14 @@ from typing import Optional
 
 import numpy as np
 
-from weierdyn.lattice import Lattice, LatticeKind, ToleranceConfig, _kind_data, _recenter, _reduce_coords
+from weierdyn.lattice import (
+    _TRANSLATE_CHUNK,
+    Lattice,
+    LatticeKind,
+    ToleranceConfig,
+    _kind_data,
+    _recenter,
+)
 from weierdyn.misiurewicz import _g_batch, _pole_coef
 
 # ---------------------------------------------------------------------------
@@ -48,13 +55,70 @@ def wp_direct_sum(z: complex, lat: Lattice, radius: int) -> complex:
     pairing).
     """
     kd = _kind_data(lat.kind)
-    u = complex(z) / lat.lam
-    a0, b0, _, _ = _reduce_coords(u, kd)
-    u0, _, _ = _recenter(a0, b0, kd)
+    u0, _, _ = _recenter(complex(z) / lat.lam, kd)
     w = _disk_points(lat.kind, radius)
     terms = 1.0 / ((u0 - w) ** 2) - 1.0 / (w ** 2)
     total = 1.0 / (u0 * u0) + complex(np.sum(terms))
     return total / (lat.lam * lat.lam)
+
+
+# ---------------------------------------------------------------------------
+# nearest lattice translate by comparing all nine neighbouring offsets
+#
+# The library's re-centering before it decoded the translate in closed form,
+# kept verbatim apart from the names: the scalar loop takes the box
+# representative of lattice._reduce_coords and returns (u0, dm, dn); the
+# array form takes u and returns (u0_re, u0_im, m, n).
+
+_NEIGHBOR_OFFSETS = [(dm, dn) for dm in (-1, 0, 1) for dn in (-1, 0, 1)]
+_OFFSET_M = np.array([dm for dm, _ in _NEIGHBOR_OFFSETS], dtype=float)
+_OFFSET_N = np.array([dn for _, dn in _NEIGHBOR_OFFSETS], dtype=float)
+
+
+def recenter_nine(a0: float, b0: float, kd) -> tuple[complex, int, int]:
+    # nearest lattice translate of the box representative, Euclidean norm
+    tau = kd.tau
+    best = None
+    best_d = math.inf
+    for dm, dn in _NEIGHBOR_OFFSETS:
+        aa = a0 - dm
+        bb = b0 - dn
+        re = aa + bb * tau.real
+        im = bb * tau.imag
+        d = re * re + im * im
+        if d < best_d:
+            best_d = d
+            best = (complex(re, im), dm, dn)
+    return best
+
+
+def nearest_translate_nine(ur, ui, kd):
+    """_reduce_coords and _recenter on split 1-D arrays: the representative
+    u0 = u - (m + n*tau) of smallest modulus, as (u0_re, u0_im, m, n) with m
+    and n as floats, each element the same bits as the scalar pair."""
+    if ur.size > _TRANSLATE_CHUNK:
+        parts = [
+            nearest_translate_nine(ur[at : at + _TRANSLATE_CHUNK], ui[at : at + _TRANSLATE_CHUNK], kd)
+            for at in range(0, ur.size, _TRANSLATE_CHUNK)
+        ]
+        return tuple(np.concatenate(col) for col in zip(*parts))
+    b = ui * kd.inv_im_tau
+    a = ur - b * kd.tau.real
+    fa = np.floor(a + 0.5)
+    fb = np.floor(b + 0.5)
+    a -= fa
+    b -= fb
+    # the nine translates of _recenter, one per row; argmin keeps the first
+    # minimum, as its strict < scan does
+    re = a - _OFFSET_M[:, None]
+    im = b - _OFFSET_N[:, None]
+    re += im * kd.tau.real
+    im *= kd.tau.imag
+    d = re * re
+    d += im * im
+    pick = d.argmin(axis=0)
+    cols = np.arange(pick.size)
+    return re[pick, cols], im[pick, cols], fa + _OFFSET_M[pick], fb + _OFFSET_N[pick]
 
 
 # ---------------------------------------------------------------------------

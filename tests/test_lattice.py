@@ -195,12 +195,15 @@ def test_wp_array_keeps_shape_with_the_bits_of_the_raveled_call(cfg, square2, tr
 
 
 def test_wp_array_chunks_long_inputs_with_the_same_bits(cfg, square2, tri1, monkeypatch):
-    # an input longer than the chunk runs in pieces, with the bits of one
-    # whole-array pass (a chunk as long as the input)
+    # a fallback subset longer than the chunk runs in pieces, with the bits
+    # of one whole-array pass (a chunk as long as the input); half-periods
+    # and their translates lie on cell edges, so every one falls back
     gen = np.random.default_rng(41)
-    z = gen.uniform(-4, 4, 3 * lattice._TRANSLATE_CHUNK + 17)
-    z = z + 1j * gen.uniform(-4, 4, z.size)
+    size = 3 * lattice._TRANSLATE_CHUNK + 17
+    z = gen.uniform(-4, 4, size) + 1j * gen.uniform(-4, 4, size)
+    m, n, k = gen.integers(-3, 4, size), gen.integers(-3, 4, size), gen.integers(0, 3, size)
     for lat in (square2, tri1):
+        z[::2] = (np.array(lat.half_periods)[k] + m * lat.gen1 + n * lat.gen2)[::2]
         chunked = wp_array(z, lat, cfg)
         monkeypatch.setattr(lattice, "_TRANSLATE_CHUNK", z.size)
         whole = wp_array(z, lat, cfg)
@@ -209,21 +212,24 @@ def test_wp_array_chunks_long_inputs_with_the_same_bits(cfg, square2, tri1, monk
         assert np.array_equal(chunked[1], whole[1])
 
 
-def test_wp_array_peak_memory_on_a_long_input(cfg, square2):
-    # 50,000 points: the nine candidate translates per point are held one
-    # chunk at a time.  Measured peaks: 6.5 MiB chunked, 17.2 MiB with all
-    # nine rows of the whole input at once, 9.3 MiB for the older loop that
-    # kept one candidate at a time.
+def test_wp_array_peak_memory_on_a_long_input(cfg, square2, tri1):
+    # 50,000 points: the closed-form translate holds a few arrays of the
+    # input's length, and the nine candidate translates only for points at a
+    # cell edge, one chunk at a time.  Measured peaks: 6.5 MiB for both kinds
+    # (7.7 MiB triangular while the decode's temporaries lived to the end of
+    # the call), 17.2 MiB with all nine rows of the whole input at once,
+    # 9.3 MiB for the older loop that kept one candidate at a time.
     gen = np.random.default_rng(43)
     z = gen.uniform(-3, 3, 50_000) + 1j * gen.uniform(-3, 3, 50_000)
-    wp_array(z[:10], square2, cfg)
-    tracemalloc.start()
-    try:
-        wp_array(z, square2, cfg)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 9.3 * 2**20
+    for lat in (square2, tri1):
+        wp_array(z[:10], lat, cfg)
+        tracemalloc.start()
+        try:
+            wp_array(z, lat, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 9.3 * 2**20
 
 
 def test_wp_array_matches_scalar_on_box_ties(cfg, square2, tri1):
