@@ -30,6 +30,9 @@ from .lattice import (
     LatticeKind,
     ToleranceConfig,
     ZeroParameter,
+    _complex,
+    _crit_values_split,
+    _half_periods_split,
     _split_scales,
     _terms_for_tol,
     _wp_split,
@@ -396,6 +399,17 @@ def _proper_divisors(p: int) -> list[int]:
     return [d for d in range(1, p) if p % d == 0]
 
 
+def _near_return(trace: OrbitTrace, tol: float, max_period: int) -> Optional[int]:
+    """The smallest period p <= max_period with |z_last - z_{last-p}| < tol,
+    or None; it needs no lattice."""
+    pts = trace.points
+    for p in range(1, min(max_period, len(pts) - 1) + 1):
+        # not >=, rather than <: a NaN distance counts as a near-return
+        if not abs(pts[-1] - pts[-1 - p]) >= tol:
+            return p
+    return None
+
+
 def find_cycle(
     trace: OrbitTrace,
     lat: Lattice,
@@ -415,22 +429,18 @@ def find_cycle(
         cfg = ToleranceConfig()
     if not isinstance(trace.outcome, BudgetExhausted):
         return None
-    pts = trace.points
-    for p in range(1, max_period + 1):
-        if len(pts) < p + 1:
-            break
-        if abs(pts[-1] - pts[-1 - p]) >= tol:
+    p = _near_return(trace, tol, max_period)
+    if p is None:
+        return None
+    w, mult = _newton_refine(trace.points[-1], p, lat, cfg)
+    for d in _proper_divisors(p):
+        try:
+            val, dmult = _orbit_step(w, d, lat, cfg)
+        except PoleError:
             continue
-        w, mult = _newton_refine(pts[-1], p, lat, cfg)
-        for d in _proper_divisors(p):
-            try:
-                val, dmult = _orbit_step(w, d, lat, cfg)
-            except PoleError:
-                continue
-            if abs(val - w) < cfg.newton_tol:
-                return Cycle(period=d, point=w, multiplier=dmult)
-        return Cycle(period=p, point=w, multiplier=mult)
-    return None
+        if abs(val - w) < cfg.newton_tol:
+            return Cycle(period=d, point=w, multiplier=dmult)
+    return Cycle(period=p, point=w, multiplier=mult)
 
 
 def _cycle_point_set(c: Cycle, lat: Lattice, cfg: ToleranceConfig) -> list[complex]:
@@ -446,22 +456,16 @@ def _min_sph_dist(a: list[complex], b: list[complex]) -> float:
     return min(sph_dist(x, y) for x in a for y in b)
 
 
-def _critical_starts(kind: LatticeKind, lat: Lattice) -> list[complex]:
-    # square: e2 = -e1 shares e1's orbit and e3 = 0 is a pole
-    if kind is LatticeKind.TRIANGULAR:
-        return list(lat.crit_values)
-    return [lat.crit_values[0]]
-
-
 def _verdict(
     kind: LatticeKind,
-    lat: Lattice,
+    lam: complex,
     traces: Sequence[OrbitTrace],
     budget: int,
     cfg: ToleranceConfig,
 ) -> Verdict:
-    """The verdict on the critical orbit traces of one parameter; each trace
-    needs only its last DEFAULT_MAX_PERIOD + 1 points."""
+    """The verdict on the critical orbit traces of the parameter lam; each
+    trace needs only its last DEFAULT_MAX_PERIOD + 1 points.  The lattice of
+    lam is built only once some trace has a near-return to refine."""
     if all(isinstance(t.outcome, PoleHit) for t in traces):
         if kind is LatticeKind.TRIANGULAR:
             steps = tuple(t.outcome.step for t in traces)
@@ -473,8 +477,13 @@ def _verdict(
     if not all(isinstance(t.outcome, BudgetExhausted) for t in traces):
         return Indeterminate(iterations_used=budget)
 
+    lat: Optional[Lattice] = None
     cycles: list[Cycle] = []
     for t in traces:
+        if _near_return(t, CYCLE_DETECTION_TOL, DEFAULT_MAX_PERIOD) is None:
+            return Indeterminate(iterations_used=budget)
+        if lat is None:
+            lat = make_lattice(kind, lam, cfg)
         try:
             c = find_cycle(t, lat, CYCLE_DETECTION_TOL, DEFAULT_MAX_PERIOD, cfg=cfg)
         except NewtonDivergence:
@@ -508,36 +517,35 @@ def classify(kind: LatticeKind, lam: complex, budget: int, cfg: ToleranceConfig)
     exhausted budgets, is Indeterminate.
     """
     lat = make_lattice(kind, lam, cfg)
-    traces = [iterate(lat, e, budget, cfg) for e in _critical_starts(kind, lat)]
-    return _verdict(kind, lat, traces, budget, cfg)
+    # square: e2 = -e1 shares e1's orbit and e3 = 0 is a pole
+    crit = lat.crit_values if kind is LatticeKind.TRIANGULAR else lat.crit_values[:1]
+    traces = [iterate(lat, e, budget, cfg) for e in crit]
+    return _verdict(kind, lat.lam, traces, budget, cfg)
 
 
 def classify_batch(
     kind: LatticeKind, lams: Sequence[complex], budget: int, cfg: ToleranceConfig
 ) -> list[Optional[Verdict]]:
-    """classify for many parameters, their critical orbits run in lockstep
-    by orbit_array; entry i equals classify(kind, lams[i], budget, cfg).
+    """classify for many parameters: entry i equals classify(kind, lams[i],
+    budget, cfg), or None where classify raises ZeroParameter.
 
-    A parameter that classify refuses with ZeroParameter gets None.
-    """
+    The critical values come from one split-array call with make_lattice's
+    bits, the orbits run in lockstep by orbit_array, and a parameter's
+    lattice is built only when one of its orbits nears a cycle."""
     if budget < 1:
         raise ValueError("max_iter must be at least 1")
-    lats: list[Optional[Lattice]] = []
-    for lam in lams:
-        try:
-            lats.append(make_lattice(kind, lam, cfg))
-        except ZeroParameter:
-            lats.append(None)
-    orbit_lams: list[complex] = []
-    starts: list[complex] = []
-    spans: list[range] = []
-    for lat in lats:
-        crit = [] if lat is None else _critical_starts(kind, lat)
-        spans.append(range(len(starts), len(starts) + len(crit)))
-        orbit_lams.extend(lat.lam for _ in crit)
-        starts.extend(crit)
-    batch = orbit_array(kind, orbit_lams, starts, budget, cfg, tail=DEFAULT_MAX_PERIOD + 1)
-    return [
-        None if lat is None else _verdict(kind, lat, [batch.trace(i) for i in span], budget, cfg)
-        for lat, span in zip(lats, spans)
-    ]
+    lam_c = np.asarray(lams, dtype=complex).reshape(-1)
+    # make_lattice's scale check, on the array
+    ok = np.isfinite(lam_c) & (lam_c != 0)
+    good = lam_c[ok]
+    lam, lam2 = _split_scales(good)
+    # the orbits of e1 (and e2, e3 for triangular) one after the other
+    per = 3 if kind is LatticeKind.TRIANGULAR else 1
+    crit = _crit_values_split(kind, lam, lam2, _half_periods_split(kind, lam)[:per], cfg)
+    starts = _complex(crit[:, 0].ravel(), crit[:, 1].ravel())
+    batch = orbit_array(kind, np.tile(good, per), starts, budget, cfg, tail=DEFAULT_MAX_PERIOD + 1)
+    verdicts = iter([
+        _verdict(kind, v, [batch.trace(i + k * good.size) for k in range(per)], budget, cfg)
+        for i, v in enumerate(good.tolist())
+    ])
+    return [next(verdicts) if keep else None for keep in ok.tolist()]

@@ -510,26 +510,33 @@ def _wp_split(zr, zi, lam, lam2, kind: LatticeKind, n_terms: int, pole_eps: floa
     re, im, m, n = _nearest_translate(ur, ui, _kind_data(kind))
     pole = np.hypot(re, im) < pole_eps
 
-    # Horner in u^2 on stacked (real, imag) rows: with v = i*u^2 = (-u2i, u2r),
-    # acc*u^2 = acc.re*u^2 + acc.im*v, whose rows are exactly CPython's
-    # (ac - bd, ad + bc), since x - y is x + (-y) in IEEE arithmetic
+    # Horner in u^2 on stacked (real, imag) rows: with uv = [u^2, i*u^2] =
+    # [(u2r, u2i), (-u2i, u2r)], acc*u^2 = acc.re*uv[0] + acc.im*uv[1], whose
+    # rows are exactly CPython's (ac - bd, ad + bc), since x - y is x + (-y)
+    # in IEEE arithmetic; both products of a term come from one multiply
     u2r, u2i = _cmul(re, im, re, im)
-    u2 = np.array([u2r, u2i])
-    v = np.array([-u2i, u2r])
-    acc = np.zeros_like(u2)
-    t = np.empty_like(u2)
-    w = np.empty_like(u2)
+    uv = np.array([[u2r, u2i], [-u2i, u2r]])
+    acc = np.zeros_like(uv[0])
+    tw = np.empty_like(uv)
     coeffs = _split_coeffs(kind)
     for k in range(n_terms - 1, -1, -1):
-        np.multiply(acc[0], u2, out=t)
-        np.multiply(acc[1], v, out=w)
-        np.add(t, w, out=acc)
+        np.multiply(acc[:, None], uv, out=tw)
+        np.add(tw[0], tw[1], out=acc)
         np.add(acc, coeffs[k], out=acc)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         ir, ii = _cdiv(1.0, 0.0, u2r, u2i)
         pr, pi = _cmul(acc[0], acc[1], u2r, u2i)
         vr, vi = _cdiv(ir + pr, ii + pi, lam2[0], lam2[1])
     return vr, vi, pole, m, n
+
+
+def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """The complex array with exactly these parts (re + 1j*im may flip the
+    sign of a zero)."""
+    out = np.empty(re.shape, dtype=complex)
+    out.real = re
+    out.imag = im
+    return out
 
 
 def _split_scales(lams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -557,12 +564,17 @@ def _crit_values_split(
     kind: LatticeKind, lam: np.ndarray, lam2: np.ndarray, half: np.ndarray, cfg: ToleranceConfig
 ) -> np.ndarray:
     """make_lattice's crit_values for the leading half-periods given, shape
-    (count, 2, size) like half, all through one _wp_split call."""
+    (count, 2, size) like half, all through one _wp_split call.  Raises
+    make_lattice's PoleHit for the first scale with a half-period within
+    pole_eps of a lattice point (only a pole_eps of about 1/2 reaches one)."""
     count, _, size = half.shape
-    vr, vi, _, _, _ = _wp_split(
+    vr, vi, pole, m, n = _wp_split(
         half[:, 0].ravel(), half[:, 1].ravel(), np.tile(lam, count), np.tile(lam2, count),
         kind, _terms_for_tol(kind, cfg.eval_tol), cfg.pole_eps,
     )
+    if pole.any():
+        i, c = divmod(int(np.flatnonzero(pole.reshape(count, size).T)[0]), count)
+        raise PoleHit(int(m[c * size + i]), int(n[c * size + i]))
     return np.stack([vr.reshape(count, size), vi.reshape(count, size)], axis=1)
 
 

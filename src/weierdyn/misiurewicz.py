@@ -42,6 +42,7 @@ from .lattice import (
     LatticeKind,
     ToleranceConfig,
     _check_scale,
+    _complex,
     _crit_sph_dist_split,
     _crit_values_split,
     _half_periods_split,
@@ -81,8 +82,9 @@ SEED_THRESHOLD = 10.0
 # of a batch; finished contours are replaced from the queue
 LIVE_CONTOURS = 64
 
-# density samples whose critical orbits run in one lockstep batch; like
-# scan.BLOCK_SIZE, larger blocks are faster but cost peak memory
+# density samples whose critical orbits run in one lockstep batch; larger
+# blocks cost peak memory, and at 1024 the criterion-6 pass, whose orbits
+# mostly stop within a few steps, measured no faster than at 512
 BLOCK_SIZE = 512
 
 
@@ -139,15 +141,6 @@ def pole_location(kind: LatticeKind, lam: complex, j: int, k: int) -> complex:
     """The pole p_{j,k} = j*lambda + k*tau*lambda of the family member."""
     tau = _kind_data(kind).tau
     return j * lam + k * tau * lam
-
-
-def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
-    """The complex array with exactly these parts (re + 1j*im may flip the
-    sign of a zero)."""
-    out = np.empty(re.shape, dtype=complex)
-    out.real = re
-    out.imag = im
-    return out
 
 
 def _orbit_values(kind: LatticeKind, lams: np.ndarray, n: int, cfg: ToleranceConfig) -> OrbitBatch:

@@ -27,11 +27,17 @@ from .dynamics import (
 )
 from .lattice import LatticeKind, ToleranceConfig, ZeroParameter
 
-# pixels per lockstep block, rounded down to whole rows.  Each parameter
-# holds a lattice and a 65-point orbit tail (about 1.6 KiB) while its block
-# runs, so 512 keeps a block near 0.8 MiB; larger blocks are faster, because
-# numpy's per-call overhead dominates each step, but cost peak memory.
-BLOCK_SIZE = 512
+# pixels per lockstep block, rounded down to whole rows.  A parameter holds
+# no lattice, only a 65-point tail per critical orbit and its share of the
+# block's arrays: at the peak 1.6 KiB square, 4.5 KiB triangular.  Larger
+# blocks are faster, as numpy's fixed per-call cost dominates each step, but
+# cost peak memory.  One render-param pass of the 64x64 square golden in a
+# fresh process (2-vCPU Xeon VM), block: s per pass, peak RSS in MiB:
+#   512: 1.65-1.66, 32.3-32.5     1024: 1.25-1.40, 32.8-32.9
+#   2048: 0.99-1.18, 34.3-34.4    4096: 0.83-0.93, 36.8-37.0
+# 1024 keeps the peak within 1% of the lattice-per-parameter code's (2.06-2.19
+# s at 512, 32.7 MiB).
+BLOCK_SIZE = 1024
 
 CSV_HEADER = "px,py,lambda_re,lambda_im,verdict,count,period,mult_re,mult_im,abs_mult"
 

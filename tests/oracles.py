@@ -14,8 +14,12 @@ from weierdyn.lattice import (
     Lattice,
     LatticeKind,
     ToleranceConfig,
+    _cdiv,
+    _cmul,
     _kind_data,
+    _nearest_translate,
     _recenter,
+    _split_coeffs,
 )
 from weierdyn.misiurewicz import _g_batch, _pole_coef
 
@@ -119,6 +123,47 @@ def nearest_translate_nine(ur, ui, kd):
     pick = d.argmin(axis=0)
     cols = np.arange(pick.size)
     return re[pick, cols], im[pick, cols], fa + _OFFSET_M[pick], fb + _OFFSET_N[pick]
+
+
+# ---------------------------------------------------------------------------
+# split-array wp with four numpy calls per Horner term
+#
+# lattice._wp_split before its Horner loop took both products of a term from
+# one multiply, kept verbatim apart from the name.
+
+
+def wp_split_four_calls(zr, zi, lam, lam2, kind: LatticeKind, n_terms: int, pole_eps: float):
+    """wp at zr + i*zi, element by element the same bits as scalar `wp`.
+
+    lam and lam2 are (real, imag) pairs of arrays holding each element's
+    lat.lam and lat.lam * lat.lam.  Returns (val_re, val_im, pole, m, n):
+    pole flags the points scalar wp refuses with PoleHit(m, n), and val is
+    meaningless there.
+    """
+    ur, ui = _cdiv(zr, zi, lam[0], lam[1])
+    re, im, m, n = _nearest_translate(ur, ui, _kind_data(kind))
+    pole = np.hypot(re, im) < pole_eps
+
+    # Horner in u^2 on stacked (real, imag) rows: with v = i*u^2 = (-u2i, u2r),
+    # acc*u^2 = acc.re*u^2 + acc.im*v, whose rows are exactly CPython's
+    # (ac - bd, ad + bc), since x - y is x + (-y) in IEEE arithmetic
+    u2r, u2i = _cmul(re, im, re, im)
+    u2 = np.array([u2r, u2i])
+    v = np.array([-u2i, u2r])
+    acc = np.zeros_like(u2)
+    t = np.empty_like(u2)
+    w = np.empty_like(u2)
+    coeffs = _split_coeffs(kind)
+    for k in range(n_terms - 1, -1, -1):
+        np.multiply(acc[0], u2, out=t)
+        np.multiply(acc[1], v, out=w)
+        np.add(t, w, out=acc)
+        np.add(acc, coeffs[k], out=acc)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        ir, ii = _cdiv(1.0, 0.0, u2r, u2i)
+        pr, pi = _cmul(acc[0], acc[1], u2r, u2i)
+        vr, vi = _cdiv(ir + pr, ii + pi, lam2[0], lam2[1])
+    return vr, vi, pole, m, n
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import E1_SQUARE_NORM, E1_TRI_NORM
-from oracles import eisenstein_direct_sum, wp_direct_sum
+from oracles import eisenstein_direct_sum, wp_direct_sum, wp_split_four_calls
 from weierdyn import lattice
 from weierdyn.lattice import (
     LatticeKind,
@@ -260,6 +260,55 @@ def test_wp_array_matches_scalar_on_box_ties(cfg, square2, tri1):
     for lat, e in ((square2, E1_SQUARE_NORM), (tri1, E1_TRI_NORM)):
         vals, _ = wp_array(np.array([lat.half_periods[0]]), lat, cfg)
         assert abs(vals[0] * lat.lam * lat.lam - e) < 1e-9
+
+
+@pytest.mark.parametrize("kind", [LatticeKind.SQUARE, LatticeKind.TRIANGULAR])
+def test_wp_split_has_the_bits_of_the_four_call_horner_loop(cfg, kind):
+    # the Horner loop takes both products of a term from one multiply; each
+    # element still gets (ar*u2r + (-ai*u2i), ar*u2i + ai*u2r) + c, so every
+    # output must keep its bits, NaN payloads and signed zeros included
+    gen = np.random.default_rng(59)
+    tau = lattice._kind_data(kind).tau
+    lams, zs = [], []
+    # random points and scales
+    for _ in range(400):
+        lams.append(complex(gen.uniform(0.3, 3.0), gen.uniform(-3.0, 3.0)))
+        zs.append(complex(gen.uniform(-4.0, 4.0), gen.uniform(-4.0, 4.0)))
+    # points on the real and imaginary axes, with both signs of zero, on real,
+    # imaginary and generic scales
+    for lam in (1.3 + 0j, -0.7 + 0j, 1.3j, 0.9 + 1.1j):
+        for x in gen.uniform(-4.0, 4.0, 10).tolist() + [0.5, 1.0]:
+            for z in (complex(x, 0.0), complex(x, -0.0), complex(0.0, x), complex(-0.0, x)):
+                lams.append(lam)
+                zs.append(z)
+        for z in (0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)):
+            lams.append(lam)
+            zs.append(z)
+    # points around lattice points, inside and just outside pole_eps
+    for _ in range(40):
+        lam = complex(gen.uniform(0.3, 3.0), gen.uniform(-3.0, 3.0))
+        m, n = gen.integers(-3, 4, 2).tolist()
+        for r in (0.0, 0.5, 0.999, 1.001, 2.0, 1e3):
+            off = r * cfg.pole_eps * cmath.exp(1j * gen.uniform(-math.pi, math.pi))
+            lams.append(lam)
+            zs.append((m + n * tau + off) * lam)
+    # non-finite points
+    for z in (complex(math.nan, 1.0), complex(1.0, math.nan), complex(math.nan, math.nan),
+              complex(math.inf, 1.0), complex(-1.0, -math.inf)):
+        lams.append(1.1 + 0.2j)
+        zs.append(z)
+    z = np.array(zs)
+    lam, lam2 = lattice._split_scales(np.array(lams))
+    args = (z.real.copy(), z.imag.copy(), lam, lam2, kind,
+            lattice._terms_for_tol(kind, cfg.eval_tol), cfg.pole_eps)
+    with np.errstate(invalid="ignore"):
+        got = lattice._wp_split(*args)
+        want = wp_split_four_calls(*args)
+    assert got[2].any() and not got[2].all()
+    assert np.isnan(got[0]).any()
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype
+        assert np.array_equal(g.view(np.uint8), w.view(np.uint8))
 
 
 def test_sph_dist_closed_forms():

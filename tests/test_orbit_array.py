@@ -8,18 +8,22 @@ import random
 import numpy as np
 import pytest
 
-from conftest import ATTRACTING_SQ, CANDIDATE, PREPOLE_SQ, PREPOLE_TRI, TRI_ONE, TRI_THREE
-from weierdyn import lattice, rng
+from conftest import ATTRACTING_SQ, CANDIDATE, PREPOLE_SQ, PREPOLE_TRI, SUPER_SQ, TRI_ONE, TRI_THREE
+from weierdyn import dynamics, lattice, rng
 from weierdyn.dynamics import (
+    CYCLE_DETECTION_TOL,
+    DEFAULT_MAX_PERIOD,
     AllCriticalPrepole,
     AttractingCycles,
     BudgetExhausted,
     EscapedSphericalBall,
     Indeterminate,
+    NewtonDivergence,
     PoleHit,
     Stopped,
     classify,
     classify_batch,
+    find_cycle,
     iterate,
     orbit_array,
 )
@@ -189,6 +193,17 @@ def test_split_lattice_data_equals_make_lattice(cfg):
             assert tuple(complex(*crit[c, :, i]) for c in range(3)) == lat.crit_values
 
 
+def test_complex_keeps_the_parts_bit_for_bit():
+    # numpy's re + 1j*im turns an imaginary -0.0 into +0.0
+    re = np.array([0.0, -0.0, 1.5, -0.0, math.nan, math.inf])
+    im = np.array([-0.0, -0.0, -0.0, 0.0, 2.0, -math.inf])
+    got = lattice._complex(re, im)
+    assert np.array_equal(got.real.view(np.int64), re.view(np.int64))
+    assert np.array_equal(got.imag.view(np.int64), im.view(np.int64))
+    naive = re[:4] + 1j * im[:4]
+    assert not np.array_equal(naive.imag.view(np.int64), im[:4].view(np.int64))
+
+
 @pytest.mark.parametrize("kind", KINDS)
 def test_split_distances_within_ulps_of_scalar(kind, cfg):
     # the split forms take the scalar helpers' operations one for one, so
@@ -247,6 +262,129 @@ def test_classify_batch_equals_classify_with_escapes(kind):
         outcome = iterate(lat, lat.crit_values[0], 50, WIDE_POLES).outcome
         escaped += isinstance(outcome, EscapedSphericalBall)
     assert escaped > 0
+
+
+# attracting parameters of several periods, one per (period, count) met by
+# classify on 3,000 seeded points of [0.5, 3]^2 (budget 200)
+ATTRACTING_BY_PERIOD = {
+    LatticeKind.SQUARE: [  # periods 1 to 6
+        1.2534 + 2.0078j, 1.4033 + 2.4651j, 1.3412 + 1.9793j,
+        1.4697 + 2.5603j, 2.2549 + 1.0778j, 2.3937 + 1.5554j,
+    ],
+    LatticeKind.TRIANGULAR: [  # (period, count) (1, 3) (2, 3) (3, 1) (3, 3) (4, 3) (6, 1) (12, 1)
+        1.2534 + 2.0078j, 1.2278 + 2.1862j, 2.2811 + 0.8366j, 1.6392 + 1.5544j,
+        1.3494 + 2.3163j, 2.4143 + 0.899j, 2.49 + 0.8983j,
+    ],
+}
+
+# scales make_lattice refuses: zeros of every sign, and non-finite parts
+REFUSED_SCALES = [
+    0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0),
+    complex(math.nan, 1.0), complex(1.0, math.nan), complex(math.inf, 1.0), complex(1.0, -math.inf),
+]
+
+
+def _spy_make_lattice(monkeypatch):
+    """The scales dynamics.make_lattice is called with, in call order."""
+    built = []
+    real = dynamics.make_lattice
+
+    def spy(kind, lam, cfg):
+        built.append(lam)
+        return real(kind, lam, cfg)
+
+    monkeypatch.setattr(dynamics, "make_lattice", spy)
+    return built
+
+
+def _needs_lattice(kind, lam, budget, cfg):
+    """Whether the verdict on lam refines a cycle, so needs its lattice: all
+    critical orbits run out of steps and the first one nears a cycle (the
+    verdict is Indeterminate at the first orbit that does not)."""
+    lat = make_lattice(kind, lam, cfg)
+    traces = [iterate(lat, e, budget, cfg) for e in lat.crit_values[: 3 if kind is LatticeKind.TRIANGULAR else 1]]
+    if not all(isinstance(t.outcome, BudgetExhausted) for t in traces):
+        return False
+    pts = traces[0].points[-DEFAULT_MAX_PERIOD - 1:]
+    return any(abs(pts[-1] - pts[-1 - p]) < CYCLE_DETECTION_TOL for p in range(1, len(pts)))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_classify_batch_equals_classify_with_lazy_lattices(kind, cfg, monkeypatch):
+    gen = random.Random(977)
+    lams = [complex(gen.uniform(0.5, 3.0), gen.uniform(0.5, 3.0)) for _ in range(110)]
+    for scale in (1e-3, 1e3):
+        lams += [scale * cmath.exp(1j * gen.uniform(-math.pi, math.pi)) for _ in range(8)]
+    lams += ATTRACTING_BY_PERIOD[kind] + [PREPOLE_SQ, PREPOLE_TRI, CANDIDATE, ATTRACTING_SQ, TRI_ONE]
+    # real and imaginary scales give critical values with zero parts
+    lams += [complex(SUPER_SQ), TRI_THREE, complex(0.0, 2.3), complex(-1.7, -0.0)]
+    lams += REFUSED_SCALES
+    gen.shuffle(lams)
+
+    built = _spy_make_lattice(monkeypatch)
+    got = classify_batch(kind, lams, 200, cfg)
+    monkeypatch.undo()
+
+    want, needs = [], []
+    for lam in lams:
+        if lam == 0 or not cmath.isfinite(lam):
+            with pytest.raises(ZeroParameter):
+                classify(kind, lam, 200, cfg)
+            want.append(None)
+            continue
+        want.append(classify(kind, lam, 200, cfg))
+        if _needs_lattice(kind, lam, 200, cfg):
+            needs.append(lam)
+    assert got == want
+    assert repr(got) == repr(want)  # signed zeros too
+    # one lattice for each parameter whose verdict refines a cycle, no other
+    assert sorted(built, key=repr) == sorted(needs, key=repr)
+    assert 0 < len(needs) < len(lams) // 4
+
+    assert got.count(None) == len(REFUSED_SCALES)
+    assert any(isinstance(v, AllCriticalPrepole) for v in got)
+    assert any(isinstance(v, Indeterminate) for v in got)
+    periods = {v.cycle.period for v in got if isinstance(v, AttractingCycles)}
+    assert len(periods) >= 5
+    tiny = [v for lam, v in zip(lams, got) if v is not None and abs(lam) < 1e-2]
+    huge = [v for lam, v in zip(lams, got) if v is not None and abs(lam) > 1e2]
+    assert len(tiny) == len(huge) == 8
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_classify_batch_equals_classify_when_newton_diverges(kind, monkeypatch):
+    # Newton rarely brings a residual below 1e-300, so most near-return
+    # refinements diverge: the lattice is still built, and the verdict is
+    # Indeterminate
+    never = ToleranceConfig(newton_tol=1e-300)
+    lams = ATTRACTING_BY_PERIOD[kind]
+    built = _spy_make_lattice(monkeypatch)
+    got = classify_batch(kind, lams, 200, never)
+    monkeypatch.undo()
+    assert got == [classify(kind, lam, 200, never) for lam in lams]
+    assert built == lams
+    diverged = 0
+    for lam, verdict in zip(lams, got):
+        lat = make_lattice(kind, lam, never)
+        trace = iterate(lat, lat.crit_values[0], 200, never)
+        try:
+            find_cycle(trace, lat, CYCLE_DETECTION_TOL, DEFAULT_MAX_PERIOD, cfg=never)
+        except NewtonDivergence:
+            diverged += 1
+            assert verdict == Indeterminate(iterations_used=200)
+    assert diverged >= 4
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_classify_batch_raises_the_pole_hit_of_classify(kind):
+    # with pole_eps past 1/2 the half-periods themselves are refused, and
+    # make_lattice raises PoleHit for the first parameter
+    wide = ToleranceConfig(pole_eps=0.6)
+    with pytest.raises(PoleError) as want:
+        classify(kind, 1.5 + 0.5j, 20, wide)
+    with pytest.raises(PoleError) as got:
+        classify_batch(kind, [0j, 1.5 + 0.5j, 2.0 - 1.0j], 20, wide)
+    assert (got.value.m, got.value.n) == (want.value.m, want.value.n)
 
 
 def test_classify_batch_rejects_zero_budget(cfg):
