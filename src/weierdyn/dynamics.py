@@ -33,6 +33,7 @@ from .lattice import (
     _complex,
     _crit_values_split,
     _half_periods_split,
+    _scales_ok,
     _split_scales,
     _terms_for_tol,
     _wp_split,
@@ -302,7 +303,7 @@ def orbit_array(
     count = z0.size
     if lam_c.size != count:
         raise ValueError("orbit_array needs one scale per start")
-    if not (np.isfinite(lam_c) & (lam_c != 0)).all():
+    if not _scales_ok(lam_c).all():
         raise ZeroParameter("lattice scale must be nonzero and finite")
     status = np.zeros(count, dtype=np.int64)  # _EXHAUSTED
     step = np.zeros(count, dtype=np.int64)
@@ -535,8 +536,7 @@ def classify_batch(
     if budget < 1:
         raise ValueError("max_iter must be at least 1")
     lam_c = np.asarray(lams, dtype=complex).reshape(-1)
-    # make_lattice's scale check, on the array
-    ok = np.isfinite(lam_c) & (lam_c != 0)
+    ok = _scales_ok(lam_c)
     good = lam_c[ok]
     lam, lam2 = _split_scales(good)
     # the orbits of e1 (and e2, e3 for triangular) one after the other

@@ -29,12 +29,28 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional
+
+import numpy as np
 
 from .lattice import (
     Lattice,
     LatticeKind,
     ToleranceConfig,
+    ZeroParameter,
+    _cdiv,
+    _cmul,
+    _complex,
+    _crit_values_hits,
+    _divisor,
+    _half_periods_split,
+    _scales_ok,
+    _sph_dist_split,
+    _split_scales,
+    _terms_for_tol,
+    _wp_pair_split,
     crit_sph_dist,
+    is_infinite,
     make_lattice,
     sph_deriv,
     sph_dist,
@@ -261,20 +277,23 @@ def adapted_metric(z: complex, lat: Lattice, N: int, cfg: ToleranceConfig) -> fl
 
 def _pullback_chain(
     sample: HyperbolicSample,
-    lam: complex,
+    lat: Lattice,
     anchor: int,
     n_steps: int,
     cfg: ToleranceConfig,
 ) -> tuple[complex, int]:
-    """Backward Newton shadowing of the reference orbit starting at anchor.
+    """Backward Newton shadowing of the reference orbit starting at anchor,
+    on the lattice lat of the parameter tracked to.
 
     Returns (h_value approximating h_lambda(points[anchor]), horizon used).
+    At pullback step k, a pole hit, a non-finite Newton iterate, a zero
+    derivative, 40 iterations without convergence or a result farther than
+    delta/2 from the reference point raise ShadowLost(step=k).
     """
     refs = sample.ext_points
     horizon = min(n_steps, sample.ext_usable - anchor)
     if horizon < 1:
         raise ValueError("no reference orbit beyond the anchor point")
-    lat = make_lattice(sample.kind, lam, cfg)
     eps = sample.delta / 2.0
     w = refs[anchor + horizon]
     for k in range(horizon - 1, -1, -1):
@@ -282,6 +301,8 @@ def _pullback_chain(
         ref = refs[anchor + k]
         w = ref
         for _ in range(40):
+            if is_infinite(w):
+                raise ShadowLost(step=k)
             try:
                 val, dval = wp_pair(w, lat, cfg)
             except PoleError:
@@ -297,6 +318,85 @@ def _pullback_chain(
         if sph_dist(w, ref) > eps:
             raise ShadowLost(step=k)
     return w, horizon
+
+
+def _pullback_batch(
+    sample: HyperbolicSample, lams: np.ndarray, n_steps: int, cfg: ToleranceConfig
+) -> tuple[np.ndarray, list[Optional[Exception]]]:
+    """x_function(sample, lam, cfg) for every scale of lams, with n_steps in
+    place of DEFAULT_N_STEPS: the anchor-0 pullback chains of all the scales
+    run in lockstep along the shared reference orbit.
+
+    Returns (x, errors): errors[i] is the exception the scalar call raises
+    for lams[i], or None, and x[i] is meaningless where it is not None.
+    Element by element the arithmetic is _pullback_chain's, on split arrays
+    by lattice._wp_pair_split, so each x has the bits of x_function: the
+    Newton solves of a step start together, and an element leaves them
+    when it converges or fails.  No scale gets a Lattice.
+    """
+    kind = sample.kind
+    lam_c = np.asarray(lams, dtype=complex).reshape(-1)
+    errors: list[Optional[Exception]] = [None] * lam_c.size
+    # make_lattice's refusals come first, as x_function builds the lattice first
+    ok = _scales_ok(lam_c)
+    for i in np.flatnonzero(~ok).tolist():
+        errors[i] = ZeroParameter("lattice scale must be nonzero and finite")
+    good = np.flatnonzero(ok)
+    lam, lam2 = _split_scales(lam_c[good])
+    crit, hits = _crit_values_hits(kind, lam, lam2, _half_periods_split(kind, lam), cfg)
+    live = np.ones(good.size, dtype=bool)
+    for at, hit in hits.items():
+        errors[int(good[at])] = hit
+        live[at] = False
+    x = np.full(lam_c.size, complex(math.nan, math.nan))
+    refs = sample.ext_points
+    horizon = min(n_steps, sample.ext_usable)
+    if horizon < 1:
+        for i in good[live].tolist():
+            errors[i] = ValueError("no reference orbit beyond the anchor point")
+        return x, errors
+
+    # per element, the _divisor rows of lam, lam2 and lam3 = lam2 * lam
+    consts = np.vstack([_divisor(*lam), _divisor(*lam2), _divisor(*_cmul(*lam2, *lam))])
+    n_terms = _terms_for_tol(kind, cfg.eval_tol)
+    eps = sample.delta / 2.0
+    wr = np.full(good.size, refs[horizon].real)
+    wi = np.full(good.size, refs[horizon].imag)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for k in range(horizon - 1, -1, -1):
+            # Newton for f(w) = target from w = ref, target the w of step k + 1
+            ref = refs[k]
+            act = np.flatnonzero(live)
+            tr, ti, c = wr[act], wi[act], consts[:, act]
+            zr = np.full(act.size, ref.real)
+            zi = np.full(act.size, ref.imag)
+            for _ in range(40):
+                if not act.size:
+                    break
+                vr, vi, dr, di, pole = _wp_pair_split(
+                    zr, zi, c[0:3], c[3:6], c[6:9], kind, n_terms, cfg.pole_eps
+                )
+                gr = vr - tr
+                gi = vi - ti
+                fail = pole | ~(np.isfinite(zr) & np.isfinite(zi))
+                done = ~fail & (np.hypot(gr, gi) < cfg.newton_tol)
+                fail |= ~done & (dr == 0) & (di == 0)
+                fail |= done & (_sph_dist_split(zr, zi, ref.real, ref.imag) > eps)
+                for at in act[fail].tolist():
+                    errors[int(good[at])] = ShadowLost(step=k)
+                live[act[fail]] = False
+                wr[act[done]] = zr[done]
+                wi[act[done]] = zi[done]
+                more = ~(fail | done)
+                qr, qi = _cdiv(gr[more], gi[more], dr[more], di[more])
+                act, tr, ti, c = act[more], tr[more], ti[more], c[:, more]
+                zr = zr[more] - qr
+                zi = zi[more] - qi
+            for at in act.tolist():
+                errors[int(good[at])] = ShadowLost(step=k)
+            live[act] = False
+    x[good] = _complex(crit[0, 0] - wr, crit[0, 1] - wi)
+    return x, errors
 
 
 def track_motion(
@@ -319,13 +419,13 @@ def track_motion(
             break
     if anchor is None:
         raise ValueError("z0 is not a sample point")
-    h_value, used = _pullback_chain(sample, lam, anchor, n_steps, cfg)
+    lat = make_lattice(sample.kind, lam, cfg)
+    h_value, used = _pullback_chain(sample, lat, anchor, n_steps, cfg)
 
     conj = math.nan
     if anchor + 2 <= sample.ext_usable:
         try:
-            h_next, _ = _pullback_chain(sample, lam, anchor + 1, n_steps, cfg)
-            lat = make_lattice(sample.kind, lam, cfg)
+            h_next, _ = _pullback_chain(sample, lat, anchor + 1, n_steps, cfg)
             conj = abs(h_next - wp(h_value, lat, cfg))
         except (ShadowLost, PoleError, ValueError):
             conj = math.nan
@@ -340,8 +440,8 @@ def x_function(sample: HyperbolicSample, lam: complex, cfg: ToleranceConfig) -> 
     h is track_motion's h_value at points[0], from the one pullback chain it
     needs; the conjugacy residual track_motion also computes is not.
     """
-    h_value, _ = _pullback_chain(sample, lam, 0, DEFAULT_N_STEPS, cfg)
     lat = make_lattice(sample.kind, lam, cfg)
+    h_value, _ = _pullback_chain(sample, lat, 0, DEFAULT_N_STEPS, cfg)
     return lat.crit_values[0] - h_value
 
 
@@ -369,14 +469,20 @@ def winding_number(values: list[complex]) -> int:
 
 def order_K(sample: HyperbolicSample, rho: float, n_samples: int, cfg: ToleranceConfig) -> int:
     """Vanishing order of x at lambda0: the winding number of x around the
-    circle |lambda - lambda0| = rho."""
+    circle |lambda - lambda0| = rho.  x comes from _pullback_batch, with the
+    bits of x_function, and the error of the first sample that fails is the
+    one x_function raises there."""
     if n_samples < 4:
         raise ValueError("n_samples must be at least 4")
-    vals = []
+    lams = []
     for i in range(n_samples):
         t = 2.0 * math.pi * i / n_samples
-        lam = sample.lambda0 + rho * complex(math.cos(t), math.sin(t))
-        vals.append(x_function(sample, lam, cfg))
+        lams.append(sample.lambda0 + rho * complex(math.cos(t), math.sin(t)))
+    x, errors = _pullback_batch(sample, np.array(lams), DEFAULT_N_STEPS, cfg)
+    for err in errors:
+        if err is not None:
+            raise err
+    vals = x.tolist()
     if min(abs(v) for v in vals) <= 10.0 * cfg.eval_tol:
         raise NearZero("|x| on the circle is within noise of zero")
     return winding_number(vals)

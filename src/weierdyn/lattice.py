@@ -235,17 +235,34 @@ def _terms_for_tol(kind: LatticeKind, eval_tol: float) -> int:
 
 
 def _check_scale(lam: complex) -> complex:
-    """lam as a complex, or ZeroParameter for lam = 0 (or a non-finite lam)."""
+    """lam as a complex, or ZeroParameter unless lam^6, formed as make_lattice
+    forms it, is nonzero and finite.  That refuses lam = 0, a non-finite lam,
+    and the scales whose powers underflow to 0 (|lam| below about 1e-54) or
+    overflow (|lam| above about 1e51), which no later step could carry."""
     lam = complex(lam)
-    if lam == 0 or not (math.isfinite(lam.real) and math.isfinite(lam.imag)):
+    lam2 = lam * lam
+    lam6 = lam2 * lam2 * lam2
+    if lam6 == 0 or is_infinite(lam6):
         raise ZeroParameter("lattice scale must be nonzero and finite")
     return lam
+
+
+def _scales_ok(lams: np.ndarray) -> np.ndarray:
+    """_check_scale on a complex array: True where it accepts the scale, from
+    lam^6 formed by CPython's products, so with the same bits."""
+    lr, li = lams.real, lams.imag
+    with np.errstate(over="ignore", invalid="ignore"):
+        r2, i2 = _cmul(lr, li, lr, li)
+        r4, i4 = _cmul(r2, i2, r2, i2)
+        r6, i6 = _cmul(r4, i4, r2, i2)
+    return np.isfinite(r6) & np.isfinite(i6) & ((r6 != 0) | (i6 != 0))
 
 
 def make_lattice(kind: LatticeKind, lam: complex, cfg: ToleranceConfig) -> Lattice:
     """Build a lattice for the given family and scale.
 
-    Raises ZeroParameter for lam = 0 (or a non-finite lam).
+    Raises ZeroParameter for a scale _check_scale refuses: lam = 0, a
+    non-finite lam, or one whose sixth power underflows or overflows.
     """
     lam = _check_scale(lam)
     kd = _kind_data(kind)
@@ -413,6 +430,8 @@ def wp_array(z: np.ndarray, lat: Lattice, cfg: ToleranceConfig) -> tuple[np.ndar
 # these helpers carry real and imaginary parts as separate float64 arrays and
 # spell out CPython's own formulas: each elementwise float operation is
 # correctly rounded, so the same sequence of operations gives the same bits.
+# Where an operand can be zero or non-finite, the caller silences numpy's
+# floating-point warnings.
 
 
 def _cmul(ar, ai, br, bi):
@@ -420,20 +439,32 @@ def _cmul(ar, ai, br, bi):
     return ar * br - ai * bi, ar * bi + ai * br
 
 
-def _cdiv(ar, ai, br, bi):
-    """CPython's complex quotient: Smith's method, dividing by denom, on the
-    second branch when |b.imag| > |b.real|."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = bi / br
-        denom = br + bi * ratio
-        re1 = (ar + ai * ratio) / denom
-        im1 = (ai - ar * ratio) / denom
-        ratio = br / bi
-        denom = br * ratio + bi
-        re2 = (ar * ratio + ai) / denom
-        im2 = (ai * ratio - ar) / denom
+def _divisor(br, bi):
+    """A divisor prepared for _cdiv_by as (p, q, denom).  CPython's complex
+    quotient is Smith's method: ratio = b.imag/b.real, denom = b.real +
+    b.imag*ratio, and p = 1, q = ratio; or, when |b.imag| > |b.real|,
+    ratio = b.real/b.imag, denom = b.real*ratio + b.imag, p = ratio and
+    q = 1.  Prepare a divisor once to divide many times by it."""
     second = np.abs(bi) > np.abs(br)
-    return np.where(second, re2, re1), np.where(second, im2, im1)
+    big = np.where(second, bi, br)
+    small = np.where(second, br, bi)
+    ratio = small / big
+    # on the second branch big + small*ratio is b.real*ratio + b.imag, as
+    # IEEE addition commutes
+    return np.where(second, ratio, 1.0), np.where(second, 1.0, ratio), big + small * ratio
+
+
+def _cdiv_by(ar, ai, divisor):
+    """CPython's complex quotient by a _divisor: ((ar*p + ai*q)/denom,
+    (ai*p - ar*q)/denom), where a product by p = 1 or q = 1 is exact, so each
+    branch does Smith's operations."""
+    p, q, denom = divisor
+    return (ar * p + ai * q) / denom, (ai * p - ar * q) / denom
+
+
+def _cdiv(ar, ai, br, bi):
+    """CPython's complex quotient (ar + i*ai) / (br + i*bi)."""
+    return _cdiv_by(ar, ai, _divisor(br, bi))
 
 
 _OFFSET_M = np.array([dm for dm, _ in _NEIGHBOR_OFFSETS], dtype=float)
@@ -444,6 +475,16 @@ _OFFSET_N = np.array([dn for _, dn in _NEIGHBOR_OFFSETS], dtype=float)
 def _split_coeffs(kind: LatticeKind) -> np.ndarray:
     """The series coefficients as (real, imag) columns, shape (count, 2, 1)."""
     return np.array([[[c.real], [c.imag]] for c in _kind_data(kind).coeffs])
+
+
+@lru_cache(maxsize=None)
+def _split_pair_coeffs(kind: LatticeKind) -> np.ndarray:
+    """The coefficients of wp (row 0) and of wp' (row 1, the dcoeffs) as
+    (real, imag) columns, shape (count, 2, 2, 1)."""
+    kd = _kind_data(kind)
+    return np.array([
+        [[[c.real], [c.imag]], [[d.real], [d.imag]]] for c, d in zip(kd.coeffs, kd.dcoeffs)
+    ])
 
 
 # _translate_argmin holds nine candidates per point at once, so it takes
@@ -498,6 +539,39 @@ def _translate_argmin(a, b, fa, fb, kd: _KindData):
     return re[pick, cols], im[pick, cols], fa + _OFFSET_M[pick], fb + _OFFSET_N[pick]
 
 
+def _reduced_split(zr, zi, lam, kind: LatticeKind, pole_eps: float):
+    """_norm_point on split arrays, with lam a _divisor of each element's
+    lat.lam: (u0_re, u0_im, pole, m, n), pole flagging the points scalar wp
+    refuses with PoleHit(m, n)."""
+    ur, ui = _cdiv_by(zr, zi, lam)
+    re, im, m, n = _nearest_translate(ur, ui, _kind_data(kind))
+    return re, im, np.hypot(re, im) < pole_eps, m, n
+
+
+def _horner_split(u2r, u2i, coeffs: np.ndarray, n_terms: int) -> np.ndarray:
+    """The scalar loop acc = acc*u2 + c_k, k = n_terms-1 .. 0, from acc = 0j,
+    for each coefficient row of coeffs, of shape (count, 2, 1) as
+    _split_coeffs or (count, rows, 2, 1) as _split_pair_coeffs: acc of shape
+    (2, size) or (rows, 2, size).
+
+    With uv = [u^2, i*u^2] = [(u2r, u2i), (-u2i, u2r)], acc*u^2 =
+    acc.re*uv[0] + acc.im*uv[1], whose parts are exactly CPython's
+    (ac - bd, ad + bc), since x - y is x + (-y) in IEEE arithmetic.  Every
+    product of a term comes from one multiply, so a term takes three numpy
+    calls for any number of rows.
+    """
+    uv = np.array([[u2r, u2i], [-u2i, u2r]])
+    acc = np.zeros(coeffs.shape[1:-1] + uv.shape[2:])
+    tw = np.empty(acc.shape[:-2] + uv.shape)
+    # views that stay valid, as the loop writes acc and tw in place
+    acc_col, tw0, tw1 = acc[..., None, :], tw[..., 0, :, :], tw[..., 1, :, :]
+    for k in range(n_terms - 1, -1, -1):
+        np.multiply(acc_col, uv, out=tw)
+        np.add(tw0, tw1, out=acc)
+        np.add(acc, coeffs[k], out=acc)
+    return acc
+
+
 def _wp_split(zr, zi, lam, lam2, kind: LatticeKind, n_terms: int, pole_eps: float):
     """wp at zr + i*zi, element by element the same bits as scalar `wp`.
 
@@ -506,28 +580,38 @@ def _wp_split(zr, zi, lam, lam2, kind: LatticeKind, n_terms: int, pole_eps: floa
     pole flags the points scalar wp refuses with PoleHit(m, n), and val is
     meaningless there.
     """
-    ur, ui = _cdiv(zr, zi, lam[0], lam[1])
-    re, im, m, n = _nearest_translate(ur, ui, _kind_data(kind))
-    pole = np.hypot(re, im) < pole_eps
-
-    # Horner in u^2 on stacked (real, imag) rows: with uv = [u^2, i*u^2] =
-    # [(u2r, u2i), (-u2i, u2r)], acc*u^2 = acc.re*uv[0] + acc.im*uv[1], whose
-    # rows are exactly CPython's (ac - bd, ad + bc), since x - y is x + (-y)
-    # in IEEE arithmetic; both products of a term come from one multiply
-    u2r, u2i = _cmul(re, im, re, im)
-    uv = np.array([[u2r, u2i], [-u2i, u2r]])
-    acc = np.zeros_like(uv[0])
-    tw = np.empty_like(uv)
-    coeffs = _split_coeffs(kind)
-    for k in range(n_terms - 1, -1, -1):
-        np.multiply(acc[:, None], uv, out=tw)
-        np.add(tw[0], tw[1], out=acc)
-        np.add(acc, coeffs[k], out=acc)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        re, im, pole, m, n = _reduced_split(zr, zi, _divisor(*lam), kind, pole_eps)
+        u2r, u2i = _cmul(re, im, re, im)
+        ar, ai = _horner_split(u2r, u2i, _split_coeffs(kind), n_terms)
         ir, ii = _cdiv(1.0, 0.0, u2r, u2i)
-        pr, pi = _cmul(acc[0], acc[1], u2r, u2i)
+        pr, pi = _cmul(ar, ai, u2r, u2i)
         vr, vi = _cdiv(ir + pr, ii + pi, lam2[0], lam2[1])
     return vr, vi, pole, m, n
+
+
+def _wp_pair_split(zr, zi, lam, lam2, lam3, kind: LatticeKind, n_terms: int, pole_eps: float):
+    """wp and wp' at zr + i*zi, element by element the same bits as scalar
+    `wp_pair`.
+
+    lam, lam2 and lam3 are _divisor preparations of each element's lat.lam,
+    lam2 = lat.lam * lat.lam and lam2 * lat.lam.  Returns (val_re, val_im,
+    dval_re, dval_im, pole), with pole as in _wp_split and both values
+    meaningless there.
+    """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        re, im, pole, _, _ = _reduced_split(zr, zi, lam, kind, pole_eps)
+        u2r, u2i = _cmul(re, im, re, im)
+        (ar, ai), (dr, di) = _horner_split(u2r, u2i, _split_pair_coeffs(kind), n_terms)
+        # (1/u2 + acc*u2) / lam2 and (-2/(u2*u0) + dacc*u0) / (lam2*lam)
+        ir, ii = _cdiv(1.0, 0.0, u2r, u2i)
+        pr, pi = _cmul(ar, ai, u2r, u2i)
+        vr, vi = _cdiv_by(ir + pr, ii + pi, lam2)
+        cr, ci = _cmul(u2r, u2i, re, im)
+        qr, qi = _cdiv(-2.0, 0.0, cr, ci)
+        sr, si = _cmul(dr, di, re, im)
+        dvr, dvi = _cdiv_by(qr + sr, qi + si, lam3)
+    return vr, vi, dvr, dvi, pole
 
 
 def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
@@ -560,22 +644,36 @@ def _half_periods_split(kind: LatticeKind, lam: np.ndarray) -> np.ndarray:
     ])
 
 
-def _crit_values_split(
+def _crit_values_hits(
     kind: LatticeKind, lam: np.ndarray, lam2: np.ndarray, half: np.ndarray, cfg: ToleranceConfig
-) -> np.ndarray:
+) -> tuple[np.ndarray, dict[int, PoleHit]]:
     """make_lattice's crit_values for the leading half-periods given, shape
-    (count, 2, size) like half, all through one _wp_split call.  Raises
-    make_lattice's PoleHit for the first scale with a half-period within
-    pole_eps of a lattice point (only a pole_eps of about 1/2 reaches one)."""
+    (count, 2, size) like half, all through one _wp_split call, and
+    {i: the PoleHit make_lattice raises for scale i} for the scales with one
+    of these half-periods within pole_eps of a lattice point (only a pole_eps
+    of about 1/2 reaches one)."""
     count, _, size = half.shape
     vr, vi, pole, m, n = _wp_split(
         half[:, 0].ravel(), half[:, 1].ravel(), np.tile(lam, count), np.tile(lam2, count),
         kind, _terms_for_tol(kind, cfg.eval_tol), cfg.pole_eps,
     )
-    if pole.any():
-        i, c = divmod(int(np.flatnonzero(pole.reshape(count, size).T)[0]), count)
-        raise PoleHit(int(m[c * size + i]), int(n[c * size + i]))
-    return np.stack([vr.reshape(count, size), vi.reshape(count, size)], axis=1)
+    hits: dict[int, PoleHit] = {}
+    # scale by scale, each at its first half-period in pole
+    for at in np.flatnonzero(pole.reshape(count, size).T).tolist():
+        i, c = divmod(at, count)
+        hits.setdefault(i, PoleHit(int(m[c * size + i]), int(n[c * size + i])))
+    return np.stack([vr.reshape(count, size), vi.reshape(count, size)], axis=1), hits
+
+
+def _crit_values_split(
+    kind: LatticeKind, lam: np.ndarray, lam2: np.ndarray, half: np.ndarray, cfg: ToleranceConfig
+) -> np.ndarray:
+    """The crit_values of _crit_values_hits.  Raises make_lattice's PoleHit
+    for the first scale it has one for."""
+    crit, hits = _crit_values_hits(kind, lam, lam2, half, cfg)
+    if hits:
+        raise hits[min(hits)]
+    return crit
 
 
 # ---------------------------------------------------------------------------

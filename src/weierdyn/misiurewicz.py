@@ -47,6 +47,7 @@ from .lattice import (
     _crit_values_split,
     _half_periods_split,
     _kind_data,
+    _scales_ok,
     _sph_dist_to_inf_split,
     _split_scales,
     crit_sph_dist,
@@ -702,8 +703,9 @@ def density_scan(
 
     Sample i of radius index ri is lambda0 + r * unit_disc_point(seed, ri, i),
     a counter-based substream, so rows are reproducible independently of
-    evaluation order.  Parameters that fall on lambda = 0 count as failures
-    (the family is undefined there).  The samples of a radius are checked in
+    evaluation order.  Parameters that make_lattice refuses count as
+    failures: lambda = 0, where the family is undefined, and scales too
+    small or too large to carry.  The samples of a radius are checked in
     blocks of BLOCK_SIZE, each one _first_violations batch.
     """
     if cfg is None:
@@ -719,7 +721,7 @@ def density_scan(
     rows = []
     for ri, r in enumerate(radii):
         lams = np.array([lambda0 + r * rng.unit_disc_point(seed, ri, i) for i in range(n_samples)])
-        lams = lams[np.isfinite(lams) & (lams != 0)]
+        lams = lams[_scales_ok(lams)]
         fails = n_samples - lams.size
         for at in range(0, lams.size, BLOCK_SIZE):
             block = _first_violations(kind, lams[at : at + BLOCK_SIZE], delta, M, cfg)

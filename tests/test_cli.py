@@ -352,6 +352,35 @@ def test_render_dyn_writes_file(tmp_path, capsys):
     assert ppm.read_bytes().startswith(b"P6\n4 4\n255\n")
 
 
+EXTREME_SCALE_ARGS = ["1e-170", "1e-160i", "5e-324", "1e300+1e300i"]
+
+
+@pytest.mark.parametrize("lam", EXTREME_SCALE_ARGS)
+def test_scales_too_small_or_large_exit_one_without_traceback(tmp_path, capsys, lam):
+    # a scale whose sixth power underflows to 0 or overflows is refused
+    # like lambda = 0, with exit 1 and an error line
+    runs = [
+        ("classify", "--kind", "square", "--lambda", lam),
+        ("verify", "--kind", "square", "--lambda0", lam, "--m-steps", "4"),
+        ("render-dyn", "--kind", "triangular", "--lambda", lam, "--origin=-0.9-0.9i",
+         "--extent", "1.8+1.8i", "--width-px", "2", "--height-px", "2", "--budget", "10",
+         "--out", str(tmp_path / "d.ppm"), "--threads", "1"),
+    ]
+    for argv in runs:
+        code, _, err = _run(capsys, *argv)
+        assert code == 1
+        assert "error: lattice scale must be nonzero and finite" in err
+    # render-param marks such a parameter excluded, as it does lambda = 0
+    csv = tmp_path / "p.csv"
+    code, _, _ = _run(
+        capsys, "render-param", "--kind", "square", "--origin", lam, "--extent", "0.0+0.0i",
+        "--width-px", "1", "--height-px", "1", "--budget", "10",
+        "--out", str(tmp_path / "p.ppm"), "--csv-out", str(csv), "--threads", "1",
+    )
+    assert code == 0
+    assert csv.read_text().splitlines()[1].split(",")[4] == "excluded"
+
+
 def test_render_missing_directory_exit_one(tmp_path, capsys):
     target = tmp_path / "nope" / "d.ppm"
     code, _, err = _run(

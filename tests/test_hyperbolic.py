@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -14,6 +15,7 @@ from weierdyn.hyperbolic import (
     NoExpansion,
     PoleOnOrbit,
     SeparationViolated,
+    ShadowLost,
     adapted_metric,
     build_sample,
     distortion_report,
@@ -23,7 +25,7 @@ from weierdyn.hyperbolic import (
     winding_number,
     x_function,
 )
-from weierdyn.lattice import LatticeKind, make_lattice, sph_deriv, wp_pair
+from weierdyn.lattice import LatticeKind, make_lattice, sph_deriv, sph_dist, wp_pair
 
 
 def test_build_sample_certificates(candidate_sample):
@@ -270,3 +272,157 @@ def test_distortion_reruns_identically(cfg, candidate_sample):
     a = distortion_report(candidate_sample, 1e-6, 20, cfg)
     b = distortion_report(candidate_sample, 1e-6, 20, cfg)
     assert a == b
+
+
+# the triangular sample of the lockstep tests: orbit expanding with N_exp = 1
+TRI_SAMPLE = 2.3364428785230364 + 0.7841800498035085j
+
+
+def _circle(sample, rho, count):
+    return [
+        sample.lambda0 + rho * complex(math.cos(t), math.sin(t))
+        for t in (2.0 * math.pi * i / count for i in range(count))
+    ]
+
+
+def _scalar_outcomes(sample, lams, cfg):
+    """x_function per scale: the value, or the exception it raises."""
+    out = []
+    for lam in lams:
+        try:
+            out.append(x_function(sample, lam, cfg))
+        except (ValueError, ArithmeticError, RuntimeError) as exc:
+            out.append(exc)
+    return out
+
+
+def _assert_batch_is_scalar(sample, lams, cfg):
+    x, errors = hyperbolic._pullback_batch(sample, np.array(lams), DEFAULT_N_STEPS, cfg)
+    want = _scalar_outcomes(sample, lams, cfg)
+    assert len(errors) == len(want) == x.size
+    for got, err, w in zip(x.tolist(), errors, want):
+        if isinstance(w, Exception):
+            assert type(err) is type(w) and str(err) == str(w)
+            assert getattr(err, "step", None) == getattr(w, "step", None)
+        else:
+            assert err is None
+            assert np.array([got]).view(np.int64).tolist() == np.array([w]).view(np.int64).tolist()
+    return want
+
+
+@pytest.mark.parametrize("count", [64, 128])
+@pytest.mark.parametrize(
+    "kind, lambda0", [(LatticeKind.SQUARE, CANDIDATE), (LatticeKind.TRIANGULAR, TRI_SAMPLE)]
+)
+def test_pullback_batch_has_the_bits_of_x_function(cfg, kind, lambda0, count):
+    sample = build_sample(kind, lambda0, 16, 0.02, cfg)
+    want = _assert_batch_is_scalar(sample, _circle(sample, 1e-3, count), cfg)
+    assert not any(isinstance(w, Exception) for w in want)
+    assert order_K(sample, 1e-3, count, cfg) == winding_number(want) == 1
+
+
+def test_order_K_builds_no_lattice_and_calls_no_scalar_wp(cfg, candidate_sample, monkeypatch):
+    calls = []
+
+    def refuse(*args):
+        calls.append(args)
+        raise AssertionError("order_K must not take the scalar path")
+
+    for name in ("make_lattice", "wp_pair", "wp", "_pullback_chain"):
+        monkeypatch.setattr(hyperbolic, name, refuse)
+    assert order_K(candidate_sample, 1e-3, 64, cfg) == 1
+    assert calls == []
+
+
+@pytest.mark.parametrize("failing", [1, 32, 63])
+def test_order_K_raises_the_shadow_lost_of_the_scalar_loop(cfg, candidate_sample, failing):
+    # shrink delta until sph_dist > delta/2 trips at step 0 for the `failing`
+    # circle samples whose h lies farthest from points[0]; their distances
+    # come from the scalar chains
+    lams = _circle(candidate_sample, 1e-3, 64)
+    e0 = candidate_sample.points[0]
+    dist = []
+    for lam in lams:
+        e = make_lattice(LatticeKind.SQUARE, lam, cfg).crit_values[0]
+        dist.append(sph_dist(e - x_function(candidate_sample, lam, cfg), e0))
+    cut = sorted(dist)[64 - failing]
+    sample = dataclasses.replace(candidate_sample, delta=2.0 * cut * (1.0 - 1e-9))
+    want = _assert_batch_is_scalar(sample, lams, cfg)
+    lost = [i for i, w in enumerate(want) if isinstance(w, ShadowLost)]
+    assert lost == [i for i, d in enumerate(dist) if d >= cut]
+    assert {want[i].step for i in lost} == {0}
+    with pytest.raises(ShadowLost) as info:
+        order_K(sample, 1e-3, 64, cfg)
+    assert info.value.step == 0
+
+
+def test_order_K_raises_at_the_first_pullback_step(cfg, candidate_sample):
+    # a delta below every step-26 distance fails each chain on its first step
+    sample = dataclasses.replace(candidate_sample, delta=5e-4)
+    want = _assert_batch_is_scalar(sample, _circle(sample, 1e-3, 64), cfg)
+    assert {w.step for w in want} == {sample.ext_usable - 1}
+    with pytest.raises(ShadowLost) as info:
+        order_K(sample, 1e-3, 64, cfg)
+    assert info.value.step == sample.ext_usable - 1
+
+
+@pytest.mark.parametrize(
+    "bad", [complex(math.nan, 0.0), complex(math.inf, 1.0), complex(1e300, 1e300)]
+)
+@pytest.mark.parametrize("at", [5, 27])
+def test_non_finite_newton_iterate_is_shadow_lost(cfg, candidate_sample, bad, at):
+    # a non-finite reference point at step 5 is the first Newton iterate
+    # there; a non-finite or huge target at the horizon (27) makes the
+    # update w - g/dval non-finite, so the next iterate of step 26 is
+    refs = list(candidate_sample.ext_points)
+    refs[at] = bad
+    sample = dataclasses.replace(candidate_sample, ext_points=tuple(refs))
+    lams = _circle(sample, 1e-3, 16)
+    want = _assert_batch_is_scalar(sample, lams, cfg)
+    step = min(at, sample.ext_usable - 1)
+    assert all(isinstance(w, ShadowLost) and w.step == step for w in want)
+    with pytest.raises(ShadowLost) as info:
+        order_K(sample, 1e-3, 16, cfg)
+    assert info.value.step == step
+
+
+def test_pullback_batch_records_refusals_in_the_scalar_order(cfg, candidate_sample):
+    # make_lattice's refusal of a scale comes before any pullback step,
+    # and order_K raises the error of the lowest circle index
+    lams = _circle(candidate_sample, 1e-3, 8)
+    lams[2] = 0j
+    lams[3] = 1e-170 + 0j
+    lams[5] = complex(math.nan, 1.0)
+    want = _assert_batch_is_scalar(candidate_sample, lams, cfg)
+    assert [type(w).__name__ for w in want].count("ZeroParameter") == 3
+    # a pole_eps of 0.6 puts every half-period in pole: make_lattice's PoleHit
+    wide = dataclasses.replace(cfg, pole_eps=0.6)
+    want = _assert_batch_is_scalar(candidate_sample, lams, wide)
+    assert [type(w).__name__ for w in want] == [
+        "PoleHit", "PoleHit", "ZeroParameter", "ZeroParameter",
+        "PoleHit", "ZeroParameter", "PoleHit", "PoleHit",
+    ]
+    # no reference orbit beyond the anchor: ValueError after the refusals
+    short = dataclasses.replace(candidate_sample, ext_usable=0)
+    want = _assert_batch_is_scalar(short, lams, cfg)
+    assert [type(w).__name__ for w in want].count("ValueError") == 5
+    with pytest.raises(ValueError, match="no reference orbit"):
+        order_K(short, 1e-3, 8, cfg)
+
+
+def test_x_function_and_track_motion_build_one_lattice(cfg, candidate_sample, monkeypatch):
+    built = []
+    real = hyperbolic.make_lattice
+
+    def spy(*args):
+        built.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(hyperbolic, "make_lattice", spy)
+    lam = CANDIDATE + 1e-3j
+    x_function(candidate_sample, lam, cfg)
+    assert len(built) == 1
+    built.clear()
+    frame = track_motion(candidate_sample, candidate_sample.points[2], lam, 20, cfg)
+    assert len(built) == 1
+    assert not math.isnan(frame.conj_residual)

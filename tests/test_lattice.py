@@ -311,6 +311,124 @@ def test_wp_split_has_the_bits_of_the_four_call_horner_loop(cfg, kind):
         assert np.array_equal(g.view(np.uint8), w.view(np.uint8))
 
 
+def _bits(values):
+    """The IEEE bit patterns of a sequence of floats."""
+    return np.array(values, dtype=float).view(np.int64).tolist()
+
+
+@pytest.mark.parametrize("kind", [LatticeKind.SQUARE, LatticeKind.TRIANGULAR])
+def test_wp_pair_split_has_the_bits_of_wp_pair(cfg, kind):
+    # value, derivative and pole flag of every element equal scalar wp_pair's,
+    # at random scales and points, around lattice points (inside and just
+    # outside pole_eps) and around the half-periods, where wp' nearly vanishes
+    gen = np.random.default_rng(71)
+    tau = lattice._kind_data(kind).tau
+    lams, zs = [], []
+    for _ in range(3000):
+        lam = complex(gen.uniform(-3.0, 3.0), gen.uniform(-3.0, 3.0))
+        if lam != 1:
+            lams.append(lam)
+            zs.append(complex(gen.uniform(-6.0, 6.0), gen.uniform(-6.0, 6.0)))
+    for _ in range(100):
+        lam = complex(gen.uniform(0.3, 3.0), gen.uniform(-3.0, 3.0))
+        m, n = gen.integers(-3, 4, 2).tolist()
+        for r in (0.0, 0.5, 0.999, 1.001, 2.0, 1e3):
+            lams.append(lam)
+            turn = cmath.exp(1j * gen.uniform(-math.pi, math.pi))
+            zs.append((m + n * tau + r * cfg.pole_eps * turn) * lam)
+        for h in (0.5, 0.5 * tau, 0.5 + 0.5 * tau):
+            for r in (0.0, 1e-12, 1e-6, 1e-3):
+                lams.append(lam)
+                turn = cmath.exp(1j * gen.uniform(-math.pi, math.pi))
+                zs.append((m + n * tau + h + r * turn) * lam)
+    lam_c = np.array(lams)
+    lam, lam2 = lattice._split_scales(lam_c)
+    lam3 = lattice._cmul(*lam2, *lam)
+    z = np.array(zs)
+    vr, vi, dr, di, pole = lattice._wp_pair_split(
+        z.real.copy(), z.imag.copy(), lattice._divisor(*lam), lattice._divisor(*lam2),
+        lattice._divisor(*lam3), kind, lattice._terms_for_tol(kind, cfg.eval_tol), cfg.pole_eps,
+    )
+    want_pole, want = [], []
+    for value, point in zip(lams, zs):
+        try:
+            want.append(wp_pair(point, make_lattice(kind, value, cfg), cfg))
+            want_pole.append(False)
+        except PoleHit:
+            want.append((0j, 0j))
+            want_pole.append(True)
+    assert pole.tolist() == want_pole
+    assert 100 < sum(want_pole) < 600
+    keep = ~pole
+    assert _bits(vr[keep]) == _bits([v.real for (v, _), p in zip(want, want_pole) if not p])
+    assert _bits(vi[keep]) == _bits([v.imag for (v, _), p in zip(want, want_pole) if not p])
+    assert _bits(dr[keep]) == _bits([d.real for (_, d), p in zip(want, want_pole) if not p])
+    assert _bits(di[keep]) == _bits([d.imag for (_, d), p in zip(want, want_pole) if not p])
+
+
+def test_cdiv_has_the_bits_of_complex_division():
+    # Smith's two branches, the tie |b.real| == |b.imag| (first branch),
+    # signed zeros, subnormals and 40 decades of magnitude; the prepared
+    # divisor of _cdiv_by gives the same quotients for every numerator
+    gen = np.random.default_rng(83)
+    parts = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -3e-308, 1.0, -1.0, 2.5, -0.75, 1e300, -1e-300]
+    pairs = [
+        (complex(a, b), complex(c, d)) for a in parts for b in parts for c in parts for d in parts
+    ]
+    for _ in range(4000):
+        a, b, c, d = gen.uniform(-1.0, 1.0, 4) * 10.0 ** gen.uniform(-20.0, 20.0, 4)
+        pairs.append((complex(a, b), complex(c, d)))
+        # ties: b = c or b = -c
+        pairs.append((complex(a, b), complex(c, c)))
+        pairs.append((complex(a, b), complex(c, -c)))
+        pairs.append((complex(a, b), complex(-c, c)))
+    pairs = [(x, y) for x, y in pairs if y != 0]
+    num = np.array([x for x, _ in pairs])
+    den = np.array([y for _, y in pairs])
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        qr, qi = lattice._cdiv(num.real, num.imag, den.real, den.imag)
+        divisor = lattice._divisor(den.real, den.imag)
+        pr, pi = lattice._cdiv_by(num.real, num.imag, divisor)
+        sr, si = lattice._cdiv_by(-num.imag, num.real, divisor)
+    want = [x / y for x, y in pairs]
+    assert _bits(qr) == _bits([w.real for w in want]) == _bits(pr)
+    assert _bits(qi) == _bits([w.imag for w in want]) == _bits(pi)
+    other = [complex(-x.imag, x.real) / y for x, y in pairs]
+    assert _bits(sr) == _bits([w.real for w in other])
+    assert _bits(si) == _bits([w.imag for w in other])
+
+
+EXTREME_SCALES = [1e-170 + 0j, 1e-160j, 5e-324 + 0j, 1e300 + 1e300j]
+
+
+@pytest.mark.parametrize("kind", [LatticeKind.SQUARE, LatticeKind.TRIANGULAR])
+def test_make_lattice_refuses_scales_it_cannot_carry(cfg, kind):
+    # lam^6 = lam4 * lam2 must be nonzero and finite; the array screen
+    # agrees with the scalar check, also at the edges of the range
+    for lam in EXTREME_SCALES:
+        with pytest.raises(ZeroParameter):
+            make_lattice(kind, lam, cfg)
+    for lam in (1e-50 + 0j, 1e-50j, 1e50 + 1e50j):
+        lat = make_lattice(kind, lam, cfg)
+        assert not any(is_infinite(c) for c in lat.crit_values)
+    lams = [
+        10.0 ** e * cmath.exp(1j * t)
+        for e in np.arange(-56.0, 54.0, 0.125)
+        for t in (0.0, 0.4, math.pi / 4, 1.3, math.pi / 2)
+    ]
+    lams += EXTREME_SCALES + [0j, complex(math.nan, 1.0), complex(1.0, math.inf)]
+    lams += [1e-54 + 0j, 3e-54j, 5.6e51 + 0j]
+    accepted = []
+    for lam in lams:
+        try:
+            lattice._check_scale(lam)
+            accepted.append(True)
+        except ZeroParameter:
+            accepted.append(False)
+    assert lattice._scales_ok(np.array(lams)).tolist() == accepted
+    assert 0 < sum(accepted) < len(lams)
+
+
 def test_sph_dist_closed_forms():
     inf = complex("inf")
     assert sph_dist(0j, inf) == 2.0

@@ -435,3 +435,21 @@ def test_misiurewicz_check_reports_pinned_fixed_parameters(cfg):
     assert _report(PREPOLE_SQ, 0.05, 200, cfg) == (False, 2, 1, "POLE_HIT")
     assert _report(CANDIDATE, 0.05, 16, cfg) == (True, 16, None, None)
     assert _report(CANDIDATE, 0.05, 200, cfg) == (False, 29, 28, "NEAR_CRITICAL")
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_scales_make_lattice_refuses_are_refused_by_the_batches(cfg, kind):
+    # scales whose sixth power underflows or overflows: classify_batch gives
+    # None next to real verdicts, orbit_array and classify raise ZeroParameter,
+    # and density_scan's screen counts them as failures
+    extreme = [1e-170 + 0j, 1e-160j, 5e-324 + 0j, 1e300 + 1e300j]
+    got = classify_batch(kind, [PREPOLE_SQ] + extreme + [TRI_ONE], 60, cfg)
+    assert got[1:5] == [None] * 4
+    assert got[0] == classify(kind, PREPOLE_SQ, 60, cfg)
+    assert got[5] == classify(kind, TRI_ONE, 60, cfg)
+    for lam in extreme:
+        with pytest.raises(ZeroParameter):
+            classify(kind, lam, 60, cfg)
+        with pytest.raises(ZeroParameter):
+            orbit_array(kind, [1.0 + 0j, lam], [0.3j, 0.3j], 5, cfg)
+    assert lattice._scales_ok(np.array(extreme)).tolist() == [False] * 4
