@@ -34,8 +34,7 @@ from .hyperbolic import (
     build_sample,
     distortion_report,
     fit_expansion,
-    order_K,
-    track_motion,
+    verify_motion,
 )
 from .lattice import LatticeKind, ToleranceConfig, ZeroParameter, make_lattice
 from .misiurewicz import DiscTouchesU, covering_steps, density_scan, find_prepole_params_batch
@@ -381,6 +380,13 @@ def _cmd_find_prepoles(values: dict[str, object]) -> int:
     return 0
 
 
+def _value(result):
+    """A verify_motion result: raise it if it is an exception."""
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
 def _cmd_verify(values: dict[str, object]) -> int:
     cfg = _tolerances(values)
     lam0 = values["lambda0"]
@@ -410,18 +416,13 @@ def _cmd_verify(values: dict[str, object]) -> int:
         print(f"no expansion: {exc}")
         return 2
 
-    identity = track_motion(sample, sample.points[0], lam0, 12, cfg)
-    id_err = abs(identity.h_value - sample.points[0])
+    motion = verify_motion(sample, values["rho"], 12, values["circle-samples"], cfg)
+    id_err = _value(motion.identity_residual)
     print(f"identity residual at lambda0 = {id_err!r}")
     ok = ok and id_err <= cfg.eval_tol
 
-    probe = lam0 + values["rho"]
-    worst = 0.0
     try:
-        for z in sample.points:
-            frame = track_motion(sample, z, probe, 12, cfg)
-            if not math.isnan(frame.conj_residual):
-                worst = max(worst, frame.conj_residual)
+        worst = _value(motion.conj_residual)
     except ShadowLost as exc:
         print(f"shadowing lost at step {exc.step}")
         return 2
@@ -429,7 +430,7 @@ def _cmd_verify(values: dict[str, object]) -> int:
     ok = ok and worst < 10.0 * cfg.newton_tol
 
     try:
-        K = order_K(sample, values["rho"], values["circle-samples"], cfg)
+        K = _value(motion.order)
         print(f"order K = {K}")
         ok = ok and K >= 1
     except (NearZero, InsufficientSampling, ShadowLost) as exc:

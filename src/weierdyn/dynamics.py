@@ -218,7 +218,8 @@ class OrbitBatch:
     """Outcomes of orbit_array, one entry per orbit, in input order.
 
     status holds _EXHAUSTED, _POLE, _ESCAPED or _STOPPED; step, m and n are
-    the fields of the matching iterate outcome (m, n only for pole hits).
+    the fields of the matching iterate outcome (m, n only for pole hits, as
+    integer-valued floats).
     size is the length iterate's points would have; ring holds the last
     ring.shape[1] of them, point k of the orbit in column k % ring.shape[1].
     """
@@ -307,8 +308,10 @@ def orbit_array(
         raise ZeroParameter("lattice scale must be nonzero and finite")
     status = np.zeros(count, dtype=np.int64)  # _EXHAUSTED
     step = np.zeros(count, dtype=np.int64)
-    m = np.zeros(count, dtype=np.int64)
-    n = np.zeros(count, dtype=np.int64)
+    # pole-hit m, n stay the floats _wp_split gives: at tiny scales they
+    # pass 2**63, and int() in outcome() converts them exactly
+    m = np.zeros(count)
+    n = np.zeros(count)
     size = np.full(count, max_iter + 1, dtype=np.int64)
     ring = np.zeros((count, tail), dtype=complex)
     if count == 0:

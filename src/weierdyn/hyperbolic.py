@@ -49,6 +49,7 @@ from .lattice import (
     _split_scales,
     _terms_for_tol,
     _wp_pair_split,
+    _wp_split,
     crit_sph_dist,
     is_infinite,
     make_lattice,
@@ -64,6 +65,7 @@ from .dynamics import BudgetExhausted, iterate
 __all__ = [
     "HyperbolicSample",
     "MotionFrame",
+    "MotionCheck",
     "ExpansionReport",
     "DistortionReport",
     "SeparationViolated",
@@ -81,6 +83,7 @@ __all__ = [
     "track_motion",
     "x_function",
     "order_K",
+    "verify_motion",
     "winding_number",
     "fit_expansion",
     "distortion_report",
@@ -98,6 +101,8 @@ DISTORTION_BUDGET = 1000.0
 # derivative factors and track_motion has reference points ahead of it
 EXTENSION = 64
 DEFAULT_N_STEPS = 48
+# Newton iterations a pullback step may take
+_NEWTON_ITERS = 40
 
 
 class SeparationViolated(RuntimeError):
@@ -170,6 +175,28 @@ class MotionFrame:
     h_value: complex
     conj_residual: float
     steps_used: int
+
+
+@dataclass(frozen=True)
+class MotionCheck:
+    """verify_motion's results.  Each field holds the value, or the exception
+    the scalar computation raises in its place."""
+
+    identity_residual: float | Exception
+    frames: tuple[MotionFrame | Exception, ...]
+    order: int | Exception
+
+    @property
+    def conj_residual(self) -> float | Exception:
+        """The largest conjugacy residual of the frames, NaNs skipped, or the
+        exception of the first frame that fails."""
+        worst = 0.0
+        for frame in self.frames:
+            if isinstance(frame, Exception):
+                return frame
+            if not math.isnan(frame.conj_residual):
+                worst = max(worst, frame.conj_residual)
+        return worst
 
 
 @dataclass(frozen=True)
@@ -287,8 +314,8 @@ def _pullback_chain(
 
     Returns (h_value approximating h_lambda(points[anchor]), horizon used).
     At pullback step k, a pole hit, a non-finite Newton iterate, a zero
-    derivative, 40 iterations without convergence or a result farther than
-    delta/2 from the reference point raise ShadowLost(step=k).
+    derivative, _NEWTON_ITERS iterations without convergence or a result
+    farther than delta/2 from the reference point raise ShadowLost(step=k).
     """
     refs = sample.ext_points
     horizon = min(n_steps, sample.ext_usable - anchor)
@@ -300,7 +327,7 @@ def _pullback_chain(
         target = w
         ref = refs[anchor + k]
         w = ref
-        for _ in range(40):
+        for _ in range(_NEWTON_ITERS):
             if is_infinite(w):
                 raise ShadowLost(step=k)
             try:
@@ -321,82 +348,122 @@ def _pullback_chain(
 
 
 def _pullback_batch(
-    sample: HyperbolicSample, lams: np.ndarray, n_steps: int, cfg: ToleranceConfig
-) -> tuple[np.ndarray, list[Optional[Exception]]]:
-    """x_function(sample, lam, cfg) for every scale of lams, with n_steps in
-    place of DEFAULT_N_STEPS: the anchor-0 pullback chains of all the scales
-    run in lockstep along the shared reference orbit.
+    sample: HyperbolicSample,
+    lams: np.ndarray,
+    anchors: list[int],
+    n_steps: list[int],
+    cfg: ToleranceConfig,
+) -> tuple[np.ndarray, np.ndarray, list[Optional[Exception]]]:
+    """_pullback_chain(sample, make_lattice(kind, lams[i]), anchors[i],
+    n_steps[i], cfg) for every element i at once.
 
-    Returns (x, errors): errors[i] is the exception the scalar call raises
-    for lams[i], or None, and x[i] is meaningless where it is not None.
-    Element by element the arithmetic is _pullback_chain's, on split arrays
-    by lattice._wp_pair_split, so each x has the bits of x_function: the
-    Newton solves of a step start together, and an element leaves them
-    when it converges or fails.  No scale gets a Lattice.
+    Returns (h, e, errors): h[i] is the chain's h_value, e[i] the lattice's
+    crit_values[0], and errors[i] the exception make_lattice or the chain
+    raises for element i, or None.  h[i] is meaningless where errors[i] is
+    not None, and e[i] where the lattice is refused.
+
+    Each element keeps its own pullback step and Newton iteration count, and
+    a round evaluates lattice._wp_pair_split once at the current iterate of
+    every live element, so chains of any anchors, horizons and scales share
+    every round.  Element by element the arithmetic and the order of the
+    checks are _pullback_chain's, so each h has its bits and each error is
+    the scalar one.  No scale gets a Lattice.
     """
     kind = sample.kind
     lam_c = np.asarray(lams, dtype=complex).reshape(-1)
     errors: list[Optional[Exception]] = [None] * lam_c.size
-    # make_lattice's refusals come first, as x_function builds the lattice first
+    # make_lattice's refusals come first, as _pullback_chain needs the lattice
     ok = _scales_ok(lam_c)
     for i in np.flatnonzero(~ok).tolist():
         errors[i] = ZeroParameter("lattice scale must be nonzero and finite")
     good = np.flatnonzero(ok)
     lam, lam2 = _split_scales(lam_c[good])
     crit, hits = _crit_values_hits(kind, lam, lam2, _half_periods_split(kind, lam), cfg)
-    live = np.ones(good.size, dtype=bool)
     for at, hit in hits.items():
         errors[int(good[at])] = hit
-        live[at] = False
-    x = np.full(lam_c.size, complex(math.nan, math.nan))
-    refs = sample.ext_points
-    horizon = min(n_steps, sample.ext_usable)
-    if horizon < 1:
-        for i in good[live].tolist():
-            errors[i] = ValueError("no reference orbit beyond the anchor point")
-        return x, errors
+    e = np.full(lam_c.size, complex(math.nan, math.nan))
+    e[good] = _complex(crit[0, 0], crit[0, 1])
+    h = np.full(lam_c.size, complex(math.nan, math.nan))
 
-    # per element, the _divisor rows of lam, lam2 and lam3 = lam2 * lam
+    # the chains that start, at step k = horizon - 1: Newton for
+    # f(w) = refs[anchor + horizon] from w = refs[anchor + k]
+    live, steps, first = [], [], []
+    for at, i in enumerate(good.tolist()):
+        if errors[i] is not None:
+            continue
+        horizon = min(n_steps[i], sample.ext_usable - anchors[i])
+        if horizon < 1:
+            errors[i] = ValueError("no reference orbit beyond the anchor point")
+            continue
+        live.append(at)
+        steps.append(horizon - 1)
+        first.append(anchors[i] + horizon - 1)
+    if not live:
+        return h, e, errors
+    # per live chain: its element, step k, reference index anchor + k, Newton
+    # iteration count, iterate z, target t and the _divisor rows of lam, lam2
+    # and lam3 = lam2 * lam.  The counters are floats and the index moves
+    # back by lookup in `back`, because integer arithmetic would be numpy
+    # loops that verify runs nowhere else, each adding resident pages.
+    elem = good[live]
+    k = np.array(steps, dtype=float)
+    ref = np.array(first)
+    it = np.zeros(elem.size)
+    refs = np.array(sample.ext_points, dtype=complex)
+    ref_r, ref_i = refs.real.copy(), refs.imag.copy()
+    back = np.arange(-1, refs.size - 1)
+    zr, zi = ref_r[ref], ref_i[ref]
+    target = [r + 1 for r in first]
+    tr, ti = ref_r[target], ref_i[target]
     consts = np.vstack([_divisor(*lam), _divisor(*lam2), _divisor(*_cmul(*lam2, *lam))])
+    c = consts[:, live]
     n_terms = _terms_for_tol(kind, cfg.eval_tol)
     eps = sample.delta / 2.0
-    wr = np.full(good.size, refs[horizon].real)
-    wi = np.full(good.size, refs[horizon].imag)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for k in range(horizon - 1, -1, -1):
-            # Newton for f(w) = target from w = ref, target the w of step k + 1
-            ref = refs[k]
-            act = np.flatnonzero(live)
-            tr, ti, c = wr[act], wi[act], consts[:, act]
-            zr = np.full(act.size, ref.real)
-            zi = np.full(act.size, ref.imag)
-            for _ in range(40):
-                if not act.size:
-                    break
-                vr, vi, dr, di, pole = _wp_pair_split(
-                    zr, zi, c[0:3], c[3:6], c[6:9], kind, n_terms, cfg.pole_eps
-                )
-                gr = vr - tr
-                gi = vi - ti
-                fail = pole | ~(np.isfinite(zr) & np.isfinite(zi))
-                done = ~fail & (np.hypot(gr, gi) < cfg.newton_tol)
-                fail |= ~done & (dr == 0) & (di == 0)
-                fail |= done & (_sph_dist_split(zr, zi, ref.real, ref.imag) > eps)
-                for at in act[fail].tolist():
-                    errors[int(good[at])] = ShadowLost(step=k)
-                live[act[fail]] = False
-                wr[act[done]] = zr[done]
-                wi[act[done]] = zi[done]
-                more = ~(fail | done)
-                qr, qi = _cdiv(gr[more], gi[more], dr[more], di[more])
-                act, tr, ti, c = act[more], tr[more], ti[more], c[:, more]
-                zr = zr[more] - qr
-                zi = zi[more] - qi
-            for at in act.tolist():
-                errors[int(good[at])] = ShadowLost(step=k)
-            live[act] = False
-    x[good] = _complex(crit[0, 0] - wr, crit[0, 1] - wi)
-    return x, errors
+        while elem.size:
+            vr, vi, dr, di, pole = _wp_pair_split(
+                zr, zi, c[0:3], c[3:6], c[6:9], kind, n_terms, cfg.pole_eps
+            )
+            gr = vr - tr
+            gi = vi - ti
+            fail = pole | ~(np.isfinite(zr) & np.isfinite(zi))
+            done = ~fail & (np.hypot(gr, gi) < cfg.newton_tol)
+            fail |= ~done & (dr == 0) & (di == 0)
+            fail |= done & (_sph_dist_split(zr, zi, ref_r[ref], ref_i[ref]) > eps)
+            done &= ~fail
+            it += 1.0
+            fail |= ~done & (it == _NEWTON_ITERS)
+            for at in np.flatnonzero(fail).tolist():
+                errors[int(elem[at])] = ShadowLost(step=int(k[at]))
+            # a solved step moves its chain one step back; after step 0 the
+            # chain is finished and its w is h
+            k[done] -= 1.0
+            ref[done] = back[ref[done]]
+            end = done & (k < 0.0)
+            h[elem[end]] = _complex(zr[end], zi[end])
+            qr, qi = _cdiv(gr, gi, dr, di)
+            drop = fail | end
+            if drop.any():
+                keep = ~drop
+                elem, k, ref, it, done = elem[keep], k[keep], ref[keep], it[keep], done[keep]
+                c, tr, ti = c[:, keep], tr[keep], ti[keep]
+                zr, zi, qr, qi = zr[keep], zi[keep], qr[keep], qi[keep]
+            # the next step solves for the w just found from the next
+            # reference point; the other chains take their Newton update
+            tr = np.where(done, zr, tr)
+            ti = np.where(done, zi, ti)
+            zr = np.where(done, ref_r[ref], zr - qr)
+            zi = np.where(done, ref_i[ref], zi - qi)
+            it[done] = 0.0
+    return h, e, errors
+
+
+def _anchor(sample: HyperbolicSample, z0: complex, cfg: ToleranceConfig) -> int:
+    """Index of the first sample point that z0 matches to eval_tol."""
+    for i, p in enumerate(sample.points):
+        if p == z0 or abs(p - z0) <= cfg.eval_tol * max(1.0, abs(p)):
+            return i
+    raise ValueError("z0 is not a sample point")
 
 
 def track_motion(
@@ -412,13 +479,7 @@ def track_motion(
     from a second, independent pullback chain anchored one step downstream;
     it is NaN when no such chain exists.
     """
-    anchor = None
-    for i, p in enumerate(sample.points):
-        if p == z0 or abs(p - z0) <= cfg.eval_tol * max(1.0, abs(p)):
-            anchor = i
-            break
-    if anchor is None:
-        raise ValueError("z0 is not a sample point")
+    anchor = _anchor(sample, z0, cfg)
     lat = make_lattice(sample.kind, lam, cfg)
     h_value, used = _pullback_chain(sample, lat, anchor, n_steps, cfg)
 
@@ -467,18 +528,20 @@ def winding_number(values: list[complex]) -> int:
     return int(round(w))
 
 
-def order_K(sample: HyperbolicSample, rho: float, n_samples: int, cfg: ToleranceConfig) -> int:
-    """Vanishing order of x at lambda0: the winding number of x around the
-    circle |lambda - lambda0| = rho.  x comes from _pullback_batch, with the
-    bits of x_function, and the error of the first sample that fails is the
-    one x_function raises there."""
+def _circle(sample: HyperbolicSample, rho: float, n_samples: int) -> list[complex]:
+    """The n_samples scales on |lambda - lambda0| = rho that order_K winds on."""
     if n_samples < 4:
         raise ValueError("n_samples must be at least 4")
     lams = []
     for i in range(n_samples):
         t = 2.0 * math.pi * i / n_samples
         lams.append(sample.lambda0 + rho * complex(math.cos(t), math.sin(t)))
-    x, errors = _pullback_batch(sample, np.array(lams), DEFAULT_N_STEPS, cfg)
+    return lams
+
+
+def _winding_order(x: np.ndarray, errors: list[Optional[Exception]], cfg: ToleranceConfig) -> int:
+    """order_K from the circle's x values and their errors: the first error,
+    or the winding number of x around 0."""
     for err in errors:
         if err is not None:
             raise err
@@ -486,6 +549,93 @@ def order_K(sample: HyperbolicSample, rho: float, n_samples: int, cfg: Tolerance
     if min(abs(v) for v in vals) <= 10.0 * cfg.eval_tol:
         raise NearZero("|x| on the circle is within noise of zero")
     return winding_number(vals)
+
+
+def order_K(sample: HyperbolicSample, rho: float, n_samples: int, cfg: ToleranceConfig) -> int:
+    """Vanishing order of x at lambda0: the winding number of x around the
+    circle |lambda - lambda0| = rho.  x comes from _pullback_batch, with the
+    bits of x_function, and the error of the first sample that fails is the
+    one x_function raises there."""
+    lams = _circle(sample, rho, n_samples)
+    h, e, errors = _pullback_batch(
+        sample, np.array(lams), [0] * n_samples, [DEFAULT_N_STEPS] * n_samples, cfg
+    )
+    return _winding_order(e - h, errors, cfg)
+
+
+def verify_motion(
+    sample: HyperbolicSample, rho: float, n_steps: int, n_samples: int, cfg: ToleranceConfig
+) -> MotionCheck:
+    """The motion checks of `weierdyn verify`, from one _pullback_batch:
+
+      * identity_residual: |h - points[0]| for h the h_value of
+        track_motion(sample, points[0], lambda0, n_steps, cfg);
+      * frames: track_motion(sample, z, lambda0 + rho, n_steps, cfg) for
+        every sample point z;
+      * order: order_K(sample, rho, n_samples, cfg).
+
+    Each is the value, or the exception the scalar call raises, with the same
+    bits.  The frames' chains run once per anchor: the conjugacy chain of the
+    frame anchored at a is the main chain of the frame anchored at a + 1.
+    The identity's conjugacy chain is not reported, so it does not run.
+    """
+    probe = sample.lambda0 + rho
+    ext = sample.ext_usable
+    anchors = [_anchor(sample, z, cfg) for z in sample.points]
+    chained = sorted(set(anchors) | {a + 1 for a in anchors if a + 2 <= ext})
+    order: int | Exception | None = None
+    try:
+        circle = _circle(sample, rho, n_samples)
+    except ValueError as exc:
+        circle, order = [], exc
+    lams = [sample.lambda0] + [probe] * len(chained) + circle
+    h, e, errors = _pullback_batch(
+        sample,
+        np.array(lams),
+        [0] + chained + [0] * len(circle),
+        [n_steps] * (1 + len(chained)) + [DEFAULT_N_STEPS] * len(circle),
+        cfg,
+    )
+    hv = h.tolist()
+    identity = errors[0] if errors[0] is not None else abs(hv[0] - sample.points[0])
+
+    # chain i + 1 is anchored at chained[i]; the conjugacy residual needs wp
+    # at lambda0 + rho of each main chain's h
+    row = {a: 1 + i for i, a in enumerate(chained)}
+    solved = [i for i in range(1, 1 + len(chained)) if errors[i] is None]
+    wp_of: dict[int, complex] = {}
+    if solved:
+        lam, lam2 = _split_scales(np.full(len(solved), probe))
+        vr, vi, pole, _, _ = _wp_split(
+            h.real[solved], h.imag[solved], lam, lam2, sample.kind,
+            _terms_for_tol(sample.kind, cfg.eval_tol), cfg.pole_eps,
+        )
+        for i, r, im, p in zip(solved, vr.tolist(), vi.tolist(), pole.tolist()):
+            if not p:
+                wp_of[i] = complex(r, im)
+    frames: list[MotionFrame | Exception] = []
+    for z, a in zip(sample.points, anchors):
+        i = row[a]
+        if errors[i] is not None:
+            frames.append(errors[i])
+            continue
+        conj = math.nan
+        if a + 2 <= ext and errors[row[a + 1]] is None and i in wp_of:
+            conj = abs(hv[row[a + 1]] - wp_of[i])
+        frames.append(
+            MotionFrame(
+                z0=complex(z), lam=complex(probe), h_value=hv[i], conj_residual=conj,
+                steps_used=min(n_steps, ext - a),
+            )
+        )
+
+    if order is None:
+        at = 1 + len(chained)
+        try:
+            order = _winding_order(e[at:] - h[at:], errors[at:], cfg)
+        except (ValueError, ArithmeticError, RuntimeError) as exc:
+            order = exc
+    return MotionCheck(identity_residual=identity, frames=tuple(frames), order=order)
 
 
 def fit_expansion(sample: HyperbolicSample, n_range: int) -> ExpansionReport:

@@ -210,3 +210,35 @@ def winding_count(
             return int(round(w))
         n_pts *= 2
     return None
+
+
+def recount(
+    kind: LatticeKind,
+    n: int,
+    j: int,
+    k: int,
+    center: complex,
+    radius: float,
+    cfg: ToleranceConfig,
+) -> Optional[int]:
+    """Roots of the prepole equation g inside the circle, counted where the
+    argument cannot alias: the sampling doubles from 64 points until every
+    argument increment is below pi/8.  None means unresolved: no level up to
+    65,536 points got there, or g is 0 or NaN on the circle.
+
+    Unlike winding_count, a level whose increments are merely below pi/2 is
+    not trusted, so a pair of roots that a coarse level winds around once is
+    counted as two.
+    """
+    n_pts = 64
+    while n_pts <= 65536:
+        t = 2.0 * math.pi * np.arange(n_pts) / n_pts
+        vals = _g_array(kind, n, j, k, center + radius * np.exp(1j * t), cfg)
+        if np.any(np.isnan(vals)) or np.any(vals == 0):
+            return None
+        inc = np.angle(np.roll(vals, -1) / vals)
+        if float(np.max(np.abs(inc))) < math.pi / 8.0:
+            w = float(inc.sum()) / (2.0 * math.pi)
+            return int(round(w)) if abs(w - round(w)) <= 0.25 else None
+        n_pts *= 2
+    return None

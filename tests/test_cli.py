@@ -307,6 +307,59 @@ def test_verify_candidate_passes(capsys):
     assert "distortion max_ratio=" in out
 
 
+# verify's whole stdout at the criterion-4 candidate, recorded from the scalar
+# pullback path: a changed bit in any residual or ratio shows here, where the
+# substring checks above would pass it
+VERIFY_STDOUT = {
+    "16": """resolved config for verify:
+  kind = square
+  lambda0_re = 1.9101297082387314
+  lambda0_im = 0.7624256939043886
+  delta = 0.02
+  m_steps = 16
+  rho = 0.001
+  circle_samples = 64
+  n_range = 8
+  r_distortion = 1e-06
+  n_pairs = 20
+  eval_tol = 1e-12
+  pole_eps = 1e-06
+  newton_tol = 1e-09
+sample M=16 delta=0.02 N_exp=1 min_crit=0.2829191301802507 min_inf=1.04801601007968
+expansion C=0.999999999 a=3.4552512445372425 n_range=8
+identity residual at lambda0 = 0.0
+max conjugacy residual at lambda0+rho = 5.89368419225394e-10
+order K = 1
+distortion max_ratio=0.00011392096443627826 corollary_ratio=0.00012127330869062856 pairs=20
+""",
+    None: """resolved config for verify:
+  kind = square
+  lambda0_re = 1.9101297082387314
+  lambda0_im = 0.7624256939043886
+  delta = 0.02
+  m_steps = 48
+  rho = 0.001
+  circle_samples = 64
+  n_range = 8
+  r_distortion = 1e-06
+  n_pairs = 20
+  eval_tol = 1e-12
+  pole_eps = 1e-06
+  newton_tol = 1e-09
+separation violated at step 28 (crit)
+""",
+}
+
+
+@pytest.mark.parametrize("m_steps, code", [("16", 0), (None, 2)])
+def test_verify_stdout_is_pinned(capsys, m_steps, code):
+    argv = ["verify", "--kind", "square", "--lambda0", CANDIDATE_ARG]
+    if m_steps is not None:
+        argv += ["--m-steps", m_steps]
+    got, out, err = _run(capsys, *argv)
+    assert (got, out, err) == (code, VERIFY_STDOUT[m_steps], "")
+
+
 def test_verify_attracting_reports_no_expansion(capsys):
     code, out, _ = _run(
         capsys, "verify", "--kind", "square", "--lambda0", "1.2+2.04i",

@@ -7,6 +7,7 @@ import pytest
 
 from conftest import ATTRACTING_SQ, CANDIDATE, CANDIDATE_ABS_MULT
 from weierdyn import hyperbolic
+from weierdyn.cli import main
 from weierdyn.hyperbolic import (
     DEFAULT_N_STEPS,
     DegenerateRadius,
@@ -25,7 +26,7 @@ from weierdyn.hyperbolic import (
     winding_number,
     x_function,
 )
-from weierdyn.lattice import LatticeKind, make_lattice, sph_deriv, sph_dist, wp_pair
+from weierdyn.lattice import LatticeKind, ToleranceConfig, make_lattice, sph_deriv, sph_dist, wp_pair
 
 
 def test_build_sample_certificates(candidate_sample):
@@ -296,17 +297,37 @@ def _scalar_outcomes(sample, lams, cfg):
     return out
 
 
+def _x_batch(sample, lams, cfg):
+    """x on the circle lams from one anchor-0 batch, as order_K forms it."""
+    n = len(lams)
+    h, e, errors = hyperbolic._pullback_batch(
+        sample, np.array(lams), [0] * n, [DEFAULT_N_STEPS] * n, cfg
+    )
+    return e - h, errors
+
+
+def _bits(z):
+    return np.array([z], dtype=complex).view(np.int64).tolist()
+
+
+def _same_outcome(got, err, want):
+    """Whether a batch element (value got, error err) is the scalar outcome
+    want: the same exception type, message and step, or no error and the
+    same bits."""
+    if isinstance(want, Exception):
+        return (
+            type(err) is type(want) and str(err) == str(want)
+            and getattr(err, "step", None) == getattr(want, "step", None)
+        )
+    return err is None and _bits(got) == _bits(want)
+
+
 def _assert_batch_is_scalar(sample, lams, cfg):
-    x, errors = hyperbolic._pullback_batch(sample, np.array(lams), DEFAULT_N_STEPS, cfg)
+    x, errors = _x_batch(sample, lams, cfg)
     want = _scalar_outcomes(sample, lams, cfg)
     assert len(errors) == len(want) == x.size
     for got, err, w in zip(x.tolist(), errors, want):
-        if isinstance(w, Exception):
-            assert type(err) is type(w) and str(err) == str(w)
-            assert getattr(err, "step", None) == getattr(w, "step", None)
-        else:
-            assert err is None
-            assert np.array([got]).view(np.int64).tolist() == np.array([w]).view(np.int64).tolist()
+        assert _same_outcome(got, err, w)
     return want
 
 
@@ -426,3 +447,160 @@ def test_x_function_and_track_motion_build_one_lattice(cfg, candidate_sample, mo
     frame = track_motion(candidate_sample, candidate_sample.points[2], lam, 20, cfg)
     assert len(built) == 1
     assert not math.isnan(frame.conj_residual)
+
+
+def _chain_outcome(sample, lam, anchor, n_steps, cfg):
+    """_pullback_chain on make_lattice(lam): its h_value, or the exception."""
+    try:
+        lat = make_lattice(sample.kind, lam, cfg)
+        return hyperbolic._pullback_chain(sample, lat, anchor, n_steps, cfg)[0]
+    except (ValueError, ArithmeticError, RuntimeError) as exc:
+        return exc
+
+
+def _mixed_batch(sample):
+    """Elements of every kind of outcome: (scales, anchors, n_steps)."""
+    lam0 = sample.lambda0
+    scales = [lam0, lam0 + 1e-3, lam0 + 1e-3j, lam0 - 2e-3, 0j, complex(math.nan, 1.0)]
+    rows = []
+    for at, lam in enumerate(scales):
+        for anchor, n in [(0, 48), (0, 12), (3, 5), (8, 12), (10, 12), (20, 12),
+                          (sample.ext_usable - 1, 12), (sample.ext_usable, 12), (at, 1)]:
+            rows.append((lam, anchor, n))
+    return [r[0] for r in rows], [r[1] for r in rows], [r[2] for r in rows]
+
+
+def _assert_mixed_is_scalar(sample, cfg):
+    lams, anchors, steps = _mixed_batch(sample)
+    h, _, errors = hyperbolic._pullback_batch(sample, np.array(lams), anchors, steps, cfg)
+    want = [_chain_outcome(sample, *row, cfg) for row in zip(lams, anchors, steps)]
+    for got, err, w in zip(h.tolist(), errors, want):
+        assert _same_outcome(got, err, w)
+    return anchors, want
+
+
+def test_pullback_batch_mixed_chains_have_the_scalar_bits(cfg, candidate_sample):
+    # refs[20] non-finite: a chain through it loses shadowing at a step fixed
+    # by its anchor, here at 20 - anchor, or at horizon - 1 when refs[20] is
+    # its first target
+    refs = list(candidate_sample.ext_points)
+    refs[20] = complex(math.nan, 0.0)
+    sample = dataclasses.replace(candidate_sample, ext_points=tuple(refs))
+    anchors, want = _assert_mixed_is_scalar(sample, cfg)
+    kinds = [type(w).__name__ for w in want]
+    assert kinds.count("complex") == 16
+    assert {"ZeroParameter", "ValueError", "ShadowLost"} <= set(kinds)
+    # the pinned steps: anchor 10 meets refs[20] at step 10, anchor 8 has it
+    # as the target of step 11
+    at10 = anchors.index(10)
+    at8 = anchors.index(8)
+    assert isinstance(want[at10], ShadowLost) and want[at10].step == 10
+    assert isinstance(want[at8], ShadowLost) and want[at8].step == 11
+    # on the clean orbit, anchor 20 with 12 steps runs ext_usable - 20 = 7
+    _, clean = _assert_mixed_is_scalar(candidate_sample, cfg)
+    assert isinstance(clean[anchors.index(20)], complex)
+    lat = make_lattice(LatticeKind.SQUARE, candidate_sample.lambda0, cfg)
+    _, used = hyperbolic._pullback_chain(candidate_sample, lat, 20, 12, cfg)
+    assert used == candidate_sample.ext_usable - 20 < 12
+
+
+def test_pullback_batch_newton_cap_has_the_scalar_steps(candidate_sample):
+    # at newton_tol 1e-16 some Newton solves never converge: those chains
+    # stop after 40 iterations at steps that differ from chain to chain
+    tight = ToleranceConfig(newton_tol=1e-16)
+    _, want = _assert_mixed_is_scalar(candidate_sample, tight)
+    lost = {w.step for w in want if isinstance(w, ShadowLost)}
+    assert len(lost) >= 4
+    assert sum(isinstance(w, complex) for w in want) >= 8
+
+
+def test_pullback_batch_is_invariant_under_permutation(cfg, candidate_sample):
+    lams, anchors, steps = _mixed_batch(candidate_sample)
+    h, e, errors = hyperbolic._pullback_batch(
+        candidate_sample, np.array(lams), anchors, steps, cfg
+    )
+    perm = np.random.default_rng(20261018).permutation(len(lams)).tolist()
+    hp, ep, errp = hyperbolic._pullback_batch(
+        candidate_sample, np.array([lams[i] for i in perm]), [anchors[i] for i in perm],
+        [steps[i] for i in perm], cfg,
+    )
+    for j, i in enumerate(perm):
+        assert _same_outcome(hp[j], errp[j], h[i] if errors[i] is None else errors[i])
+        assert _bits(ep[j]) == _bits(e[i])
+
+
+def _motion_samples(cfg, candidate_sample):
+    tri = build_sample(LatticeKind.TRIANGULAR, TRI_SAMPLE, 16, 0.02, cfg)
+    return {
+        "square": candidate_sample,
+        "triangular": tri,
+        # the last anchor has no conjugacy chain: a NaN residual
+        "short": dataclasses.replace(candidate_sample, ext_usable=17),
+        # the last anchor has no reference orbit: ValueError
+        "shortest": dataclasses.replace(candidate_sample, ext_usable=16),
+        # shadowing is lost at the first frame's step 0
+        "tight": dataclasses.replace(candidate_sample, delta=0.001),
+    }
+
+
+@pytest.mark.parametrize("which", ["square", "triangular", "short", "shortest", "tight"])
+def test_verify_motion_equals_the_scalar_calls(cfg, candidate_sample, which):
+    sample = _motion_samples(cfg, candidate_sample)[which]
+    rho = 1e-3
+    got = hyperbolic.verify_motion(sample, rho, 12, 64, cfg)
+
+    ident = track_motion(sample, sample.points[0], sample.lambda0, 12, cfg)
+    assert got.identity_residual == abs(ident.h_value - sample.points[0])
+    assert len(got.frames) == len(sample.points)
+    nan_seen = False
+    for z, frame in zip(sample.points, got.frames):
+        try:
+            want = track_motion(sample, z, sample.lambda0 + rho, 12, cfg)
+        except (ValueError, ShadowLost) as exc:
+            assert _same_outcome(None, frame, exc)
+            continue
+        assert frame.z0 == want.z0 and frame.lam == want.lam
+        assert _same_outcome(frame.h_value, None, want.h_value)
+        assert frame.steps_used == want.steps_used
+        if math.isnan(want.conj_residual):
+            nan_seen = True
+            assert math.isnan(frame.conj_residual)
+        else:
+            assert frame.conj_residual == want.conj_residual
+    assert nan_seen == (which in ("short", "shortest"))
+    try:
+        want_K = order_K(sample, rho, 64, cfg)
+    except (ValueError, ArithmeticError, RuntimeError) as exc:
+        assert _same_outcome(None, got.order, exc)
+    else:
+        assert got.order == want_K
+
+
+def test_verify_motion_reports_the_first_failing_frame_and_order_errors(cfg, candidate_sample):
+    tight = dataclasses.replace(candidate_sample, delta=0.001)
+    got = hyperbolic.verify_motion(tight, 1e-3, 12, 64, cfg)
+    assert isinstance(got.conj_residual, ShadowLost) and got.conj_residual.step == 0
+    got = hyperbolic.verify_motion(candidate_sample, 1e-3, 12, 3, cfg)
+    assert isinstance(got.order, ValueError) and str(got.order) == "n_samples must be at least 4"
+    assert got.conj_residual == 5.89368419225394e-10
+    got = hyperbolic.verify_motion(candidate_sample, 0.0, 12, 64, cfg)
+    assert isinstance(got.order, NearZero)
+
+
+def test_verify_runs_one_pullback_batch(capsys, monkeypatch):
+    calls = []
+    real = hyperbolic._pullback_batch
+
+    def spy(*args):
+        calls.append(len(args[1]))
+        return real(*args)
+
+    monkeypatch.setattr(hyperbolic, "_pullback_batch", spy)
+    for name in ("track_motion", "order_K"):
+        monkeypatch.setattr(hyperbolic, name, None)
+    argv = ["verify", "--kind", "square", "--lambda0", "1.9101297082387314+0.7624256939043886i",
+            "--m-steps", "16"]
+    assert main(argv) == 0
+    assert "order K = 1" in capsys.readouterr().out
+    # the identity, 16 distinct frame anchors and the 64 circle chains
+    assert calls == [1 + 16 + 64]

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import CANDIDATE, PREPOLE_SQ, PREPOLE_TRI
-from oracles import _g_array, winding_count
+from oracles import _g_array, recount, winding_count
 from weierdyn import lattice, misiurewicz, rng
 from weierdyn.dynamics import AllCriticalPrepole, EscapedSphericalBall, PoleHit, classify, iterate
 from weierdyn.lattice import (
@@ -677,3 +677,16 @@ def test_prepole_residual_equals_scalar_wp_loop(cfg):
     assert hit.value.step == 1
     with pytest.raises(ZeroParameter):
         prepole_residual(LatticeKind.SQUARE, 0j, 1, 1, 0, cfg)
+
+
+def test_recount_finds_two_roots_in_a_disc_certified_as_one(cfg):
+    # the grid-48 square sweep certifies this (1, -1, -1) disc as holding one
+    # root: its 64-point contour winds once with every increment below pi/2,
+    # while 256 points and more wind twice; the first-clean-level rule of
+    # winding_count shares that aliasing
+    center = 1.1387665584241071 + 0.5664061019804183j
+    radius = 0.06176243100760888
+    assert recount(LatticeKind.SQUARE, 1, -1, -1, center, radius, cfg) == 2
+    assert winding_count(LatticeKind.SQUARE, 1, -1, -1, center, radius, cfg) == 1
+    # an isolated root counts once
+    assert recount(LatticeKind.SQUARE, 1, 1, 0, PREPOLE_SQ, 1e-3, cfg) == 1

@@ -4,6 +4,7 @@ not closeness, for orbits, verdicts and separation reports."""
 import cmath
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -453,3 +454,40 @@ def test_scales_make_lattice_refuses_are_refused_by_the_batches(cfg, kind):
         with pytest.raises(ZeroParameter):
             orbit_array(kind, [1.0 + 0j, lam], [0.3j, 0.3j], 5, cfg)
     assert lattice._scales_ok(np.array(extreme)).tolist() == [False] * 4
+
+
+@pytest.mark.parametrize("kind", list(LatticeKind))
+@pytest.mark.parametrize("lam", [1e-6 + 7e-7j, 1e-8 + 3e-9j, 3e-45 + 2e-45j])
+def test_orbit_array_pole_hit_at_tiny_scales_equals_iterate(kind, lam, cfg):
+    # the critical value lies about e1/lam**3 lattice units out, so the
+    # pole hit's m, n pass 2**63: the batch keeps them as floats and gives
+    # iterate's exact integers, with no cast warning
+    lat = make_lattice(kind, lam, cfg)
+    want = iterate(lat, lat.crit_values[0], 200, cfg).outcome
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = orbit_array(kind, [lam], [lat.crit_values[0]], 200, cfg).outcome(0)
+    assert isinstance(want, PoleHit)
+    assert got == want
+
+
+def test_classify_batch_is_mirror_symmetric_on_the_square_lattice(cfg):
+    # i*Lambda0 = conj(Lambda0) = Lambda0, so lambda -> i*conj(lambda), the
+    # swap of real and imaginary parts, conjugates f_lambda: a grid symmetric
+    # about Re = Im gets mirror-equal verdicts, with conjugate multipliers
+    size = 64
+    x = (0.15 + (np.arange(size) + 0.5) * (2.2 / size)).tolist()
+    lams = [complex(a, b) for a in x for b in x]
+    verdicts = classify_batch(LatticeKind.SQUARE, lams, 200, cfg)
+    kinds = set()
+    for j in range(size):
+        for k in range(size):
+            a, b = verdicts[j * size + k], verdicts[k * size + j]
+            assert type(a) is type(b)
+            kinds.add(type(a))
+            if isinstance(a, AttractingCycles):
+                assert (a.count, a.cycle.period) == (b.count, b.cycle.period)
+                assert abs(a.cycle.multiplier - b.cycle.multiplier.conjugate()) <= 1e-12
+            else:
+                assert a == b
+    assert {AttractingCycles, Indeterminate} <= kinds
