@@ -26,6 +26,7 @@ from .dynamics import (
     classify,
 )
 from .hyperbolic import (
+    DegenerateRadius,
     NearZero,
     InsufficientSampling,
     NoExpansion,
@@ -37,9 +38,8 @@ from .hyperbolic import (
     verify_motion,
 )
 from .lattice import LatticeKind, ToleranceConfig, ZeroParameter, make_lattice
-from .misiurewicz import DiscTouchesU, covering_steps, density_scan, find_prepole_params_batch
+from .misiurewicz import covering_steps, density_scan, find_prepole_params_batch
 from .scan import (
-    IoFailure,
     ScanGrid,
     render_dynamical_plane,
     render_parameter_plane,
@@ -426,6 +426,12 @@ def _cmd_verify(values: dict[str, object]) -> int:
     except ShadowLost as exc:
         print(f"shadowing lost at step {exc.step}")
         return 2
+    except ZeroParameter:
+        raise
+    except ValueError as exc:
+        # the frame anchored at ext_usable has no reference point ahead of it
+        print(f"motion failed: {exc}")
+        return 2
     print(f"max conjugacy residual at lambda0+rho = {worst!r}")
     ok = ok and worst < 10.0 * cfg.newton_tol
 
@@ -445,6 +451,9 @@ def _cmd_verify(values: dict[str, object]) -> int:
         )
     except ShadowLost as exc:
         print(f"shadowing lost at step {exc.step}")
+        return 2
+    except DegenerateRadius as exc:
+        print(f"distortion failed: {exc}")
         return 2
     return 0 if ok else 2
 
@@ -556,16 +565,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         values = _resolve(COMMANDS[ns.command], ns, config)
         _echo_config(ns.command, values)
         return _RUNNERS[ns.command](values)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ZeroParameter, DiscTouchesU, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except IoFailure as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
+        # UsageError, ZeroParameter and DiscTouchesU are ValueErrors,
+        # IoFailure is an OSError
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

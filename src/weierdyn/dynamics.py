@@ -371,36 +371,40 @@ def orbit_array(
     return OrbitBatch(z0, status, step, m, n, size, ring)
 
 
-def _orbit_step(w: complex, p: int, lat: Lattice, cfg: ToleranceConfig) -> tuple[complex, complex]:
-    """f^p(w) and its derivative by the chain rule (flat, not spherical)."""
-    val = w
-    deriv = 1.0 + 0j
+def _walk(
+    w: complex, p: int, lat: Lattice, cfg: ToleranceConfig
+) -> tuple[list[complex], list[complex]]:
+    """The points w, f(w), ..., f^p(w) and the flat multipliers mults[k] of
+    f^k at w, by the chain rule (mults[0] = 1)."""
+    points = [w]
+    mults = [1.0 + 0j]
     for _ in range(p):
-        v, dv = wp_pair(val, lat, cfg)
-        deriv *= dv
-        val = v
-    return val, deriv
+        v, dv = wp_pair(points[-1], lat, cfg)
+        points.append(v)
+        mults.append(mults[-1] * dv)
+    return points, mults
 
 
-def _newton_refine(w: complex, p: int, lat: Lattice, cfg: ToleranceConfig) -> tuple[complex, complex]:
-    """Polish a periodic-point candidate by Newton on f^p(w) - w."""
+def _refine(w: complex, p: int, lat: Lattice, cfg: ToleranceConfig) -> tuple[Cycle, list[complex]]:
+    """Polish a periodic-point candidate by Newton on f^p(w) - w; returns the
+    cycle and its points.  The period is the smallest divisor d of p with
+    |f^d(w) - w| < newton_tol, read off the final walk (d = p qualifies)."""
     for _ in range(50):
         try:
-            val, deriv = _orbit_step(w, p, lat, cfg)
+            points, mults = _walk(w, p, lat, cfg)
         except PoleError:
             raise NewtonDivergence("cycle refinement stepped onto a pole") from None
-        g = val - w
+        g = points[p] - w
         if abs(g) < cfg.newton_tol:
-            return w, deriv
-        dg = deriv - 1.0
+            d = next(
+                d for d in range(1, p + 1) if p % d == 0 and abs(points[d] - w) < cfg.newton_tol
+            )
+            return Cycle(period=d, point=w, multiplier=mults[d]), points[:d]
+        dg = mults[p] - 1.0
         if dg == 0:
             raise NewtonDivergence("singular derivative in cycle refinement")
         w = w - g / dg
     raise NewtonDivergence("cycle refinement did not converge in 50 steps")
-
-
-def _proper_divisors(p: int) -> list[int]:
-    return [d for d in range(1, p) if p % d == 0]
 
 
 def _near_return(trace: OrbitTrace, tol: float, max_period: int) -> Optional[int]:
@@ -436,28 +440,7 @@ def find_cycle(
     p = _near_return(trace, tol, max_period)
     if p is None:
         return None
-    w, mult = _newton_refine(trace.points[-1], p, lat, cfg)
-    for d in _proper_divisors(p):
-        try:
-            val, dmult = _orbit_step(w, d, lat, cfg)
-        except PoleError:
-            continue
-        if abs(val - w) < cfg.newton_tol:
-            return Cycle(period=d, point=w, multiplier=dmult)
-    return Cycle(period=p, point=w, multiplier=mult)
-
-
-def _cycle_point_set(c: Cycle, lat: Lattice, cfg: ToleranceConfig) -> list[complex]:
-    pts = [c.point]
-    w = c.point
-    for _ in range(c.period - 1):
-        w, _ = wp_pair(w, lat, cfg)
-        pts.append(w)
-    return pts
-
-
-def _min_sph_dist(a: list[complex], b: list[complex]) -> float:
-    return min(sph_dist(x, y) for x in a for y in b)
+    return _refine(trace.points[-1], p, lat, cfg)[0]
 
 
 def _verdict(
@@ -483,24 +466,22 @@ def _verdict(
 
     lat: Optional[Lattice] = None
     cycles: list[Cycle] = []
+    distinct: list[list[complex]] = []
+    separation = 10.0 * cfg.newton_tol
     for t in traces:
-        if _near_return(t, CYCLE_DETECTION_TOL, DEFAULT_MAX_PERIOD) is None:
+        p = _near_return(t, CYCLE_DETECTION_TOL, DEFAULT_MAX_PERIOD)
+        if p is None:
             return Indeterminate(iterations_used=budget)
         if lat is None:
             lat = make_lattice(kind, lam, cfg)
         try:
-            c = find_cycle(t, lat, CYCLE_DETECTION_TOL, DEFAULT_MAX_PERIOD, cfg=cfg)
+            c, ps = _refine(t.points[-1], p, lat, cfg)
         except NewtonDivergence:
-            c = None
-        if c is None or abs(c.multiplier) >= 1.0 - ATTRACTING_MARGIN:
+            return Indeterminate(iterations_used=budget)
+        if abs(c.multiplier) >= 1.0 - ATTRACTING_MARGIN:
             return Indeterminate(iterations_used=budget)
         cycles.append(c)
-
-    point_sets = [_cycle_point_set(c, lat, cfg) for c in cycles]
-    separation = 10.0 * cfg.newton_tol
-    distinct: list[list[complex]] = []
-    for ps in point_sets:
-        if all(_min_sph_dist(ps, q) > separation for q in distinct):
+        if all(min(sph_dist(x, y) for x in ps for y in q) > separation for q in distinct):
             distinct.append(ps)
     count = len(distinct)
     if kind is LatticeKind.TRIANGULAR and count not in (1, 3):

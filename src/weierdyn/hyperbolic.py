@@ -49,7 +49,6 @@ from .lattice import (
     _split_scales,
     _terms_for_tol,
     _wp_pair_split,
-    _wp_split,
     crit_sph_dist,
     is_infinite,
     make_lattice,
@@ -234,13 +233,14 @@ def build_sample(
     ext_factors = trace.sph_derivs
 
     points = ext_points[: M + 1]
+    inf_dists, crit_dists = [], []
     for s, p in enumerate(points):
-        if sph_dist_to_inf(p) < delta:
+        inf_dists.append(sph_dist_to_inf(p))
+        if inf_dists[-1] < delta:
             raise SeparationViolated(step=s, kind="infinity")
-        if crit_sph_dist(p, lat) < delta:
+        crit_dists.append(crit_sph_dist(p, lat))
+        if crit_dists[-1] < delta:
             raise SeparationViolated(step=s, kind="crit")
-    min_crit = min(crit_sph_dist(p, lat) for p in points)
-    min_inf = min(sph_dist_to_inf(p) for p in points)
 
     ext_usable = M
     for s in range(M + 1, len(ext_points)):
@@ -270,8 +270,8 @@ def build_sample(
         lambda0=complex(lambda0),
         points=points,
         delta=delta,
-        min_crit_dist=min_crit,
-        min_inf_dist=min_inf,
+        min_crit_dist=min(crit_dists),
+        min_inf_dist=min(inf_dists),
         N_exp=N_exp,
         a_tilde=A_TILDE,
         ext_points=ext_points,
@@ -353,14 +353,15 @@ def _pullback_batch(
     anchors: list[int],
     n_steps: list[int],
     cfg: ToleranceConfig,
-) -> tuple[np.ndarray, np.ndarray, list[Optional[Exception]]]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[Optional[Exception]]]:
     """_pullback_chain(sample, make_lattice(kind, lams[i]), anchors[i],
     n_steps[i], cfg) for every element i at once.
 
-    Returns (h, e, errors): h[i] is the chain's h_value, e[i] the lattice's
-    crit_values[0], and errors[i] the exception make_lattice or the chain
-    raises for element i, or None.  h[i] is meaningless where errors[i] is
-    not None, and e[i] where the lattice is refused.
+    Returns (h, fh, e, errors): h[i] is the chain's h_value, fh[i] is
+    wp(h[i]) on that lattice, from the round that solved h[i], e[i] the
+    lattice's crit_values[0], and errors[i] the exception make_lattice or the
+    chain raises for element i, or None.  h[i] and fh[i] are meaningless
+    where errors[i] is not None, and e[i] where the lattice is refused.
 
     Each element keeps its own pullback step and Newton iteration count, and
     a round evaluates lattice._wp_pair_split once at the current iterate of
@@ -384,6 +385,7 @@ def _pullback_batch(
     e = np.full(lam_c.size, complex(math.nan, math.nan))
     e[good] = _complex(crit[0, 0], crit[0, 1])
     h = np.full(lam_c.size, complex(math.nan, math.nan))
+    fh = h.copy()
 
     # the chains that start, at step k = horizon - 1: Newton for
     # f(w) = refs[anchor + horizon] from w = refs[anchor + k]
@@ -399,7 +401,7 @@ def _pullback_batch(
         steps.append(horizon - 1)
         first.append(anchors[i] + horizon - 1)
     if not live:
-        return h, e, errors
+        return h, fh, e, errors
     # per live chain: its element, step k, reference index anchor + k, Newton
     # iteration count, iterate z, target t and the _divisor rows of lam, lam2
     # and lam3 = lam2 * lam.  The counters are floats and the index moves
@@ -436,11 +438,13 @@ def _pullback_batch(
             for at in np.flatnonzero(fail).tolist():
                 errors[int(elem[at])] = ShadowLost(step=int(k[at]))
             # a solved step moves its chain one step back; after step 0 the
-            # chain is finished and its w is h
+            # chain is finished, its w is h and this round's wp value is
+            # wp(h), as scalar wp has wp_pair's value bits
             k[done] -= 1.0
             ref[done] = back[ref[done]]
             end = done & (k < 0.0)
             h[elem[end]] = _complex(zr[end], zi[end])
+            fh[elem[end]] = _complex(vr[end], vi[end])
             qr, qi = _cdiv(gr, gi, dr, di)
             drop = fail | end
             if drop.any():
@@ -455,7 +459,7 @@ def _pullback_batch(
             zr = np.where(done, ref_r[ref], zr - qr)
             zi = np.where(done, ref_i[ref], zi - qi)
             it[done] = 0.0
-    return h, e, errors
+    return h, fh, e, errors
 
 
 def _anchor(sample: HyperbolicSample, z0: complex, cfg: ToleranceConfig) -> int:
@@ -557,7 +561,7 @@ def order_K(sample: HyperbolicSample, rho: float, n_samples: int, cfg: Tolerance
     bits of x_function, and the error of the first sample that fails is the
     one x_function raises there."""
     lams = _circle(sample, rho, n_samples)
-    h, e, errors = _pullback_batch(
+    h, _, e, errors = _pullback_batch(
         sample, np.array(lams), [0] * n_samples, [DEFAULT_N_STEPS] * n_samples, cfg
     )
     return _winding_order(e - h, errors, cfg)
@@ -589,7 +593,7 @@ def verify_motion(
     except ValueError as exc:
         circle, order = [], exc
     lams = [sample.lambda0] + [probe] * len(chained) + circle
-    h, e, errors = _pullback_batch(
+    h, fh, e, errors = _pullback_batch(
         sample,
         np.array(lams),
         [0] + chained + [0] * len(circle),
@@ -599,20 +603,10 @@ def verify_motion(
     hv = h.tolist()
     identity = errors[0] if errors[0] is not None else abs(hv[0] - sample.points[0])
 
-    # chain i + 1 is anchored at chained[i]; the conjugacy residual needs wp
-    # at lambda0 + rho of each main chain's h
+    # chain i + 1 is anchored at chained[i]; the conjugacy residual compares
+    # the next anchor's h with wp at lambda0 + rho of this one's
     row = {a: 1 + i for i, a in enumerate(chained)}
-    solved = [i for i in range(1, 1 + len(chained)) if errors[i] is None]
-    wp_of: dict[int, complex] = {}
-    if solved:
-        lam, lam2 = _split_scales(np.full(len(solved), probe))
-        vr, vi, pole, _, _ = _wp_split(
-            h.real[solved], h.imag[solved], lam, lam2, sample.kind,
-            _terms_for_tol(sample.kind, cfg.eval_tol), cfg.pole_eps,
-        )
-        for i, r, im, p in zip(solved, vr.tolist(), vi.tolist(), pole.tolist()):
-            if not p:
-                wp_of[i] = complex(r, im)
+    fhv = fh.tolist()
     frames: list[MotionFrame | Exception] = []
     for z, a in zip(sample.points, anchors):
         i = row[a]
@@ -620,8 +614,8 @@ def verify_motion(
             frames.append(errors[i])
             continue
         conj = math.nan
-        if a + 2 <= ext and errors[row[a + 1]] is None and i in wp_of:
-            conj = abs(hv[row[a + 1]] - wp_of[i])
+        if a + 2 <= ext and errors[row[a + 1]] is None:
+            conj = abs(hv[row[a + 1]] - fhv[i])
         frames.append(
             MotionFrame(
                 z0=complex(z), lam=complex(probe), h_value=hv[i], conj_residual=conj,

@@ -378,6 +378,25 @@ def test_verify_degenerate_single_point(capsys):
     assert "degenerate single-point sample" in out
 
 
+@pytest.mark.parametrize("m_steps, code, last", [
+    # distortion_report has too few sample steps for any pair
+    ("1", 2, "distortion failed: no pair kept its orbits close for 3 steps"),
+    ("2", 2, "distortion failed: no pair kept its orbits close for 3 steps"),
+    ("26", 0, "distortion max_ratio=0.00011392096443627826 "
+              "corollary_ratio=0.00012127330869062856 pairs=20"),
+    # M = ext_usable: the last sample point has no reference orbit ahead
+    ("27", 2, "motion failed: no reference orbit beyond the anchor point"),
+    ("30", 2, "separation violated at step 28 (crit)"),
+])
+def test_verify_exit_codes_by_sample_length(capsys, m_steps, code, last):
+    got, out, err = _run(
+        capsys, "verify", "--kind", "square", "--lambda0", CANDIDATE_ARG,
+        "--m-steps", m_steps,
+    )
+    assert (got, err) == (code, "")
+    assert out.splitlines()[-1] == last
+
+
 def test_render_param_writes_both_files(tmp_path, capsys):
     ppm = tmp_path / "p.ppm"
     csv = tmp_path / "p.csv"

@@ -12,14 +12,19 @@ from conftest import (
     TRI_ONE,
     TRI_THREE,
 )
+from weierdyn import dynamics
 from weierdyn.dynamics import (
+    CYCLE_DETECTION_TOL,
     DEFAULT_BUDGET,
+    DEFAULT_MAX_PERIOD,
     AllCriticalPrepole,
     AttractingCycles,
     BudgetExhausted,
+    Cycle,
     Indeterminate,
     PoleHit,
     classify,
+    classify_batch,
     find_cycle,
     iterate,
 )
@@ -195,3 +200,61 @@ def test_verdict_survives_budget_doubling(cfg):
         assert again is not None
         assert again.period == v.cycle.period
         assert abs(again.multiplier - v.cycle.multiplier) < 1e-8
+
+
+# verdicts at budget 300 where Newton refines a near-return of period p and
+# the cycle closes up at a proper divisor of p, recorded before the period
+# came from the prefixes of the final Newton walk: (kind, lambda, p, verdict)
+PERIOD_REDUCTIONS = [
+    (
+        LatticeKind.TRIANGULAR, 0.39152542372881355 + 2.4033898305084747j, 6,
+        AttractingCycles(count=1, cycle=Cycle(
+            period=3, point=-1.002952905008075 - 0.35711015307779j,
+            multiplier=-0.8379638660166651 - 0.29454029627324996j,
+        )),
+    ),
+    (
+        LatticeKind.SQUARE, 2.6338983050847458 + 0.01694915254237289j, 2,
+        AttractingCycles(count=1, cycle=Cycle(
+            period=1, point=1.0937142183129558 - 0.003684832659584773j,
+            multiplier=-0.9694804256081626 - 0.03721113774716862j,
+        )),
+    ),
+    (
+        LatticeKind.SQUARE, 2.9084745762711863 - 0.037288135593220334j, 4,
+        AttractingCycles(count=1, cycle=Cycle(
+            period=2, point=0.8257806686906853 + 0.014623237888642681j,
+            multiplier=-0.908577788123505 + 0.24062179852755208j,
+        )),
+    ),
+]
+
+
+@pytest.mark.parametrize("kind, lam, p, want", PERIOD_REDUCTIONS)
+def test_period_reduction_verdicts_are_pinned(cfg, kind, lam, p, want):
+    trace = _crit_orbit_trace(kind, lam, 0, 300, cfg)
+    assert dynamics._near_return(trace, CYCLE_DETECTION_TOL, DEFAULT_MAX_PERIOD) == p
+    lat = make_lattice(kind, lam, cfg)
+    assert find_cycle(trace, lat, CYCLE_DETECTION_TOL, DEFAULT_MAX_PERIOD, cfg) == want.cycle
+    assert repr(classify(kind, lam, 300, cfg)) == repr(want)
+    assert repr(classify_batch(kind, [lam], 300, cfg)[0]) == repr(want)
+
+
+@pytest.mark.parametrize("kind, lam, p, want", PERIOD_REDUCTIONS)
+def test_refine_returns_the_cycle_points_of_its_walk(cfg, kind, lam, p, want):
+    # the points are the orbit of the cycle point over one period, which
+    # closes up, and the multiplier is the chain-rule product along them
+    lat = make_lattice(kind, lam, cfg)
+    trace = _crit_orbit_trace(kind, lam, 0, 300, cfg)
+    cycle, points = dynamics._refine(trace.points[-1], p, lat, cfg)
+    assert cycle == want.cycle
+    assert len(points) == cycle.period and points[0] == cycle.point
+    images = []
+    mult = 1.0 + 0j
+    for z in points:
+        val, deriv = wp_pair(z, lat, cfg)
+        images.append(val)
+        mult *= deriv
+    assert images[:-1] == points[1:]
+    assert abs(images[-1] - cycle.point) < cfg.newton_tol
+    assert mult == cycle.multiplier

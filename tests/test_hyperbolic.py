@@ -1,12 +1,13 @@
 import cmath
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
 
 from conftest import ATTRACTING_SQ, CANDIDATE, CANDIDATE_ABS_MULT
-from weierdyn import hyperbolic
+from weierdyn import hyperbolic, lattice
 from weierdyn.cli import main
 from weierdyn.hyperbolic import (
     DEFAULT_N_STEPS,
@@ -26,7 +27,15 @@ from weierdyn.hyperbolic import (
     winding_number,
     x_function,
 )
-from weierdyn.lattice import LatticeKind, ToleranceConfig, make_lattice, sph_deriv, sph_dist, wp_pair
+from weierdyn.lattice import (
+    LatticeKind,
+    ToleranceConfig,
+    make_lattice,
+    sph_deriv,
+    sph_dist,
+    wp,
+    wp_pair,
+)
 
 
 def test_build_sample_certificates(candidate_sample):
@@ -300,7 +309,7 @@ def _scalar_outcomes(sample, lams, cfg):
 def _x_batch(sample, lams, cfg):
     """x on the circle lams from one anchor-0 batch, as order_K forms it."""
     n = len(lams)
-    h, e, errors = hyperbolic._pullback_batch(
+    h, _, e, errors = hyperbolic._pullback_batch(
         sample, np.array(lams), [0] * n, [DEFAULT_N_STEPS] * n, cfg
     )
     return e - h, errors
@@ -472,11 +481,25 @@ def _mixed_batch(sample):
 
 def _assert_mixed_is_scalar(sample, cfg):
     lams, anchors, steps = _mixed_batch(sample)
-    h, _, errors = hyperbolic._pullback_batch(sample, np.array(lams), anchors, steps, cfg)
+    h, _, _, errors = hyperbolic._pullback_batch(sample, np.array(lams), anchors, steps, cfg)
     want = [_chain_outcome(sample, *row, cfg) for row in zip(lams, anchors, steps)]
     for got, err, w in zip(h.tolist(), errors, want):
         assert _same_outcome(got, err, w)
     return anchors, want
+
+
+def test_pullback_batch_gives_wp_of_each_h(cfg, candidate_sample):
+    # fh[i] is scalar wp of h[i] on the chain's lattice, the value
+    # track_motion computes for its conjugacy residual
+    lams, anchors, steps = _mixed_batch(candidate_sample)
+    h, fh, _, errors = hyperbolic._pullback_batch(
+        candidate_sample, np.array(lams), anchors, steps, cfg
+    )
+    solved = [i for i, err in enumerate(errors) if err is None]
+    assert len(solved) >= 16
+    for i in solved:
+        lat = make_lattice(LatticeKind.SQUARE, lams[i], cfg)
+        assert _bits(fh[i]) == _bits(wp(h[i], lat, cfg))
 
 
 def test_pullback_batch_mixed_chains_have_the_scalar_bits(cfg, candidate_sample):
@@ -516,11 +539,11 @@ def test_pullback_batch_newton_cap_has_the_scalar_steps(candidate_sample):
 
 def test_pullback_batch_is_invariant_under_permutation(cfg, candidate_sample):
     lams, anchors, steps = _mixed_batch(candidate_sample)
-    h, e, errors = hyperbolic._pullback_batch(
+    h, _, e, errors = hyperbolic._pullback_batch(
         candidate_sample, np.array(lams), anchors, steps, cfg
     )
     perm = np.random.default_rng(20261018).permutation(len(lams)).tolist()
-    hp, ep, errp = hyperbolic._pullback_batch(
+    hp, _, ep, errp = hyperbolic._pullback_batch(
         candidate_sample, np.array([lams[i] for i in perm]), [anchors[i] for i in perm],
         [steps[i] for i in perm], cfg,
     )
@@ -604,3 +627,22 @@ def test_verify_runs_one_pullback_batch(capsys, monkeypatch):
     assert "order K = 1" in capsys.readouterr().out
     # the identity, 16 distinct frame anchors and the 64 circle chains
     assert calls == [1 + 16 + 64]
+
+
+def test_verify_makes_no_wp_split_call_from_hyperbolic(capsys, monkeypatch):
+    # wp at each frame's h comes from the _pullback_batch round that solved
+    # h, so hyperbolic evaluates no wp of its own
+    callers = []
+    real = lattice._wp_split
+
+    def spy(*args):
+        callers.append(sys._getframe(1).f_globals["__name__"])
+        return real(*args)
+
+    for module in (lattice, hyperbolic):
+        monkeypatch.setattr(module, "_wp_split", spy, raising=False)
+    argv = ["verify", "--kind", "square", "--lambda0", "1.9101297082387314+0.7624256939043886i",
+            "--m-steps", "16"]
+    assert main(argv) == 0
+    assert "order K = 1" in capsys.readouterr().out
+    assert callers and "weierdyn.hyperbolic" not in callers

@@ -366,6 +366,54 @@ def test_wp_pair_split_has_the_bits_of_wp_pair(cfg, kind):
     assert _bits(di[keep]) == _bits([d.imag for (_, d), p in zip(want, want_pole) if not p])
 
 
+@pytest.mark.parametrize("kind", [LatticeKind.SQUARE, LatticeKind.TRIANGULAR])
+def test_wp_has_the_value_bits_of_wp_pair(cfg, kind):
+    # a caller holding wp_pair's value may use it as wp's: scalar wp and
+    # wp_pair(...)[0] agree bit for bit, and so do the values and pole flags
+    # of _wp_split and _wp_pair_split, at random points and around lattice
+    # points (inside and just outside pole_eps)
+    gen = np.random.default_rng(97)
+    tau = lattice._kind_data(kind).tau
+    lams, zs = [], []
+    for _ in range(2000):
+        lams.append(complex(gen.uniform(0.3, 3.0), gen.uniform(-3.0, 3.0)))
+        zs.append(complex(gen.uniform(-6.0, 6.0), gen.uniform(-6.0, 6.0)))
+    for _ in range(50):
+        lam = complex(gen.uniform(0.3, 3.0), gen.uniform(-3.0, 3.0))
+        m, n = gen.integers(-3, 4, 2).tolist()
+        for r in (0.0, 0.999, 1.001, 2.0):
+            turn = cmath.exp(1j * gen.uniform(-math.pi, math.pi))
+            lams.append(lam)
+            zs.append((m + n * tau + r * cfg.pole_eps * turn) * lam)
+    poles = 0
+    for value, point in zip(lams, zs):
+        lat = make_lattice(kind, value, cfg)
+        try:
+            got = wp(point, lat, cfg)
+        except PoleHit:
+            with pytest.raises(PoleHit):
+                wp_pair(point, lat, cfg)
+            poles += 1
+            continue
+        want = wp_pair(point, lat, cfg)[0]
+        assert _bits([got.real, got.imag]) == _bits([want.real, want.imag])
+    assert 50 <= poles < 150
+
+    lam, lam2 = lattice._split_scales(np.array(lams))
+    z = np.array(zs)
+    n_terms = lattice._terms_for_tol(kind, cfg.eval_tol)
+    vr, vi, pole, _, _ = lattice._wp_split(
+        z.real.copy(), z.imag.copy(), lam, lam2, kind, n_terms, cfg.pole_eps
+    )
+    pr, pi, _, _, pair_pole = lattice._wp_pair_split(
+        z.real.copy(), z.imag.copy(), lattice._divisor(*lam), lattice._divisor(*lam2),
+        lattice._divisor(*lattice._cmul(*lam2, *lam)), kind, n_terms, cfg.pole_eps,
+    )
+    assert pole.tolist() == pair_pole.tolist() and pole.sum() == poles
+    assert _bits(vr[~pole]) == _bits(pr[~pole])
+    assert _bits(vi[~pole]) == _bits(pi[~pole])
+
+
 def test_cdiv_has_the_bits_of_complex_division():
     # Smith's two branches, the tie |b.real| == |b.imag| (first branch),
     # signed zeros, subnormals and 40 decades of magnitude; the prepared
