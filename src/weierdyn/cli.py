@@ -37,7 +37,7 @@ from .hyperbolic import (
     fit_expansion,
     verify_motion,
 )
-from .lattice import LatticeKind, ToleranceConfig, ZeroParameter, make_lattice
+from .lattice import LatticeKind, PoleHit, ToleranceConfig, ZeroParameter, make_lattice
 from .misiurewicz import covering_steps, density_scan, find_prepole_params_batch
 from .scan import (
     ScanGrid,
@@ -327,10 +327,6 @@ def _format_complex(z: complex) -> str:
     return f"{z.real!r}{sign}{abs(z.imag)!r}i"
 
 
-def _write_text(path: str, text: str) -> None:
-    write_atomic(path, text.encode("utf-8"))
-
-
 def _cmd_classify(values: dict[str, object]) -> int:
     cfg = _tolerances(values)
     verdict = classify(values["kind"], values["lambda"], values["budget"], cfg)
@@ -375,7 +371,7 @@ def _cmd_find_prepoles(values: dict[str, object]) -> int:
                     f"{root.isolation_radius!r}"
                 )
                 count += 1
-    _write_text(values["csv-out"], "\n".join(lines) + "\n")
+    write_atomic(values["csv-out"], ("\n".join(lines) + "\n").encode("utf-8"))
     print(f"found {count} roots; wrote {values['csv-out']}")
     return 0
 
@@ -478,7 +474,7 @@ def _cmd_render_param(values: dict[str, object]) -> int:
         values["kind"], _scan_grid(values), values["budget"], cfg, _thread_count(values)
     )
     write_ppm(image, values["out"])
-    _write_text(values["csv-out"], csv_text)
+    write_atomic(values["csv-out"], csv_text.encode("utf-8"))
     print(f"wrote {values['out']} and {values['csv-out']}")
     return 0
 
@@ -518,7 +514,7 @@ def _cmd_density(values: dict[str, object]) -> int:
             f"fail_fraction={row.fail_fraction!r} seed={row.seed}"
         )
     if values["out"] is not None:
-        _write_text(values["out"], "\n".join(lines) + "\n")
+        write_atomic(values["out"], ("\n".join(lines) + "\n").encode("utf-8"))
         print(f"wrote {values['out']}")
     return 0
 
@@ -565,9 +561,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         values = _resolve(COMMANDS[ns.command], ns, config)
         _echo_config(ns.command, values)
         return _RUNNERS[ns.command](values)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, PoleHit) as exc:
         # UsageError, ZeroParameter and DiscTouchesU are ValueErrors,
-        # IoFailure is an OSError
+        # IoFailure is an OSError; PoleHit is make_lattice refusing a
+        # pole_eps that reaches the half-periods
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

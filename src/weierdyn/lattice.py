@@ -90,6 +90,10 @@ class PoleHit(ArithmeticError):
         self.m = m
         self.n = n
 
+    def __reduce__(self):
+        # rebuilt from (m, n), so it crosses a process pool intact
+        return type(self), (self.m, self.n)
+
 
 @dataclass(frozen=True)
 class ToleranceConfig:
@@ -712,12 +716,6 @@ def sph_dist_to_inf(z: complex) -> float:
         return 0.0
     h = abs(z)
     return 2.0 / math.sqrt(1.0 + h * h)
-
-
-def pole_euclid_dist(z: complex, lat: Lattice) -> float:
-    """Euclidean distance from z to the nearest lattice point."""
-    u0, _, _ = _recenter(complex(z) / lat.lam, _kind_data(lat.kind))
-    return abs(u0) * abs(lat.lam)
 
 
 def crit_sph_dist(z: complex, lat: Lattice) -> float:

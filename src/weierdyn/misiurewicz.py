@@ -41,23 +41,23 @@ from .lattice import (
     Lattice,
     LatticeKind,
     ToleranceConfig,
+    _cdiv_by,
     _check_scale,
+    _cmul,
     _complex,
     _crit_sph_dist_split,
     _crit_values_split,
+    _divisor,
     _half_periods_split,
     _kind_data,
+    _nearest_translate,
     _scales_ok,
     _sph_dist_to_inf_split,
     _split_scales,
-    crit_sph_dist,
+    _wp_pair_split,
     make_lattice,
-    pole_euclid_dist,
-    sph_dist_to_inf,
     wp_array,
-    wp_pair,
 )
-from .lattice import PoleHit as PoleError
 
 __all__ = [
     "PrepoleRoot",
@@ -754,11 +754,12 @@ def covering_steps(
     covers the delta-neighborhood of the singular set, or None.
 
     The disc is discretized into grid cells carried forward as balls whose
-    radii are dilated by the flat derivative along the center orbit.  A cell
-    ball that swallows a pole is promoted to a neighborhood of infinity, and
-    a neighborhood of infinity contains complete fundamental cells, whose
-    image is the whole sphere.  Coverage is tested against a discretization
-    of U_delta in one fundamental cell (critical-point balls), the chordal
+    radii are dilated by the flat derivative along the center orbit, all of
+    them in one split-array pass per step.  A cell ball that swallows a pole
+    is promoted to a neighborhood of infinity, and a neighborhood of
+    infinity contains complete fundamental cells, whose image is the whole
+    sphere one step later.  Coverage is tested against a discretization of
+    U_delta in one fundamental cell (critical-point balls), the chordal
     circle bounding the ball at infinity, and infinity itself.
     """
     if cfg is None:
@@ -768,98 +769,83 @@ def covering_steps(
     if d <= 0:
         raise ValueError("disc radius must be positive")
 
-    # cell balls tiling the disc
+    kind, kd = lat.kind, _kind_data(lat.kind)
+
+    def crit_dist(zr, zi):
+        lam = np.broadcast_to([[lat.lam.real], [lat.lam.imag]], (2, zr.size))
+        half = np.broadcast_to([[[c.real], [c.imag]] for c in lat.half_periods], (3, 2, zr.size))
+        return _crit_sph_dist_split(kind, zr, zi, lam, half)
+
+    # cell balls tiling the disc, row by row, as split centres and radii
     h = 2.0 * d / grid
-    rho0 = h * math.sqrt(0.5)
-    centers = []
-    for iy in range(grid):
-        for ix in range(grid):
-            w = center + complex(
-                -d + (ix + 0.5) * h,
-                -d + (iy + 0.5) * h,
-            )
-            if abs(w - center) <= d:
-                centers.append(w)
+    offsets = -d + (np.arange(grid) + 0.5) * h
+    center = complex(center)
+    wr = np.tile(center.real + offsets, grid)
+    wi = np.repeat(center.imag + offsets, grid)
+    inside = np.hypot(wr - center.real, wi - center.imag) <= d
+    wr, wi = wr[inside], wi[inside]
+    rho = np.full(wr.size, h * math.sqrt(0.5))
 
     # precondition: the disc avoids U_delta (tested on the discretization)
-    for w in centers:
-        if sph_dist_to_inf(w) < delta or crit_sph_dist(w, lat) < delta:
-            raise DiscTouchesU("disc discretization meets the delta-neighborhood")
+    if np.any((_sph_dist_to_inf_split(wr, wi) < delta) | (crit_dist(wr, wi) < delta)):
+        raise DiscTouchesU("disc discretization meets the delta-neighborhood")
 
     # targets: critical-point balls inside one fundamental cell, the chordal
     # boundary circle of the ball at infinity, and infinity itself
-    targets: list[complex] = []
+    target_arr = None
     if delta > 0:
-        for iy in range(grid):
-            for ix in range(grid):
-                z = (ix / grid) * lat.gen1 + (iy / grid) * lat.gen2
-                if crit_sph_dist(z, lat) <= delta:
-                    targets.append(z)
-        targets.extend(lat.half_periods)
-        if delta < 2.0:
-            ring_r = math.sqrt(max(4.0 / (delta * delta) - 1.0, 0.0))
-            for i in range(64):
-                t = 2.0 * math.pi * i / 64.0
-                targets.append(ring_r * complex(math.cos(t), math.sin(t)))
-    target_arr = np.array(targets, dtype=complex) if targets else None
+        x = np.arange(grid) / grid
+        ar, ai = _cmul(x, 0.0, lat.gen1.real, lat.gen1.imag)
+        br, bi = _cmul(x, 0.0, lat.gen2.real, lat.gen2.imag)
+        zr = (ar + br[:, None]).ravel()
+        zi = (ai + bi[:, None]).ravel()
+        near = crit_dist(zr, zi) <= delta
+        ring_r = math.sqrt(max(4.0 / (delta * delta) - 1.0, 0.0))
+        angles = [2.0 * math.pi * i / 64.0 for i in range(64)] if delta < 2.0 else []
+        ring = [ring_r * complex(math.cos(t), math.sin(t)) for t in angles]
+        target_arr = np.concatenate([_complex(zr[near], zi[near]), lat.half_periods, ring])
+        t_inf = 2.0 / np.sqrt(1.0 + np.abs(target_arr) ** 2)
 
     bound_part = 10.0 * max(abs(v) for v in lat.crit_values) + 1.0
     esc = escape_scale(lat.lam, cfg.pole_eps)
+    lam2 = lat.lam * lat.lam
+    divisors = [_divisor(z.real, z.imag) for z in (lat.lam, lam2, lam2 * lat.lam)]
 
-    # states: 0 = ball (w, rho), 1 = neighborhood of infinity (r_ch), 2 = all,
-    # 3 = lost (dropped from the union)
-    state = [(0, w, rho0) for w in centers]
-
+    # the live balls, and whether one of them reached infinity last step: a
+    # neighborhood of infinity contains complete fundamental cells, whose
+    # image is the whole sphere
+    reached = False
     for m in range(1, maxN + 1):
-        new_state = []
-        for st in state:
-            tag = st[0]
-            if tag == 2 or tag == 3:
-                new_state.append(st)
-                continue
-            if tag == 1:
-                new_state.append((2,))
-                continue
-            _, w, rho = st
-            pd = pole_euclid_dist(w, lat)
-            if pd < rho:
-                s = max(rho - pd, cfg.pole_eps)
-                big = 1.0 / (s * s) + bound_part
-                r_ch = 2.0 / math.sqrt(1.0 + big * big)
-                new_state.append((1, r_ch))
-                continue
-            if abs(w) > esc:
-                new_state.append((3,))
-                continue
-            try:
-                val, dval = wp_pair(w, lat, cfg)
-            except PoleError:
-                s = max(rho, cfg.pole_eps)
-                big = 1.0 / (s * s) + bound_part
-                r_ch = 2.0 / math.sqrt(1.0 + big * big)
-                new_state.append((1, r_ch))
-                continue
-            new_state.append((0, val, rho * abs(dval)))
-        state = new_state
-
-        has_all = any(st[0] == 2 for st in state)
-        inf_radius = max((st[1] for st in state if st[0] == 1), default=0.0)
-        inf_covered = has_all or inf_radius > 0.0
-        if not inf_covered:
+        if reached:
+            return m
+        with np.errstate(invalid="ignore", over="ignore"):
+            u0r, u0i, _, _ = _nearest_translate(*_cdiv_by(wr, wi, divisors[0]), kd)
+        pd = np.hypot(u0r, u0i) * abs(lat.lam)
+        # a ball that swallows a pole keeps clearance rho - pd from it; one
+        # that escapes is dropped; one whose centre hits a pole keeps rho
+        swallow = pd < rho
+        step = ~swallow & ~(np.hypot(wr, wi) > esc)
+        vr, vi, dvr, dvi, pole = _wp_pair_split(
+            wr[step], wi[step], *divisors, kind, lat.n_terms, cfg.pole_eps
+        )
+        s = np.concatenate([rho[swallow] - pd[swallow], rho[step][pole]])
+        rho = rho[step][~pole] * np.hypot(dvr[~pole], dvi[~pole])
+        wr, wi = vr[~pole], vi[~pole]
+        if not s.size:
             continue
-        if has_all or target_arr is None:
-            fin_covered = True
-        else:
-            ws = np.array([st[1] for st in state if st[0] == 0], dtype=complex)
-            rhos = np.array([st[2] for st in state if st[0] == 0], dtype=float)
-            covered = np.zeros(len(target_arr), dtype=bool)
-            if inf_radius > 0.0:
-                t_inf = 2.0 / np.sqrt(1.0 + np.abs(target_arr) ** 2)
-                covered |= t_inf < inf_radius
-            if len(ws):
-                dist = np.abs(target_arr[:, None] - ws[None, :])
-                covered |= np.any(dist <= rhos[None, :], axis=1)
-            fin_covered = bool(np.all(covered))
-        if fin_covered:
+        reached = True
+        s = np.maximum(s, cfg.pole_eps)
+        with np.errstate(divide="ignore", over="ignore"):
+            big = 1.0 / (s * s) + bound_part
+            inf_radius = (2.0 / np.sqrt(1.0 + big * big)).max()
+        if not inf_radius > 0.0:
+            continue
+        if target_arr is None:
+            return m
+        covered = t_inf < inf_radius
+        if wr.size:
+            dist = np.abs(target_arr[:, None] - _complex(wr, wi)[None, :])
+            covered |= np.any(dist <= rho[None, :], axis=1)
+        if covered.all():
             return m
     return None

@@ -114,39 +114,35 @@ def _attracting_color(kind: LatticeKind, period: int, count: int) -> tuple[int, 
 
 def _param_rows(
     kind: LatticeKind, grid: ScanGrid, budget: int, cfg: ToleranceConfig, rows: range
-) -> list[tuple[int, list[tuple[int, int, int]], list[str]]]:
-    lams = [grid.pixel_to_plane(px, py) for py in rows for px in range(grid.width_px)]
-    classified = zip(lams, classify_batch(kind, lams, budget, cfg))
+) -> list[tuple[tuple[int, int, int], str]]:
+    """(color, CSV line) of each pixel of the rows, in row-major order."""
+    coords = [(px, py) for py in rows for px in range(grid.width_px)]
+    lams = [grid.pixel_to_plane(px, py) for px, py in coords]
     out = []
-    for py in rows:
-        pixels: list[tuple[int, int, int]] = []
-        lines: list[str] = []
-        for px in range(grid.width_px):
-            lam, verdict = next(classified)
-            count, period = 0, 0
-            mult = 0j
-            if verdict is None:
-                tag = "excluded"
-                color = RESERVED_COLOR
-            elif isinstance(verdict, AttractingCycles):
-                tag = "attracting"
-                count = verdict.count
-                period = verdict.cycle.period
-                mult = verdict.cycle.multiplier
-                color = _attracting_color(kind, period, count)
-            elif isinstance(verdict, AllCriticalPrepole):
-                tag = "prepole"
-                count = 3 if kind is LatticeKind.TRIANGULAR else 1
-                color = PREPOLE_COLOR
-            else:
-                tag = "indeterminate"
-                color = INDETERMINATE_COLOR
-            pixels.append(color)
-            lines.append(
-                f"{px},{py},{lam.real!r},{lam.imag!r},{tag},{count},{period},"
-                f"{mult.real!r},{mult.imag!r},{abs(mult)!r}"
-            )
-        out.append((py, pixels, lines))
+    for (px, py), lam, verdict in zip(coords, lams, classify_batch(kind, lams, budget, cfg)):
+        count, period = 0, 0
+        mult = 0j
+        if verdict is None:
+            tag = "excluded"
+            color = RESERVED_COLOR
+        elif isinstance(verdict, AttractingCycles):
+            tag = "attracting"
+            count = verdict.count
+            period = verdict.cycle.period
+            mult = verdict.cycle.multiplier
+            color = _attracting_color(kind, period, count)
+        elif isinstance(verdict, AllCriticalPrepole):
+            tag = "prepole"
+            count = 3 if kind is LatticeKind.TRIANGULAR else 1
+            color = PREPOLE_COLOR
+        else:
+            tag = "indeterminate"
+            color = INDETERMINATE_COLOR
+        out.append((
+            color,
+            f"{px},{py},{lam.real!r},{lam.imag!r},{tag},{count},{period},"
+            f"{mult.real!r},{mult.imag!r},{abs(mult)!r}",
+        ))
     return out
 
 
@@ -157,22 +153,23 @@ def _dyn_rows(
     budget: int,
     cfg: ToleranceConfig,
     rows: range,
-) -> list[tuple[int, list[tuple[int, int, int]]]]:
-    width = grid.width_px
-    starts = [grid.pixel_to_plane(px, py) for py in rows for px in range(width)]
+) -> list[tuple[int, int, int]]:
+    """The color of each pixel of the rows, in row-major order."""
+    starts = [grid.pixel_to_plane(px, py) for py in rows for px in range(grid.width_px)]
     batch = orbit_array(kind, [lam] * len(starts), starts, budget, cfg, escape=False)
     colors = []
     for i in range(len(batch)):
         outcome = batch.outcome(i)
         hit = isinstance(outcome, PoleHit)
         colors.append(HIT_PALETTE[outcome.step % len(HIT_PALETTE)] if hit else EXHAUSTED_COLOR)
-    return [(py, colors[i * width:(i + 1) * width]) for i, py in enumerate(rows)]
+    return colors
 
 
 def _run_blocks(fn, args: tuple, grid: ScanGrid, threads: int) -> list:
     """Evaluate fn(*args, rows) over blocks of whole rows, serially or in a
-    process pool.  fn returns one tuple per row, led by its row index, and
-    the rows are placed by that index so worker count cannot reorder them."""
+    process pool, and concatenate the blocks' lists.  Executor.map yields
+    results in input order, as the serial loop does, so worker count cannot
+    reorder them."""
     height = grid.height_px
     per_block = max(1, min(BLOCK_SIZE // grid.width_px, math.ceil(height / max(threads, 1))))
     blocks = [range(y, min(y + per_block, height)) for y in range(0, height, per_block)]
@@ -181,11 +178,7 @@ def _run_blocks(fn, args: tuple, grid: ScanGrid, threads: int) -> list:
     else:
         with ProcessPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(fn, *[[a] * len(blocks) for a in args], blocks))
-    out: list = [None] * height
-    for block in results:
-        for row in block:
-            out[row[0]] = row
-    return out
+    return [item for block in results for item in block]
 
 
 def render_parameter_plane(
@@ -201,13 +194,10 @@ def render_parameter_plane(
     data (count, period, multiplier) and is the color-free record of the
     scan.
     """
-    results = _run_blocks(_param_rows, (kind, grid, budget, cfg), grid, threads)
-    pixels: list[tuple[int, int, int]] = []
-    lines = [CSV_HEADER]
-    for py, row_pixels, row_lines in results:
-        pixels.extend(row_pixels)
-        lines.extend(row_lines)
-    image = Image(width=grid.width_px, height=grid.height_px, pixels=tuple(pixels))
+    records = _run_blocks(_param_rows, (kind, grid, budget, cfg), grid, threads)
+    pixels = tuple(color for color, _ in records)
+    lines = [CSV_HEADER] + [line for _, line in records]
+    image = Image(width=grid.width_px, height=grid.height_px, pixels=pixels)
     return image, "\n".join(lines) + "\n"
 
 
@@ -223,10 +213,7 @@ def render_dynamical_plane(
     pole, cycling a fixed palette; budget exhaustion paints black."""
     if lam == 0:
         raise ZeroParameter("lambda must be nonzero")
-    results = _run_blocks(_dyn_rows, (kind, lam, grid, budget, cfg), grid, threads)
-    pixels: list[tuple[int, int, int]] = []
-    for py, row_pixels in results:
-        pixels.extend(row_pixels)
+    pixels = _run_blocks(_dyn_rows, (kind, lam, grid, budget, cfg), grid, threads)
     return Image(width=grid.width_px, height=grid.height_px, pixels=tuple(pixels))
 
 

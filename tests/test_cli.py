@@ -487,3 +487,35 @@ def test_unknown_command_exit_one(capsys):
     code, _, err = _run(capsys, "frobnicate")
     assert code == 1
     assert "error:" in err
+
+
+_RENDER_AT_POLE_EPS = (
+    "render-param", "--kind", "square", "--origin", "1.0+1.0i", "--extent", "0.5+0.5i",
+    "--width-px", "2", "--height-px", "2", "--budget", "10", "--out", "o.ppm", "--csv-out", "o.csv",
+)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("classify", "--kind", "square", "--lambda", "1.5+0.5i"),
+        ("verify", "--kind", "square", "--lambda0", CANDIDATE_ARG),
+        (*_RENDER_AT_POLE_EPS, "--threads", "1"),
+        (*_RENDER_AT_POLE_EPS, "--threads", "2"),
+        ("density", "--kind", "square", "--lambda0", CANDIDATE_ARG, "--radii", "1e-3",
+         "--samples", "4", "--seed", "1"),
+        ("covering", "--kind", "square", "--lambda", "2.0", "--center", "0.0+0.0i", "--d", "0.6",
+         "--delta", "0.05"),
+        ("find-prepoles", "--kind", "square", "--n-max", "0", "--re-min", "0.5", "--re-max", "1",
+         "--im-min", "0.5", "--im-max", "1", "--grid", "8", "--csv-out", "r.csv"),
+    ],
+    ids=["classify", "verify", "render-param", "render-param-2-workers", "density", "covering",
+         "find-prepoles"],
+)
+def test_pole_eps_past_half_exits_one_without_traceback(tmp_path, monkeypatch, capsys, argv):
+    # at pole_eps 0.6 every half-period is within pole_eps of a lattice
+    # point, so building the lattice raises lattice.PoleHit
+    monkeypatch.chdir(tmp_path)
+    code, _, err = _run(capsys, *argv, "--pole-eps", "0.6")
+    assert code == 1
+    assert err.splitlines() == ["error: point within pole_eps of lattice point (0, 0)"]

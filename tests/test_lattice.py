@@ -1,5 +1,6 @@
 import cmath
 import math
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -123,6 +124,12 @@ def test_wp_raises_at_lattice_points(cfg, square2):
     assert (info.value.m, info.value.n) == (1, 0)
     with pytest.raises(PoleHit):
         wp_pair(0j, square2, cfg)
+
+
+def test_pole_hit_pickles_with_its_lattice_point():
+    hit = pickle.loads(pickle.dumps(PoleHit(2, -1)))
+    assert (type(hit), hit.m, hit.n) == (PoleHit, 2, -1)
+    assert str(hit) == "point within pole_eps of lattice point (2, -1)"
 
 
 def test_differential_equation(cfg):

@@ -5,7 +5,7 @@ from typing import Optional
 import numpy as np
 import pytest
 
-from conftest import CANDIDATE, PREPOLE_SQ, PREPOLE_TRI
+from conftest import CANDIDATE, CANDIDATE_ABS_MULT, PREPOLE_SQ, PREPOLE_TRI
 from oracles import _g_array, recount, winding_count
 from weierdyn import lattice, misiurewicz, rng
 from weierdyn.dynamics import AllCriticalPrepole, EscapedSphericalBall, PoleHit, classify, iterate
@@ -201,6 +201,115 @@ def test_covering_steps_validates_inputs(cfg, square2):
         covering_steps(square2, 0j, 0.5, 0.05, 12, 32, cfg)
     with pytest.raises(ValueError):
         covering_steps(square2, 0j, -1.0, 0.05, 12, 64, cfg)
+
+
+# (kind, lambda, center, d, delta, maxN, grid, result) recorded from the
+# per-cell scalar implementation over seeded random discs: both kinds,
+# delta = 0 (no targets) and delta >= 2 (no ring), every outcome, and the
+# budgets 0, 1, one short of the covering step and the covering step itself
+SQ, TRI = LatticeKind.SQUARE, LatticeKind.TRIANGULAR
+COVERING_CASES = [
+    (TRI, (2.7430345024239386+2.102742760980774j), (-0.11578785111634182-0.8424316395740058j), 0.7875924369387635, 0.2, 12, 80, DiscTouchesU),
+    (SQ, (2.5530710459569157+2.188277715008185j), (0.3491554074886004-0.573039436202783j), 0.018972777247036374, 1.0, 12, 64, DiscTouchesU),
+    (TRI, (1.7613706473948834+1.2139894082979699j), (0.30732775714958993+0.87031193094946j), 0.10221047958708177, 0.05, 12, 64, 4),
+    (TRI, (1.0382717455889974-0.3591518645686218j), (0.21175292241452306-0.5323893792094603j), 0.0013713658414525672, 0.0, 12, 80, 3),
+    (TRI, (2.7929194329821305+1.5169050179640418j), (0.04790287107644616+0.016224135427386634j), 0.014798787366235733, 0.05, 12, 80, 3),
+    (SQ, (0.9810053599632766+1.7681284835273567j), (-0.0630298432154181-0.6573513576749809j), 0.002069514944996531, 0.2, 12, 80, 5),
+    (TRI, (1.1689982614094636+2.5213286159233146j), (-0.9494781631934687-0.06150534885203324j), 0.14807743261625378, 0.0, 12, 64, 4),
+    (SQ, (1.4690795027768218+0.2921453850328266j), (-0.6063011252291562+0.36253328943259044j), 0.015833651564573354, 0.0, 12, 80, 4),
+    (TRI, (1.9749792325265256+1.4202250153194051j), (-0.11872754599224133+0.3724840249177924j), 0.00620932633976958, 0.2, 12, 64, 4),
+    (SQ, (1.506245745259954-0.6131836242730175j), (0.5299091541282448-0.7161384560276691j), 0.10574698938418031, 0.01, 12, 64, 3),
+    (SQ, (2.685192565373761+1.6488589533538152j), (-1.5581613561393097+0.31917744053533303j), 1.1190240352128855, 0.2, 12, 80, DiscTouchesU),
+    (TRI, (1.6693255420352402+1.190540796854941j), (-0.7657645703846216+0.0020068695048316154j), 0.0023979425164898736, 2.5, 12, 80, DiscTouchesU),
+    (SQ, (0.5758757359602791-0.5084315911799626j), (0.3492298728611992-0.14666234412343498j), 0.010995867237574166, 0.0, 12, 80, 2),
+    (SQ, (1.3605266674900656+1.3611639291588586j), (0.4467130396985656+0.05331113122875927j), 0.04845683130009701, 2.5, 12, 80, DiscTouchesU),
+    (TRI, (2.7729482849763754-0.39575088769273803j), (1.7183160614720259-1.45772413541628j), 0.30170603666540213, 1.0, 12, 80, DiscTouchesU),
+    (SQ, (1.4956888991984263-0.18835299114593518j), (-0.7260815571940152-0.3447737907270175j), 0.4457268854735562, 0.01, 12, 80, DiscTouchesU),
+    (TRI, (0.7810143537314475+1.4151161012674613j), (-0.1692617748352528-0.03239162843606771j), 0.09725113809907737, 0.05, 12, 64, 2),
+    (SQ, (1.1214244330224572-0.24998666257613378j), (-0.04004935788679301-0.5337556020793184j), 0.04505471778640033, 0.0, 12, 64, 3),
+    (TRI, (2.0268769640338156-0.2349892796604105j), (0.5236116074080372-0.8795671778543415j), 0.2974369160268487, 0.05, 12, 80, DiscTouchesU),
+    (SQ, (1.9341029487463077+1.5549998640884115j), (0.8393016262289266-0.6108876699274682j), 0.1511065267554728, 0.01, 12, 64, 4),
+    (SQ, (0.5667558752157116+1.6032297736889145j), (-0.26385022557939397-0.4213316341403594j), 0.60334405053291, 0.0, 12, 80, 1),
+    (SQ, (2.5763813306579597+0.5074151256351298j), (-0.35054190078270875+0.03673365764985506j), 0.00999328498485825, 0.2, 12, 80, 2),
+    (SQ, (2.407952378503703-0.4756840468347172j), (-1.0588985504876618-0.7148170000080581j), 0.004067105179838011, 0.0, 12, 80, 5),
+    (TRI, (2.3041005462991553+0.525843477593583j), (0.08756548211621362+0.9005803997382457j), 0.026253966549033798, 0.2, 12, 80, 5),
+    (TRI, (0.5825598116643391+1.013345791945628j), (0.158808691043092-0.38119632043822094j), 0.24556272475878535, 0.0, 12, 80, 2),
+    (SQ, (0.7288851830405902+2.861710836338295j), (-0.8140654989479492+0.4370425766076493j), 0.01702844110223296, 0.2, 12, 80, 6),
+    (TRI, (2.2571049139727446+1.574725879170741j), (1.1827274190001598+0.6318742209230852j), 0.036306303126992595, 0.0, 12, 80, 5),
+    (SQ, (2.319605163610679-0.9382700921979867j), (1.033794904823661-0.5027298165051586j), 0.031797209567711066, 0.0, 12, 80, 6),
+    (TRI, (2.3271221383081584-0.6609684210651574j), (0.11177365274888904+0.09480973526010887j), 0.7932563743796235, 0.2, 12, 80, 1),
+    (TRI, (2.8697464486895314+2.556291574874076j), (0.49792404708377597-0.5954492401123981j), 0.9368209642664214, 0.01, 12, 64, 1),
+    (TRI, (2.5435748392455313+0.7807742929930659j), (-1.469238519458302-0.010110323449213476j), 0.012285306347613193, 0.05, 12, 80, 5),
+    (SQ, (2.092908800969737+0.03253952031058516j), (-0.049908776122485635+0.05087850445643113j), 0.10565460715576136, 0.05, 12, 64, 1),
+    (SQ, (2.905127688006227+0.15655230297342593j), (-0.525386428495708-0.7383116380079953j), 0.004424979863846273, 0.2, 12, 64, 6),
+    (SQ, (1.6858700628840309-0.9397088858783333j), (-0.38726928436085106-0.5289639542371167j), 0.010311605545646876, 0.0, 12, 80, 5),
+    (TRI, (2.506945935468722+1.201882721826816j), (-0.9465381833158424-0.23290384857633328j), 0.05876127458242078, 0.2, 12, 64, 6),
+    (SQ, (2.047914627901198+2.2678421697417277j), (-0.8492393708060466-0.7355182294766925j), 0.29194745605452443, 0.01, 12, 64, 4),
+    (TRI, (1.3310485349115682-0.23002154780627082j), (-0.23714939426142684+0.5414720703653554j), 0.002089196661839325, 0.0, 12, 80, 4),
+    (SQ, (0.6676290953006452+1.2743669017140435j), (-0.10905230394161983-0.009797792792289498j), 0.1404908693603786, 0.2, 12, 80, 1),
+    (SQ, (1.0479775112112368-0.8982635056679986j), (-0.27211029655807906+0.47540936758938745j), 0.002576647503666616, 0.0, 12, 64, 4),
+    (TRI, (2.101815896526186+1.075274315295208j), (-1.7935505292196279-0.02023760683299558j), 0.0035769645711147342, 0.0, 12, 64, 7),
+    (SQ, (1.6067861730222135-0.20178012566881565j), (0.34189213432186405-0.038737981879277704j), 0.35839589973391045, 0.0, 12, 80, 1),
+    (TRI, (1.7613706473948834+1.2139894082979699j), (0.30732775714958993+0.87031193094946j), 0.10221047958708177, 0.05, 0, 64, None),
+    (TRI, (1.7613706473948834+1.2139894082979699j), (0.30732775714958993+0.87031193094946j), 0.10221047958708177, 0.05, 1, 64, None),
+    (TRI, (1.7613706473948834+1.2139894082979699j), (0.30732775714958993+0.87031193094946j), 0.10221047958708177, 0.05, 3, 64, None),
+    (TRI, (1.7613706473948834+1.2139894082979699j), (0.30732775714958993+0.87031193094946j), 0.10221047958708177, 0.05, 4, 64, 4),
+    (TRI, (1.0382717455889974-0.3591518645686218j), (0.21175292241452306-0.5323893792094603j), 0.0013713658414525672, 0.0, 0, 80, None),
+    (TRI, (1.0382717455889974-0.3591518645686218j), (0.21175292241452306-0.5323893792094603j), 0.0013713658414525672, 0.0, 1, 80, None),
+    (TRI, (1.0382717455889974-0.3591518645686218j), (0.21175292241452306-0.5323893792094603j), 0.0013713658414525672, 0.0, 2, 80, None),
+    (TRI, (1.0382717455889974-0.3591518645686218j), (0.21175292241452306-0.5323893792094603j), 0.0013713658414525672, 0.0, 3, 80, 3),
+    (TRI, (2.7929194329821305+1.5169050179640418j), (0.04790287107644616+0.016224135427386634j), 0.014798787366235733, 0.05, 0, 80, None),
+    (TRI, (2.7929194329821305+1.5169050179640418j), (0.04790287107644616+0.016224135427386634j), 0.014798787366235733, 0.05, 1, 80, None),
+    (TRI, (2.7929194329821305+1.5169050179640418j), (0.04790287107644616+0.016224135427386634j), 0.014798787366235733, 0.05, 2, 80, None),
+    (TRI, (2.7929194329821305+1.5169050179640418j), (0.04790287107644616+0.016224135427386634j), 0.014798787366235733, 0.05, 3, 80, 3),
+    (SQ, (0.9810053599632766+1.7681284835273567j), (-0.0630298432154181-0.6573513576749809j), 0.002069514944996531, 0.2, 0, 80, None),
+    (SQ, (0.9810053599632766+1.7681284835273567j), (-0.0630298432154181-0.6573513576749809j), 0.002069514944996531, 0.2, 1, 80, None),
+    (SQ, (0.9810053599632766+1.7681284835273567j), (-0.0630298432154181-0.6573513576749809j), 0.002069514944996531, 0.2, 4, 80, None),
+    (SQ, (0.9810053599632766+1.7681284835273567j), (-0.0630298432154181-0.6573513576749809j), 0.002069514944996531, 0.2, 5, 80, 5),
+    (TRI, (2.7430345024239386+2.102742760980774j), (-0.11578785111634182-0.8424316395740058j), 0.7875924369387635, 2.0, 12, 80, DiscTouchesU),
+    (TRI, (2.7430345024239386+2.102742760980774j), (-0.11578785111634182-0.8424316395740058j), 0.7875924369387635, 0.2, 0, 80, DiscTouchesU),
+    (SQ, (0.5667558752157116+1.6032297736889145j), (-0.26385022557939397-0.4213316341403594j), 0.60334405053291, 0.0, 1, 80, 1),
+    (TRI, (2.3271221383081584-0.6609684210651574j), (0.11177365274888904+0.09480973526010887j), 0.7932563743796235, 0.2, 1, 80, 1),
+]
+
+
+def test_covering_steps_pinned_cases(cfg):
+    got, want = [], []
+    for kind, lam, center, d, delta, max_n, grid, result in COVERING_CASES:
+        lat = make_lattice(kind, lam, cfg)
+        try:
+            got.append(covering_steps(lat, center, d, delta, max_n, grid, cfg))
+        except DiscTouchesU:
+            got.append(DiscTouchesU)
+        want.append(result)
+    assert got == want
+
+
+def test_covering_steps_returns_the_step_after_a_ball_reaches_infinity():
+    # the step after a ball reaches infinity covers everything.  With an
+    # absurd pole_eps the chordal radius of a swallowed ball can underflow
+    # to 0, and coverage is not tested at that step: at d = 3e-63 four cells
+    # swallow the pole at 0 in step 1 with radius 0, and step 2 returns.  At
+    # d = 1e-62 every cell reaches infinity in step 2 with a radius too
+    # small to cover the targets, and step 3 returns
+    cfg = ToleranceConfig(eval_tol=1e-110, pole_eps=1e-100)
+    lat = make_lattice(LatticeKind.SQUARE, 2.0, cfg)
+    assert [covering_steps(lat, 0j, 3e-63, 0.05, n, 64, cfg) for n in (1, 2)] == [None, 2]
+    assert [covering_steps(lat, 0j, 1e-62, 0.05, n, 64, cfg) for n in (2, 3)] == [None, 3]
+
+
+def test_covering_steps_makes_no_scalar_wp_pair_call(cfg, square2, monkeypatch):
+    calls = []
+    real = lattice.wp_pair
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(lattice, "wp_pair", spy)
+    monkeypatch.setattr(misiurewicz, "wp_pair", spy, raising=False)
+    assert covering_steps(square2, 0j, 0.6, 0.05, 12, 64, cfg) == 2
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
@@ -638,6 +747,23 @@ def test_density_scan_counts_excluded_parameters_as_failures(cfg):
     for lam0 in (complex(math.nan, 0.0), complex(math.inf, 1.0)):
         rows = density_scan(LatticeKind.SQUARE, lam0, (1e-3,), 5, 0.05, 10, 1, cfg)
         assert [r.fail_fraction for r in rows] == [1.0]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_first_violation_step_grows_per_decade_as_the_multiplier_predicts(cfg, seed):
+    # near CANDIDATE the critical value lands on a repelling fixed point of
+    # multiplier mult, so a parameter r away leaves its delta-neighborhood
+    # after about log(1/r)/log|mult| steps: the median first-violation step
+    # rises by 1/log10|mult| (about 1.86) per decade of r.  Near a prepole the
+    # step does not depend on r at all (the criterion-6 input).
+    radii = [10.0 ** -k for k in range(2, 7)]
+    medians = []
+    for ri, r in enumerate(radii):
+        lams = np.array([CANDIDATE + r * rng.unit_disc_point(seed, ri, i) for i in range(300)])
+        steps = [v.step for v in _first_violations(LatticeKind.SQUARE, lams, 0.05, 200, cfg)]
+        medians.append(np.median(steps))
+    slope = np.polyfit(-np.log10(radii), medians, 1)[0]
+    assert abs(slope - 1.0 / math.log10(CANDIDATE_ABS_MULT)) < 0.3
 
 
 @pytest.mark.parametrize(
