@@ -25,27 +25,10 @@ from .dynamics import (
     Indeterminate,
     classify,
 )
-from .hyperbolic import (
-    DegenerateRadius,
-    NearZero,
-    InsufficientSampling,
-    NoExpansion,
-    SeparationViolated,
-    ShadowLost,
-    build_sample,
-    distortion_report,
-    fit_expansion,
-    verify_motion,
-)
 from .lattice import LatticeKind, PoleHit, ToleranceConfig, ZeroParameter, make_lattice
-from .misiurewicz import covering_steps, density_scan, find_prepole_params_batch
-from .scan import (
-    ScanGrid,
-    render_dynamical_plane,
-    render_parameter_plane,
-    write_atomic,
-    write_ppm,
-)
+
+# each command imports the layers it runs (hyperbolic, misiurewicz, scan)
+# itself, so a process loads only what its commands use
 
 _UNSET = object()
 
@@ -347,6 +330,9 @@ def _cmd_classify(values: dict[str, object]) -> int:
 
 
 def _cmd_find_prepoles(values: dict[str, object]) -> int:
+    from .misiurewicz import find_prepole_params_batch
+    from .scan import write_atomic
+
     cfg = _tolerances(values)
     region = (
         values["re-min"],
@@ -384,6 +370,19 @@ def _value(result):
 
 
 def _cmd_verify(values: dict[str, object]) -> int:
+    from .hyperbolic import (
+        DegenerateRadius,
+        InsufficientSampling,
+        NearZero,
+        NoExpansion,
+        SeparationViolated,
+        ShadowLost,
+        build_sample,
+        distortion_report,
+        fit_expansion,
+        verify_motion,
+    )
+
     cfg = _tolerances(values)
     lam0 = values["lambda0"]
     M = values["m-steps"]
@@ -454,7 +453,9 @@ def _cmd_verify(values: dict[str, object]) -> int:
     return 0 if ok else 2
 
 
-def _scan_grid(values: dict[str, object]) -> ScanGrid:
+def _scan_grid(values: dict[str, object]):
+    from .scan import ScanGrid
+
     return ScanGrid(
         origin=values["origin"],
         extent=values["extent"],
@@ -469,6 +470,8 @@ def _thread_count(values: dict[str, object]) -> int:
 
 
 def _cmd_render_param(values: dict[str, object]) -> int:
+    from .scan import render_parameter_plane, write_atomic, write_ppm
+
     cfg = _tolerances(values)
     image, csv_text = render_parameter_plane(
         values["kind"], _scan_grid(values), values["budget"], cfg, _thread_count(values)
@@ -480,6 +483,8 @@ def _cmd_render_param(values: dict[str, object]) -> int:
 
 
 def _cmd_render_dyn(values: dict[str, object]) -> int:
+    from .scan import render_dynamical_plane, write_ppm
+
     cfg = _tolerances(values)
     image = render_dynamical_plane(
         values["kind"],
@@ -495,6 +500,9 @@ def _cmd_render_dyn(values: dict[str, object]) -> int:
 
 
 def _cmd_density(values: dict[str, object]) -> int:
+    from .misiurewicz import density_scan
+    from .scan import write_atomic
+
     cfg = _tolerances(values)
     rows = density_scan(
         values["kind"],
@@ -520,6 +528,8 @@ def _cmd_density(values: dict[str, object]) -> int:
 
 
 def _cmd_covering(values: dict[str, object]) -> int:
+    from .misiurewicz import covering_steps
+
     cfg = _tolerances(values)
     lat = make_lattice(values["kind"], values["lambda"], cfg)
     steps = covering_steps(

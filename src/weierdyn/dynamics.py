@@ -32,6 +32,7 @@ from .lattice import (
     ZeroParameter,
     _complex,
     _crit_values_split,
+    _divisor,
     _half_periods_split,
     _scales_ok,
     _split_scales,
@@ -73,6 +74,9 @@ CYCLE_DETECTION_TOL = 1e-6
 # |multiplier| must clear 1 by this much before a cycle counts as attracting;
 # parabolic and rotation-domain parameters stay Indeterminate.
 ATTRACTING_MARGIN = 1e-8
+# parameters per tail chunk of classify_batch: the ring of DEFAULT_MAX_PERIOD
+# + 1 points per orbit is the memory a wide block would otherwise grow by
+TAIL_CHUNK = 1024
 
 
 @dataclass(frozen=True)
@@ -321,13 +325,14 @@ def orbit_array(
     lam, lam2 = _split_scales(lam_c)
     if tail:
         ring[:, 0] = z0
-    # the orbits still running: batch index, current point, per-orbit constants
+    # the orbits still running: batch index, current point, per-orbit
+    # constants (lat.lam and its square as _divisor rows, prepared once)
     live = {
         "idx": np.arange(count),
         "re": z0.real.copy(),
         "im": z0.imag.copy(),
-        "lam": lam,
-        "lam2": lam2,
+        "lam": np.array(_divisor(*lam)),
+        "lam2": np.array(_divisor(*lam2)),
     }
     if escape:
         live["esc"] = np.array([escape_scale(v, cfg.pole_eps) for v in lam_c.tolist()])
@@ -418,6 +423,20 @@ def _near_return(trace: OrbitTrace, tol: float, max_period: int) -> Optional[int
     return None
 
 
+def _near_returns(points: np.ndarray, last: int, tol: float) -> np.ndarray:
+    """_near_return for each row of points, whose columns 0 .. last hold an
+    orbit's last last + 1 points in order, with max_period at least last:
+    the period, or 0 where there is none.  Each period is one array test
+    over every row, the largest first, so the smallest near one is written
+    last; np.hypot has the bits of CPython's complex abs."""
+    period = np.zeros(len(points), dtype=np.int64)
+    end = points[:, last]
+    for p in range(last, 0, -1):
+        diff = end - points[:, last - p]
+        period[~(np.hypot(diff.real, diff.imag) >= tol)] = p
+    return period
+
+
 def find_cycle(
     trace: OrbitTrace,
     lat: Lattice,
@@ -443,39 +462,35 @@ def find_cycle(
     return _refine(trace.points[-1], p, lat, cfg)[0]
 
 
-def _verdict(
+def _prepole(kind: LatticeKind, steps: Sequence[int]) -> AllCriticalPrepole:
+    """The verdict on critical orbits that all hit poles, at these steps;
+    square reports (s, s, 0), as e2 = -e1 shares e1's orbit and e3 = 0 is
+    the pole itself."""
+    if kind is LatticeKind.TRIANGULAR:
+        return AllCriticalPrepole(steps=tuple(steps))
+    return AllCriticalPrepole(steps=(steps[0], steps[0], 0))
+
+
+def _cycle_verdict(
     kind: LatticeKind,
     lam: complex,
-    traces: Sequence[OrbitTrace],
+    returns: Sequence[tuple[complex, Optional[int]]],
     budget: int,
     cfg: ToleranceConfig,
 ) -> Verdict:
-    """The verdict on the critical orbit traces of the parameter lam; each
-    trace needs only its last DEFAULT_MAX_PERIOD + 1 points.  The lattice of
-    lam is built only once some trace has a near-return to refine."""
-    if all(isinstance(t.outcome, PoleHit) for t in traces):
-        if kind is LatticeKind.TRIANGULAR:
-            steps = tuple(t.outcome.step for t in traces)
-        else:
-            s = traces[0].outcome.step
-            steps = (s, s, 0)
-        return AllCriticalPrepole(steps=steps)
-
-    if not all(isinstance(t.outcome, BudgetExhausted) for t in traces):
+    """The verdict on critical orbits that all exhausted their budget, from
+    each one's last point and near-return period (None where it has none).
+    The lattice of lam is built only when every orbit has a period to
+    refine."""
+    if any(p is None for _, p in returns):
         return Indeterminate(iterations_used=budget)
-
-    lat: Optional[Lattice] = None
+    lat = make_lattice(kind, lam, cfg)
     cycles: list[Cycle] = []
     distinct: list[list[complex]] = []
     separation = 10.0 * cfg.newton_tol
-    for t in traces:
-        p = _near_return(t, CYCLE_DETECTION_TOL, DEFAULT_MAX_PERIOD)
-        if p is None:
-            return Indeterminate(iterations_used=budget)
-        if lat is None:
-            lat = make_lattice(kind, lam, cfg)
+    for w, p in returns:
         try:
-            c, ps = _refine(t.points[-1], p, lat, cfg)
+            c, ps = _refine(w, p, lat, cfg)
         except NewtonDivergence:
             return Indeterminate(iterations_used=budget)
         if abs(c.multiplier) >= 1.0 - ATTRACTING_MARGIN:
@@ -505,7 +520,14 @@ def classify(kind: LatticeKind, lam: complex, budget: int, cfg: ToleranceConfig)
     # square: e2 = -e1 shares e1's orbit and e3 = 0 is a pole
     crit = lat.crit_values if kind is LatticeKind.TRIANGULAR else lat.crit_values[:1]
     traces = [iterate(lat, e, budget, cfg) for e in crit]
-    return _verdict(kind, lat.lam, traces, budget, cfg)
+    if all(isinstance(t.outcome, PoleHit) for t in traces):
+        return _prepole(kind, [t.outcome.step for t in traces])
+    if not all(isinstance(t.outcome, BudgetExhausted) for t in traces):
+        return Indeterminate(iterations_used=budget)
+    returns = [
+        (t.points[-1], _near_return(t, CYCLE_DETECTION_TOL, DEFAULT_MAX_PERIOD)) for t in traces
+    ]
+    return _cycle_verdict(kind, lat.lam, returns, budget, cfg)
 
 
 def classify_batch(
@@ -515,8 +537,11 @@ def classify_batch(
     budget, cfg), or None where classify raises ZeroParameter.
 
     The critical values come from one split-array call with make_lattice's
-    bits, the orbits run in lockstep by orbit_array, and a parameter's
-    lattice is built only when one of its orbits nears a cycle."""
+    bits.  Every critical orbit runs its head, all but the last
+    DEFAULT_MAX_PERIOD steps, in one orbit_array lockstep that keeps only
+    its current point; the surviving orbits then run those last steps in
+    chunks of TAIL_CHUNK parameters (_tail_verdicts), which is where the
+    near-return ring is kept."""
     if budget < 1:
         raise ValueError("max_iter must be at least 1")
     lam_c = np.asarray(lams, dtype=complex).reshape(-1)
@@ -527,9 +552,57 @@ def classify_batch(
     per = 3 if kind is LatticeKind.TRIANGULAR else 1
     crit = _crit_values_split(kind, lam, lam2, _half_periods_split(kind, lam)[:per], cfg)
     starts = _complex(crit[:, 0].ravel(), crit[:, 1].ravel())
-    batch = orbit_array(kind, np.tile(good, per), starts, budget, cfg, tail=DEFAULT_MAX_PERIOD + 1)
-    verdicts = iter([
-        _verdict(kind, v, [batch.trace(i + k * good.size) for k in range(per)], budget, cfg)
-        for i, v in enumerate(good.tolist())
-    ])
-    return [next(verdicts) if keep else None for keep in ok.tolist()]
+    head_steps = max(budget - DEFAULT_MAX_PERIOD, 0)
+    head = orbit_array(kind, np.tile(good, per), starts, head_steps, cfg, tail=1)
+    verdicts: list[Verdict] = []
+    for at in range(0, good.size, TAIL_CHUNK):
+        params = np.arange(at, min(at + TAIL_CHUNK, good.size))
+        verdicts += _tail_verdicts(kind, good, params, head, head_steps, budget, cfg)
+    decided = iter(verdicts)
+    return [next(decided) if keep else None for keep in ok.tolist()]
+
+
+def _tail_verdicts(
+    kind: LatticeKind,
+    lams: np.ndarray,
+    params: np.ndarray,
+    head: OrbitBatch,
+    head_steps: int,
+    budget: int,
+    cfg: ToleranceConfig,
+) -> list[Verdict]:
+    """The verdicts on the parameters lams[params], given head, the batch
+    that ran every critical orbit of lams (orbit k of lams[i] at k *
+    lams.size + i) for head_steps steps with a one-point ring.
+
+    The orbits of these parameters that head left running take the other
+    budget - head_steps steps with a ring of all their points, and
+    _near_returns reads from it the period of each orbit that exhausts its
+    budget.  Outcome steps count from the orbit's start, as classify's do."""
+    per = len(head) // lams.size
+    orbits = np.arange(per)[:, None] * lams.size + params  # row k: orbit k
+    status = head.status[orbits]
+    step = head.step[orbits]
+    live = status == _EXHAUSTED
+    steps = budget - head_steps
+    tail = orbit_array(
+        kind, lams[np.broadcast_to(params, orbits.shape)[live]], head.ring[orbits[live], 0],
+        steps, cfg, tail=DEFAULT_MAX_PERIOD + 1,
+    )
+    status[live] = tail.status
+    step[live] = tail.step + head_steps
+    # an exhausted tail holds its points 0 .. steps in ring columns 0 .. steps
+    period = np.zeros_like(status)
+    period[live] = np.where(
+        tail.status == _EXHAUSTED, _near_returns(tail.ring, steps, CYCLE_DETECTION_TOL), 0
+    )
+    last = np.zeros(status.shape, dtype=complex)
+    last[live] = tail.ring[:, steps]
+
+    verdicts: list[Verdict] = [Indeterminate(iterations_used=budget)] * params.size
+    for j in np.flatnonzero((status == _POLE).all(axis=0)).tolist():
+        verdicts[j] = _prepole(kind, step[:, j].tolist())
+    for j in np.flatnonzero((period > 0).all(axis=0)).tolist():
+        returns = list(zip(last[:, j].tolist(), period[:, j].tolist()))
+        verdicts[j] = _cycle_verdict(kind, complex(lams[params[j]]), returns, budget, cfg)
+    return verdicts

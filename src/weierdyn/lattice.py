@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import lru_cache
@@ -117,6 +118,10 @@ class ToleranceConfig:
             raise ValueError("tolerances must be positive")
         if not self.eval_tol < self.pole_eps:
             raise ValueError("eval_tol must be smaller than pole_eps")
+        # wp and wp_pair divide by u0^2 and u0^3 with |u0| >= pole_eps; below
+        # this those can underflow to zero
+        if self.pole_eps**3 < sys.float_info.min:
+            raise ValueError("pole_eps**3 must not underflow (pole_eps >= about 2.81e-103)")
 
 
 @dataclass(frozen=True)
@@ -579,18 +584,18 @@ def _horner_split(u2r, u2i, coeffs: np.ndarray, n_terms: int) -> np.ndarray:
 def _wp_split(zr, zi, lam, lam2, kind: LatticeKind, n_terms: int, pole_eps: float):
     """wp at zr + i*zi, element by element the same bits as scalar `wp`.
 
-    lam and lam2 are (real, imag) pairs of arrays holding each element's
-    lat.lam and lat.lam * lat.lam.  Returns (val_re, val_im, pole, m, n):
-    pole flags the points scalar wp refuses with PoleHit(m, n), and val is
-    meaningless there.
+    lam and lam2 are _divisor preparations of each element's lat.lam and
+    lat.lam * lat.lam.  Returns (val_re, val_im, pole, m, n): pole flags the
+    points scalar wp refuses with PoleHit(m, n), and val is meaningless
+    there.
     """
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        re, im, pole, m, n = _reduced_split(zr, zi, _divisor(*lam), kind, pole_eps)
+        re, im, pole, m, n = _reduced_split(zr, zi, lam, kind, pole_eps)
         u2r, u2i = _cmul(re, im, re, im)
         ar, ai = _horner_split(u2r, u2i, _split_coeffs(kind), n_terms)
         ir, ii = _cdiv(1.0, 0.0, u2r, u2i)
         pr, pi = _cmul(ar, ai, u2r, u2i)
-        vr, vi = _cdiv(ir + pr, ii + pi, lam2[0], lam2[1])
+        vr, vi = _cdiv_by(ir + pr, ii + pi, lam2)
     return vr, vi, pole, m, n
 
 
@@ -658,8 +663,8 @@ def _crit_values_hits(
     of about 1/2 reaches one)."""
     count, _, size = half.shape
     vr, vi, pole, m, n = _wp_split(
-        half[:, 0].ravel(), half[:, 1].ravel(), np.tile(lam, count), np.tile(lam2, count),
-        kind, _terms_for_tol(kind, cfg.eval_tol), cfg.pole_eps,
+        half[:, 0].ravel(), half[:, 1].ravel(), _divisor(*np.tile(lam, count)),
+        _divisor(*np.tile(lam2, count)), kind, _terms_for_tol(kind, cfg.eval_tol), cfg.pole_eps,
     )
     hits: dict[int, PoleHit] = {}
     # scale by scale, each at its first half-period in pole

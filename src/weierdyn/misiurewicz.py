@@ -741,6 +741,11 @@ def density_scan(
 # covering count
 
 
+# balls per coverage test of covering_steps: its (targets x balls) distance
+# matrix is built a chunk of balls at a time
+_COVER_CHUNK = 256
+
+
 def covering_steps(
     lat: Lattice,
     center: complex,
@@ -843,9 +848,15 @@ def covering_steps(
         if target_arr is None:
             return m
         covered = t_inf < inf_radius
-        if wr.size:
-            dist = np.abs(target_arr[:, None] - _complex(wr, wi)[None, :])
-            covered |= np.any(dist <= rho[None, :], axis=1)
+        # the balls in chunks, each tested against the targets still open
+        balls = _complex(wr, wi)
+        for at in range(0, balls.size, _COVER_CHUNK):
+            open_ = np.flatnonzero(~covered)
+            if not open_.size:
+                break
+            chunk = slice(at, at + _COVER_CHUNK)
+            dist = np.abs(target_arr[open_, None] - balls[None, chunk])
+            covered[open_] = np.any(dist <= rho[None, chunk], axis=1)
         if covered.all():
             return m
     return None

@@ -2,10 +2,16 @@
 dynamical-plane pole-escape images.
 
 Both renderers work in blocks of whole image rows, about BLOCK_SIZE pixels
-each, whose orbits advance in lockstep through dynamics.orbit_array.  A
-pixel depends only on its own coordinates and the scan inputs, never on the
-block it shares, so serial and multi-process runs fill the same buffer with
-the same bytes; tests compare them byte for byte.
+each.  A dynamical-plane block is one dynamics.orbit_array lockstep.  A
+parameter-plane block is one dynamics.classify_batch call, split in two:
+the head, every critical orbit of the block for all but its last 64 steps,
+is one lockstep that keeps only each orbit's current point; the tail, the
+last 64 steps of the orbits still running, runs in chunks of
+dynamics.TAIL_CHUNK parameters, each keeping the 65-point ring that the
+near-return test reads.  A pixel depends only on its own coordinates and
+the scan inputs, never on the block or the chunk it shares, so serial and
+multi-process runs fill the same buffer with the same bytes; tests compare
+them byte for byte.
 """
 
 from __future__ import annotations
@@ -13,8 +19,6 @@ from __future__ import annotations
 import colorsys
 import math
 import os
-import tempfile
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -27,17 +31,18 @@ from .dynamics import (
 )
 from .lattice import LatticeKind, ToleranceConfig, ZeroParameter
 
-# pixels per lockstep block, rounded down to whole rows.  A parameter holds
-# no lattice, only a 65-point tail per critical orbit and its share of the
-# block's arrays: at the peak 1.6 KiB square, 4.5 KiB triangular.  Larger
-# blocks are faster, as numpy's fixed per-call cost dominates each step, but
-# cost peak memory.  One render-param pass of the 64x64 square golden in a
-# fresh process (2-vCPU Xeon VM), block: s per pass, peak RSS in MiB:
-#   512: 1.65-1.66, 32.3-32.5     1024: 1.25-1.40, 32.8-32.9
-#   2048: 0.99-1.18, 34.3-34.4    4096: 0.83-0.93, 36.8-37.0
-# 1024 keeps the peak within 1% of the lattice-per-parameter code's (2.06-2.19
-# s at 512, 32.7 MiB).
-BLOCK_SIZE = 1024
+# pixels per block, rounded down to whole rows.  A parameter holds no
+# lattice: the head keeps one point per critical orbit, and the tail's ring
+# (65 points per orbit) lives only for one chunk of dynamics.TAIL_CHUNK
+# parameters, so a wider block adds only the head's per-step arrays.  Wider
+# blocks are faster, as numpy's fixed per-call cost dominates each step.  One
+# render-param pass of the 64x64 square golden in a fresh process that
+# imported only the CLI (2-vCPU Xeon VM, 3 processes each, best of 2
+# passes), block: s per pass, peak RSS in MiB:
+#   1024: 0.82-0.85, 31.9-32.1    2048: 0.72-0.79, 32.1
+#   4096: 0.56-0.71, 32.8-32.9
+# 4096 holds each 64x64 golden in one block.
+BLOCK_SIZE = 4096
 
 CSV_HEADER = "px,py,lambda_re,lambda_im,verdict,count,period,mult_re,mult_im,abs_mult"
 
@@ -176,6 +181,8 @@ def _run_blocks(fn, args: tuple, grid: ScanGrid, threads: int) -> list:
     if threads <= 1:
         results = [fn(*args, rows) for rows in blocks]
     else:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(fn, *[[a] * len(blocks) for a in args], blocks))
     return [item for block in results for item in block]
@@ -220,6 +227,8 @@ def render_dynamical_plane(
 def write_atomic(path: str, data: bytes) -> None:
     """Write data to a temp file in the target directory, then rename it
     into place, so a failed write never leaves a partial file at path."""
+    import tempfile
+
     directory = os.path.dirname(os.path.abspath(path))
     tmp_path: Optional[str] = None
     try:

@@ -2,6 +2,10 @@
 byte-identical reruns of the file-producing subcommands."""
 
 import hashlib
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -108,6 +112,39 @@ def test_flag_beats_config_beats_default(tmp_path, capsys):
     )
     assert code == 0
     assert "  budget = 2000" in out
+
+
+def test_cli_import_loads_only_the_layers_classify_needs(capsys):
+    # a fresh interpreter that imports the CLI has not loaded the layers of
+    # the other commands, nor the process pool; classify still echoes the
+    # default budget it takes from dynamics
+    probe = (
+        "import sys, weierdyn.cli\n"
+        "names = ('weierdyn.hyperbolic', 'weierdyn.misiurewicz', 'weierdyn.scan',\n"
+        "         'multiprocessing')\n"
+        "print([n for n in names if n in sys.modules])\n"
+    )
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "[]\n"
+    code, echo, _ = _run(capsys, "classify", "--kind", "square", "--lambda", PREPOLE_SQ_ARG)
+    assert code == 0
+    assert "  budget = 2000" in echo
+
+
+def test_pole_eps_whose_cube_underflows_exits_one(capsys):
+    # wp_pair divides by u0^3 with |u0| >= pole_eps, which underflows to 0
+    # below about 2.81e-103; the config is refused before any evaluation
+    code, _, err = _run(
+        capsys, "classify", "--kind", "square", "--lambda", "2.0",
+        "--pole-eps", "1e-150", "--eval-tol", "1e-170",
+    )
+    assert code == 1
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
 def test_config_complex_needs_both_halves(tmp_path, capsys):

@@ -12,6 +12,7 @@ from weierdyn import lattice
 from weierdyn.lattice import (
     LatticeKind,
     PoleHit,
+    ToleranceConfig,
     ZeroParameter,
     crit_sph_dist,
     is_infinite,
@@ -51,6 +52,18 @@ def test_make_lattice_rejects_zero(cfg):
         make_lattice(LatticeKind.SQUARE, 0j, cfg)
     with pytest.raises(ZeroParameter):
         make_lattice(LatticeKind.TRIANGULAR, complex("inf"), cfg)
+
+
+def test_tolerance_config_refuses_a_pole_eps_whose_cube_underflows():
+    # wp and wp_pair divide by u0^2 and u0^2 * u0 with |u0| >= pole_eps: at
+    # pole_eps 1e-160 and z = 1e-150 on the lattice of scale 2, wp_pair
+    # divided by an underflowed 0
+    with pytest.raises(ValueError):
+        ToleranceConfig(eval_tol=1e-170, pole_eps=1e-160)
+    tiny = ToleranceConfig(eval_tol=1e-110, pole_eps=1e-100)
+    lat = make_lattice(LatticeKind.SQUARE, 2.0, tiny)
+    with pytest.raises(PoleHit):
+        wp_pair(1e-150, lat, tiny)
 
 
 def test_reduce_roundtrip(cfg, square2):
@@ -309,7 +322,9 @@ def test_wp_split_has_the_bits_of_the_four_call_horner_loop(cfg, kind):
     args = (z.real.copy(), z.imag.copy(), lam, lam2, kind,
             lattice._terms_for_tol(kind, cfg.eval_tol), cfg.pole_eps)
     with np.errstate(invalid="ignore"):
-        got = lattice._wp_split(*args)
+        got = lattice._wp_split(
+            *args[:2], lattice._divisor(*lam), lattice._divisor(*lam2), *args[4:]
+        )
         want = wp_split_four_calls(*args)
     assert got[2].any() and not got[2].all()
     assert np.isnan(got[0]).any()
@@ -410,7 +425,8 @@ def test_wp_has_the_value_bits_of_wp_pair(cfg, kind):
     z = np.array(zs)
     n_terms = lattice._terms_for_tol(kind, cfg.eval_tol)
     vr, vi, pole, _, _ = lattice._wp_split(
-        z.real.copy(), z.imag.copy(), lam, lam2, kind, n_terms, cfg.pole_eps
+        z.real.copy(), z.imag.copy(), lattice._divisor(*lam), lattice._divisor(*lam2), kind,
+        n_terms, cfg.pole_eps,
     )
     pr, pi, _, _, pair_pole = lattice._wp_pair_split(
         z.real.copy(), z.imag.copy(), lattice._divisor(*lam), lattice._divisor(*lam2),

@@ -1,5 +1,6 @@
 
 import math
+import tracemalloc
 from typing import Optional
 
 import numpy as np
@@ -283,6 +284,20 @@ def test_covering_steps_pinned_cases(cfg):
             got.append(DiscTouchesU)
         want.append(result)
     assert got == want
+
+
+def test_covering_steps_tests_coverage_in_chunks_of_balls(cfg):
+    # 3 at a tracemalloc peak of 260 MiB while the whole (targets x balls)
+    # distance matrix was built at once
+    lat = make_lattice(LatticeKind.SQUARE, 0.98 + 1.77j, cfg)
+    tracemalloc.start()
+    try:
+        steps = covering_steps(lat, 0.3 + 0.2j, 0.0021, 0.2, 5, 80, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert steps == 3
+    assert peak < 32 * 2**20
 
 
 def test_covering_steps_returns_the_step_after_a_ball_reaches_infinity():

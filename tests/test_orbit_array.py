@@ -300,14 +300,17 @@ def _spy_make_lattice(monkeypatch):
 
 def _needs_lattice(kind, lam, budget, cfg):
     """Whether the verdict on lam refines a cycle, so needs its lattice: all
-    critical orbits run out of steps and the first one nears a cycle (the
-    verdict is Indeterminate at the first orbit that does not)."""
+    critical orbits run out of steps and every one nears a cycle (the
+    verdict is Indeterminate where one does not)."""
     lat = make_lattice(kind, lam, cfg)
     traces = [iterate(lat, e, budget, cfg) for e in lat.crit_values[: 3 if kind is LatticeKind.TRIANGULAR else 1]]
     if not all(isinstance(t.outcome, BudgetExhausted) for t in traces):
         return False
-    pts = traces[0].points[-DEFAULT_MAX_PERIOD - 1:]
-    return any(abs(pts[-1] - pts[-1 - p]) < CYCLE_DETECTION_TOL for p in range(1, len(pts)))
+    tails = [t.points[-DEFAULT_MAX_PERIOD - 1:] for t in traces]
+    return all(
+        any(abs(pts[-1] - pts[-1 - p]) < CYCLE_DETECTION_TOL for p in range(1, len(pts)))
+        for pts in tails
+    )
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -386,6 +389,57 @@ def test_classify_batch_raises_the_pole_hit_of_classify(kind):
     with pytest.raises(PoleError) as got:
         classify_batch(kind, [0j, 1.5 + 0.5j, 2.0 - 1.0j], 20, wide)
     assert (got.value.m, got.value.n) == (want.value.m, want.value.n)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize(
+    "cfg", [ToleranceConfig(), ToleranceConfig(pole_eps=0.05)], ids=["default", "wide"]
+)
+def test_classify_batch_equals_classify_across_the_head_tail_split(kind, cfg, monkeypatch):
+    # classify_batch runs all but the last DEFAULT_MAX_PERIOD steps in one
+    # head and the rest in tail chunks; with chunks of 7 parameters the
+    # chunk edges fall inside the batch, and budgets around 64 put the split
+    # at and next to the start.  pole_eps 0.05 makes prepoles common
+    monkeypatch.setattr(dynamics, "TAIL_CHUNK", 7)
+    gen = random.Random(1909)
+    lams = [complex(gen.uniform(0.15, 2.35), gen.uniform(0.15, 2.35)) for _ in range(60)]
+    lams += [0j, 1e-300 + 0j]
+    seen = set()
+    for budget in (1, 2, 63, 64, 65, 66, 130):
+        got = classify_batch(kind, lams, budget, cfg)
+        want = []
+        for lam in lams:
+            try:
+                want.append(classify(kind, lam, budget, cfg))
+            except ZeroParameter:
+                want.append(None)
+        assert repr(got) == repr(want)
+        seen.update(type(v).__name__ for v in want)
+    assert {"AttractingCycles", "Indeterminate", "NoneType"} <= seen
+    assert ("AllCriticalPrepole" in seen) == (cfg.pole_eps == 0.05)
+
+
+def test_near_returns_equals_near_return():
+    # the period of each row, as _near_return gives it for the same points,
+    # with NaN distances counted as near and the smallest period winning
+    gen = np.random.default_rng(23)
+    rows = []
+    for _ in range(200):
+        pts = gen.normal(size=65) + 1j * gen.normal(size=65)
+        for p in gen.choice(64, size=gen.integers(0, 3), replace=False) + 1:
+            pts[64 - p] = pts[64] + 1e-7 * (gen.normal() + 1j * gen.normal())
+        rows.append(pts)
+    rows[0][10] = complex(math.nan, 0.0)
+    rows[1][64] = complex(math.inf, math.nan)
+    points = np.array(rows)
+    for last in (1, 5, 64):
+        got = dynamics._near_returns(points, last, CYCLE_DETECTION_TOL).tolist()
+        want = []
+        for row in points[:, : last + 1].tolist():
+            trace = dynamics.OrbitTrace(row[0], tuple(row), (), BudgetExhausted())
+            want.append(dynamics._near_return(trace, CYCLE_DETECTION_TOL, DEFAULT_MAX_PERIOD) or 0)
+        assert got == want
+    assert 0 < sum(p > 0 for p in got) < len(got)
 
 
 def test_classify_batch_rejects_zero_budget(cfg):

@@ -7,7 +7,7 @@ import hashlib
 import pytest
 
 from conftest import ATTRACTING_SQ, PREPOLE_SQ, PREPOLE_TRI
-from weierdyn import scan
+from weierdyn import dynamics, scan
 from weierdyn.lattice import LatticeKind, ToleranceConfig, ZeroParameter, make_lattice
 from weierdyn.scan import (
     CSV_HEADER,
@@ -131,12 +131,14 @@ def test_tri_render_rotation_invariant_at_prepole_orbit(cfg):
     assert a == b == HIT_PALETTE[1]
 
 
+# pixels per block for the tall grids: 16 rows of 16 pixels
+TALL_BLOCK = 256
+
+
 def _tall_grid(origin, extent):
-    # 16 pixels a row; the height leaves a partial last block, and the pool
-    # splits the rows into blocks of another size
-    return ScanGrid(
-        origin=origin, extent=extent, width_px=16, height_px=scan.BLOCK_SIZE // 16 + 5
-    )
+    # 16 pixels a row; at BLOCK_SIZE = TALL_BLOCK the height leaves a partial
+    # last block, and the pool splits the rows into blocks of another size
+    return ScanGrid(origin=origin, extent=extent, width_px=16, height_px=TALL_BLOCK // 16 + 5)
 
 
 def test_param_render_serial_matches_pool(cfg, monkeypatch):
@@ -151,11 +153,42 @@ def test_param_render_serial_matches_pool(cfg, monkeypatch):
     assert hashlib.sha256(csv1.encode()).hexdigest() == (
         "add13304a597eb273d777520fb6c518813d68cecd687414aee35210f42b79798"
     )
+    monkeypatch.setattr(scan, "BLOCK_SIZE", TALL_BLOCK)
     tall = _tall_grid(0.2 + 0.2j, 1.6 + 2.0j)
     serial = render_parameter_plane(LatticeKind.SQUARE, tall, 60, cfg, threads=1)
     assert render_parameter_plane(LatticeKind.SQUARE, tall, 60, cfg, threads=2) == serial
     monkeypatch.setattr(scan, "BLOCK_SIZE", 16)  # one row per block
     assert render_parameter_plane(LatticeKind.SQUARE, tall, 60, cfg, threads=1) == serial
+    rows = render_parameter_plane(LatticeKind.SQUARE, tall, 90, cfg, threads=1)  # 26 head steps
+    # the whole image in one block, in tail chunks of 5 parameters whose
+    # edges fall inside it
+    monkeypatch.setattr(scan, "BLOCK_SIZE", 4096)
+    monkeypatch.setattr(dynamics, "TAIL_CHUNK", 5)
+    assert render_parameter_plane(LatticeKind.SQUARE, tall, 60, cfg, threads=1) == serial
+    assert render_parameter_plane(LatticeKind.SQUARE, tall, 90, cfg, threads=1) == rows
+
+
+def test_param_render_refines_only_pixels_with_near_returns(cfg, monkeypatch):
+    # on the 64x64 square golden grid a cycle is refined once per pixel
+    # whose critical orbit has a near-return, which are exactly its 177
+    # attracting pixels, and never where the orbit has none
+    refined = []
+    real = dynamics._refine
+
+    def spy(w, p, lat, cfg):
+        refined.append(lat.lam)
+        return real(w, p, lat, cfg)
+
+    monkeypatch.setattr(dynamics, "_refine", spy)
+    grid = ScanGrid(origin=0.15 + 0.1j, extent=2.2 + 2.2j, width_px=64, height_px=64)
+    _, csv_text = render_parameter_plane(LatticeKind.SQUARE, grid, 200, cfg, threads=1)
+    attracting = [
+        complex(float(row[2]), float(row[3]))
+        for row in (line.split(",") for line in csv_text.splitlines()[1:])
+        if row[4] == "attracting"
+    ]
+    assert len(refined) == len(attracting) == 177
+    assert refined == attracting
 
 
 def test_dyn_render_serial_matches_pool(cfg, monkeypatch):
@@ -166,6 +199,7 @@ def test_dyn_render_serial_matches_pool(cfg, monkeypatch):
     assert hashlib.sha256(_ppm_bytes(img1)).hexdigest() == (
         "498fc6af35b825a3125e21b0e91fdd6eb8cf0dfb21e0f5d68ddc4edfca2efef9"
     )
+    monkeypatch.setattr(scan, "BLOCK_SIZE", TALL_BLOCK)
     tall = _tall_grid(-0.9 - 0.9j, 1.8 + 2.2j)
     serial = _ppm_bytes(render_dynamical_plane(LatticeKind.SQUARE, 2.0, tall, 40, cfg, threads=1))
     pooled = render_dynamical_plane(LatticeKind.SQUARE, 2.0, tall, 40, cfg, threads=2)
@@ -173,6 +207,9 @@ def test_dyn_render_serial_matches_pool(cfg, monkeypatch):
     monkeypatch.setattr(scan, "BLOCK_SIZE", 16)  # one row per block
     single_rows = render_dynamical_plane(LatticeKind.SQUARE, 2.0, tall, 40, cfg, threads=1)
     assert _ppm_bytes(single_rows) == serial
+    monkeypatch.setattr(scan, "BLOCK_SIZE", 4096)  # the whole image in one block
+    whole = render_dynamical_plane(LatticeKind.SQUARE, 2.0, tall, 40, cfg, threads=1)
+    assert _ppm_bytes(whole) == serial
 
 
 def test_write_ppm_red_pixel_exact_bytes(tmp_path):
