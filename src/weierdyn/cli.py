@@ -378,7 +378,6 @@ def _cmd_verify(values: dict[str, object]) -> int:
         SeparationViolated,
         ShadowLost,
         build_sample,
-        distortion_report,
         fit_expansion,
         verify_motion,
     )
@@ -411,7 +410,10 @@ def _cmd_verify(values: dict[str, object]) -> int:
         print(f"no expansion: {exc}")
         return 2
 
-    motion = verify_motion(sample, values["rho"], 12, values["circle-samples"], cfg)
+    motion = verify_motion(
+        sample, values["rho"], 12, values["circle-samples"], values["r-distortion"],
+        values["n-pairs"], cfg,
+    )
     id_err = _value(motion.identity_residual)
     print(f"identity residual at lambda0 = {id_err!r}")
     ok = ok and id_err <= cfg.eval_tol
@@ -439,7 +441,7 @@ def _cmd_verify(values: dict[str, object]) -> int:
         return 2
 
     try:
-        dist = distortion_report(sample, values["r-distortion"], values["n-pairs"], cfg)
+        dist = _value(motion.distortion)
         print(
             f"distortion max_ratio={dist.max_ratio!r} "
             f"corollary_ratio={dist.corollary_ratio!r} pairs={dist.pairs_used}"

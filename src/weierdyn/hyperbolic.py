@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -44,6 +44,7 @@ from .lattice import (
     _crit_values_hits,
     _divisor,
     _half_periods_split,
+    _pair_rows,
     _scales_ok,
     _sph_dist_split,
     _split_scales,
@@ -59,7 +60,7 @@ from .lattice import (
     wp_pair,
 )
 from .lattice import PoleHit as PoleError
-from .dynamics import BudgetExhausted, iterate
+from .dynamics import BudgetExhausted, escape_scale, iterate
 
 __all__ = [
     "HyperbolicSample",
@@ -184,6 +185,7 @@ class MotionCheck:
     identity_residual: float | Exception
     frames: tuple[MotionFrame | Exception, ...]
     order: int | Exception
+    distortion: DistortionReport | Exception
 
     @property
     def conj_residual(self) -> float | Exception:
@@ -225,6 +227,8 @@ def build_sample(
     """
     if M < 0:
         raise ValueError("M must be nonnegative")
+    if math.isnan(delta) or delta < 0:
+        raise ValueError("delta must be non-negative")
     lat = make_lattice(kind, lambda0, cfg)
     trace = iterate(lat, lat.crit_values[0], M + EXTENSION, cfg)
     if not isinstance(trace.outcome, BudgetExhausted) and trace.outcome.step <= M:
@@ -347,31 +351,55 @@ def _pullback_chain(
     return w, horizon
 
 
+@dataclass(frozen=True)
+class _Walks:
+    """The forward critical orbits of _pullback_batch, one row per scale.
+
+    Row j of points holds iterate(make_lattice(kind, orbits[j]),
+    crit_values[0], M)'s points and row j of derivs its derivs, NaN past
+    size[j] points and size[j] - 1 derivs; errors[j] is make_lattice's
+    refusal of the scale, or None.
+    """
+
+    points: np.ndarray
+    derivs: np.ndarray
+    size: np.ndarray
+    errors: list[Optional[Exception]]
+
+
 def _pullback_batch(
     sample: HyperbolicSample,
     lams: np.ndarray,
     anchors: list[int],
     n_steps: list[int],
     cfg: ToleranceConfig,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[Optional[Exception]]]:
+    orbits: Sequence[complex] = (),
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[Optional[Exception]], _Walks]:
     """_pullback_chain(sample, make_lattice(kind, lams[i]), anchors[i],
-    n_steps[i], cfg) for every element i at once.
+    n_steps[i], cfg) for every element i at once, and the forward critical
+    orbits of the scales in orbits, M = len(sample.points) - 1 steps each.
 
-    Returns (h, fh, e, errors): h[i] is the chain's h_value, fh[i] is
+    Returns (h, fh, e, errors, walks): h[i] is the chain's h_value, fh[i] is
     wp(h[i]) on that lattice, from the round that solved h[i], e[i] the
     lattice's crit_values[0], and errors[i] the exception make_lattice or the
     chain raises for element i, or None.  h[i] and fh[i] are meaningless
     where errors[i] is not None, and e[i] where the lattice is refused.
+    walks holds the forward orbits.
 
     Each element keeps its own pullback step and Newton iteration count, and
     a round evaluates lattice._wp_pair_split once at the current iterate of
     every live element, so chains of any anchors, horizons and scales share
-    every round.  Element by element the arithmetic and the order of the
-    checks are _pullback_chain's, so each h has its bits and each error is
+    every round.  A forward orbit takes one step z <- wp(z) per round, from
+    the same call, and ends by iterate's escape and pole rules.  Element by
+    element the arithmetic and the order of the checks are _pullback_chain's
+    and iterate's, so each h and orbit point has its bits and each error is
     the scalar one.  No scale gets a Lattice.
     """
     kind = sample.kind
-    lam_c = np.asarray(lams, dtype=complex).reshape(-1)
+    n_chains = len(anchors)
+    lam_c = np.concatenate([
+        np.asarray(lams, dtype=complex).reshape(-1), np.asarray(orbits, dtype=complex).reshape(-1)
+    ])
     errors: list[Optional[Exception]] = [None] * lam_c.size
     # make_lattice's refusals come first, as _pullback_chain needs the lattice
     ok = _scales_ok(lam_c)
@@ -382,16 +410,21 @@ def _pullback_batch(
     crit, hits = _crit_values_hits(kind, lam, lam2, _half_periods_split(kind, lam), cfg)
     for at, hit in hits.items():
         errors[int(good[at])] = hit
-    e = np.full(lam_c.size, complex(math.nan, math.nan))
-    e[good] = _complex(crit[0, 0], crit[0, 1])
-    h = np.full(lam_c.size, complex(math.nan, math.nan))
+    e = np.full(n_chains, complex(math.nan, math.nan))
+    chain_at = good < n_chains
+    e[good[chain_at]] = _complex(crit[0, 0, chain_at], crit[0, 1, chain_at])
+    h = np.full(n_chains, complex(math.nan, math.nan))
     fh = h.copy()
 
     # the chains that start, at step k = horizon - 1: Newton for
-    # f(w) = refs[anchor + horizon] from w = refs[anchor + k]
-    live, steps, first = [], [], []
+    # f(w) = refs[anchor + horizon] from w = refs[anchor + k]; and the orbits
+    # that start, at their critical value
+    live, steps, first, walking = [], [], [], []
     for at, i in enumerate(good.tolist()):
         if errors[i] is not None:
+            continue
+        if i >= n_chains:
+            walking.append(at)
             continue
         horizon = min(n_steps[i], sample.ext_usable - anchors[i])
         if horizon < 1:
@@ -400,8 +433,6 @@ def _pullback_batch(
         live.append(at)
         steps.append(horizon - 1)
         first.append(anchors[i] + horizon - 1)
-    if not live:
-        return h, fh, e, errors
     # per live chain: its element, step k, reference index anchor + k, Newton
     # iteration count, iterate z, target t and the _divisor rows of lam, lam2
     # and lam3 = lam2 * lam.  The counters are floats and the index moves
@@ -409,7 +440,7 @@ def _pullback_batch(
     # loops that verify runs nowhere else, each adding resident pages.
     elem = good[live]
     k = np.array(steps, dtype=float)
-    ref = np.array(first)
+    ref = np.array(first, dtype=int)
     it = np.zeros(elem.size)
     refs = np.array(sample.ext_points, dtype=complex)
     ref_r, ref_i = refs.real.copy(), refs.imag.copy()
@@ -419,13 +450,62 @@ def _pullback_batch(
     tr, ti = ref_r[target], ref_i[target]
     consts = np.vstack([_divisor(*lam), _divisor(*lam2), _divisor(*_cmul(*lam2, *lam))])
     c = consts[:, live]
+    # per walking orbit: its row, point w, divisor rows and escape scale; the
+    # orbits all take their step s in round s
+    M = len(sample.points) - 1
+    walks = _Walks(
+        points=np.full((lam_c.size - n_chains, M + 1), complex(math.nan, math.nan)),
+        derivs=np.full((lam_c.size - n_chains, M), complex(math.nan, math.nan)),
+        size=np.zeros(lam_c.size - n_chains, dtype=int),
+        errors=errors[n_chains:],
+    )
+    row = good[walking] - n_chains
+    wr, wi = crit[0, 0, walking], crit[0, 1, walking]
+    walks.points[row, 0] = _complex(wr, wi)
+    walks.size[row] = 1
+    wc = consts[:, walking]
+    esc = np.array([escape_scale(v, cfg.pole_eps) for v in lam_c[good[walking]].tolist()])
+    if M < 1:
+        row = row[:0]
+    s = 0
     n_terms = _terms_for_tol(kind, cfg.eval_tol)
+    rows = None
     eps = sample.delta / 2.0
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        while elem.size:
+        while elem.size or row.size:
+            if row.size:
+                # iterate's escape rule ends an orbit before its step
+                out = np.hypot(wr, wi) > esc
+                if out.any():
+                    row, wr, wi, wc, esc = row[~out], wr[~out], wi[~out], wc[:, ~out], esc[~out]
+            nw = row.size
+            if nw:
+                xr, xi, xc = np.concatenate([wr, zr]), np.concatenate([wi, zi]), np.hstack([wc, c])
+            else:
+                xr, xi, xc = zr, zi, c
+            if not xr.size:
+                break
+            if rows is None or rows.shape[2] != xr.size:
+                # the old table goes first, so two never coexist
+                rows = None
+                rows = _pair_rows(kind, n_terms, xr.size)
             vr, vi, dr, di, pole = _wp_pair_split(
-                zr, zi, c[0:3], c[3:6], c[6:9], kind, n_terms, cfg.pole_eps
+                xr, xi, xc[0:3], xc[3:6], xc[6:9], kind, n_terms, cfg.pole_eps, rows
             )
+            if nw:
+                # the orbits take step s; a pole hit ends an orbit there
+                step = ~pole[:nw]
+                row, wc, esc = row[step], wc[:, step], esc[step]
+                wr, wi = vr[:nw][step], vi[:nw][step]
+                walks.derivs[row, s] = _complex(dr[:nw][step], di[:nw][step])
+                s += 1
+                walks.points[row, s] = _complex(wr, wi)
+                walks.size[row] = s + 1
+                if s == M:
+                    row = row[:0]
+                vr, vi, dr, di, pole = vr[nw:], vi[nw:], dr[nw:], di[nw:], pole[nw:]
+            if not elem.size:
+                continue
             gr = vr - tr
             gi = vi - ti
             fail = pole | ~(np.isfinite(zr) & np.isfinite(zi))
@@ -459,7 +539,7 @@ def _pullback_batch(
             zr = np.where(done, ref_r[ref], zr - qr)
             zi = np.where(done, ref_i[ref], zi - qi)
             it[done] = 0.0
-    return h, fh, e, errors
+    return h, fh, e, errors[:n_chains], walks
 
 
 def _anchor(sample: HyperbolicSample, z0: complex, cfg: ToleranceConfig) -> int:
@@ -561,22 +641,30 @@ def order_K(sample: HyperbolicSample, rho: float, n_samples: int, cfg: Tolerance
     bits of x_function, and the error of the first sample that fails is the
     one x_function raises there."""
     lams = _circle(sample, rho, n_samples)
-    h, _, e, errors = _pullback_batch(
+    h, _, e, errors, _ = _pullback_batch(
         sample, np.array(lams), [0] * n_samples, [DEFAULT_N_STEPS] * n_samples, cfg
     )
     return _winding_order(e - h, errors, cfg)
 
 
 def verify_motion(
-    sample: HyperbolicSample, rho: float, n_steps: int, n_samples: int, cfg: ToleranceConfig
+    sample: HyperbolicSample,
+    rho: float,
+    n_steps: int,
+    n_samples: int,
+    r: float,
+    n_pairs: int,
+    cfg: ToleranceConfig,
 ) -> MotionCheck:
-    """The motion checks of `weierdyn verify`, from one _pullback_batch:
+    """The motion and distortion checks of `weierdyn verify`, from one
+    _pullback_batch:
 
       * identity_residual: |h - points[0]| for h the h_value of
         track_motion(sample, points[0], lambda0, n_steps, cfg);
       * frames: track_motion(sample, z, lambda0 + rho, n_steps, cfg) for
         every sample point z;
-      * order: order_K(sample, rho, n_samples, cfg).
+      * order: order_K(sample, rho, n_samples, cfg);
+      * distortion: distortion_report(sample, r, n_pairs, cfg).
 
     Each is the value, or the exception the scalar call raises, with the same
     bits.  The frames' chains run once per anchor: the conjugacy chain of the
@@ -592,13 +680,19 @@ def verify_motion(
         circle = _circle(sample, rho, n_samples)
     except ValueError as exc:
         circle, order = [], exc
-    lams = [sample.lambda0] + [probe] * len(chained) + circle
-    h, fh, e, errors = _pullback_batch(
+    distortion: DistortionReport | Exception | None = None
+    try:
+        orbits, xs = _distortion_scales(sample, r, n_pairs)
+    except (ValueError, DegenerateRadius) as exc:
+        orbits, xs, distortion = [], [], exc
+    lams = [sample.lambda0] + [probe] * len(chained) + circle + xs
+    h, fh, e, errors, walks = _pullback_batch(
         sample,
         np.array(lams),
-        [0] + chained + [0] * len(circle),
-        [n_steps] * (1 + len(chained)) + [DEFAULT_N_STEPS] * len(circle),
+        [0] + chained + [0] * (len(circle) + len(xs)),
+        [n_steps] * (1 + len(chained)) + [DEFAULT_N_STEPS] * (len(circle) + len(xs)),
         cfg,
+        orbits,
     )
     hv = h.tolist()
     identity = errors[0] if errors[0] is not None else abs(hv[0] - sample.points[0])
@@ -623,13 +717,21 @@ def verify_motion(
             )
         )
 
+    at = 1 + len(chained)
+    end = at + len(circle)
     if order is None:
-        at = 1 + len(chained)
         try:
-            order = _winding_order(e[at:] - h[at:], errors[at:], cfg)
+            order = _winding_order(e[at:end] - h[at:end], errors[at:end], cfg)
         except (ValueError, ArithmeticError, RuntimeError) as exc:
             order = exc
-    return MotionCheck(identity_residual=identity, frames=tuple(frames), order=order)
+    if distortion is None:
+        try:
+            distortion = _distortion(sample, r, n_pairs, walks, e[end:] - h[end:], errors[end:])
+        except (ValueError, ArithmeticError, RuntimeError) as exc:
+            distortion = exc
+    return MotionCheck(
+        identity_residual=identity, frames=tuple(frames), order=order, distortion=distortion
+    )
 
 
 def fit_expansion(sample: HyperbolicSample, n_range: int) -> ExpansionReport:
@@ -678,43 +780,100 @@ def fit_expansion(sample: HyperbolicSample, n_range: int) -> ExpansionReport:
     )
 
 
-def _param_orbit(
-    kind: LatticeKind, lam: complex, n_max: int, cfg: ToleranceConfig
-) -> tuple[tuple[complex, ...], tuple[complex, ...]]:
-    """Critical orbit of lam with flat derivatives, stopping early at poles."""
-    lat = make_lattice(kind, lam, cfg)
-    trace = iterate(lat, lat.crit_values[0], n_max, cfg)
-    return trace.points, trace.derivs
+def _distortion_scales(
+    sample: HyperbolicSample, r: float, n_pairs: int
+) -> tuple[list[complex], list[complex]]:
+    """distortion_report's argument checks, then its scales: the forward
+    orbits' a_0, b_0, a_1, b_1, ..., lambda_e, lambda_e + h, lambda_e - h and
+    the x chains' lambda_e + h, lambda_e - h, with lambda_e = lambda0 + r/2
+    and h = r/100."""
+    if n_pairs < 1:
+        raise ValueError("n_pairs must be at least 1")
+    if r <= 0:
+        raise ValueError("r must be positive")
+    if len(sample.points) - 1 < 3:
+        # an orbit of M steps has M derivatives, too few for any pair
+        raise DegenerateRadius("no pair kept its orbits close for 3 steps")
+    orbits = []
+    for i in range(n_pairs):
+        t = 2.0 * math.pi * i / n_pairs
+        orbits.append(sample.lambda0 + r * complex(math.cos(t), math.sin(t)))
+        t2 = t + math.pi / n_pairs
+        orbits.append(sample.lambda0 + 0.5 * r * complex(math.cos(t2), math.sin(t2)))
+    lam_e = sample.lambda0 + 0.5 * r
+    h = r / 100.0
+    xs = [lam_e + h, lam_e - h]
+    return orbits + [lam_e] + xs, xs
 
 
-def _close_horizon(
-    sample: HyperbolicSample, pts: tuple[complex, ...], delta_p: float
-) -> int:
-    """Largest n with the orbit within delta_p of the reference at all k <= n."""
-    n = 0
-    limit = min(len(pts), len(sample.points))
-    for k in range(limit):
-        if sph_dist(pts[k], sample.points[k]) >= delta_p:
-            break
-        n = k
-    return n
+def _distortion(
+    sample: HyperbolicSample,
+    r: float,
+    n_pairs: int,
+    walks: _Walks,
+    x: np.ndarray,
+    x_errors: list[Optional[Exception]],
+) -> DistortionReport:
+    """distortion_report from the forward orbits of _distortion_scales' scales
+    and the x values (with their errors) of its two x chains.  Raises the
+    first error the scalar loop meets, in its order."""
+    delta_p = min(sample.delta / 4.0, r * DISTORTION_BUDGET)
+    # each orbit's close horizon: the largest n with every point k <= n
+    # within delta_p of the reference point k (NaN past the orbit is not far)
+    pts = walks.points
+    ref = np.array(sample.points)
+    far = _sph_dist_split(pts.real, pts.imag, ref.real, ref.imag) >= delta_p
+    close = np.where(far.any(axis=1), np.maximum(far.argmax(axis=1) - 1, 0), walks.size - 1)
+    close = close.tolist()
+    derivs = walks.derivs.tolist()
 
+    def orbit(j: int) -> int:
+        if walks.errors[j] is not None:
+            raise walks.errors[j]
+        return close[j]
 
-def _pair_ratio(
-    sample: HyperbolicSample, a: complex, b: complex, delta_p: float, cfg: ToleranceConfig
-) -> tuple[float, int]:
-    """(|product of f_a'/f_b' over the first n steps - 1|, n) for one pair:
-    n is the largest step both critical orbits stay within delta_p of the
-    reference orbit, at most the derivatives either orbit has."""
-    M = len(sample.points) - 1
-    pts_a, ders_a = _param_orbit(sample.kind, a, M, cfg)
-    pts_b, ders_b = _param_orbit(sample.kind, b, M, cfg)
-    n = min(_close_horizon(sample, pts_a, delta_p), _close_horizon(sample, pts_b, delta_p))
-    n = min(n, len(ders_a), len(ders_b))
-    prod = 1.0 + 0j
-    for k in range(n):
-        prod *= ders_a[k] / ders_b[k]
-    return abs(prod - 1.0), n
+    max_ratio = 0.0
+    pairs_used = 0
+    for i in range(n_pairs):
+        # n is the largest step both orbits stay within delta_p of the
+        # reference orbit, at most the derivatives either has
+        a, b = 2 * i, 2 * i + 1
+        n = min(orbit(a), orbit(b))
+        prod = 1.0 + 0j
+        for k in range(n):
+            prod *= derivs[a][k] / derivs[b][k]
+        if n < 3:
+            continue
+        max_ratio = max(max_ratio, abs(prod - 1.0))
+        pairs_used += 1
+    if pairs_used == 0:
+        raise DegenerateRadius("no pair kept its orbits close for 3 steps")
+
+    # the parameter-derivative ratio at lambda_e, with central differences
+    at = 2 * n_pairs
+    n_e = orbit(at)
+    h = r / 100.0
+    corollary = math.nan
+    if n_e >= 1:
+        # the scalar loop builds both lattices here, in this order
+        orbit(at + 1)
+        orbit(at + 2)
+        if walks.size[at + 1] > n_e and walks.size[at + 2] > n_e:
+            xi_prime = (complex(pts[at + 1, n_e]) - complex(pts[at + 2, n_e])) / (2.0 * h)
+            for err in x_errors:
+                if err is not None:
+                    raise err
+            x_p, x_m = x.tolist()
+            x_prime = (x_p - x_m) / (2.0 * h)
+            deriv = 1.0 + 0j
+            for k in range(n_e):
+                deriv *= derivs[at][k]
+            denom = deriv * x_prime
+            if denom != 0:
+                corollary = abs(xi_prime / denom - 1.0)
+    return DistortionReport(
+        max_ratio=max_ratio, corollary_ratio=corollary, pairs_used=pairs_used
+    )
 
 
 def distortion_report(
@@ -727,52 +886,12 @@ def distortion_report(
     ratio is |product of f_a' along a's orbit / product of f_b' along b's - 1|
     accumulated as a product of per-step quotients.  Also evaluates the
     parameter-derivative ratio |xi_n'/((f^n)'(e) * x') - 1| at lambda0 + r/2
-    with central differences of step r/100.
+    with central differences of step r/100.  All critical orbits and both x
+    values come from one _pullback_batch, with the bits of iterate and
+    x_function.
     """
-    if n_pairs < 1:
-        raise ValueError("n_pairs must be at least 1")
-    if r <= 0:
-        raise ValueError("r must be positive")
-    delta_p = min(sample.delta / 4.0, r * DISTORTION_BUDGET)
-    M = len(sample.points) - 1
-    if M < 3:
-        # an orbit of M steps has M derivatives, too few for any pair
-        raise DegenerateRadius("no pair kept its orbits close for 3 steps")
-
-    max_ratio = 0.0
-    pairs_used = 0
-    for i in range(n_pairs):
-        t = 2.0 * math.pi * i / n_pairs
-        a = sample.lambda0 + r * complex(math.cos(t), math.sin(t))
-        t2 = t + math.pi / n_pairs
-        b = sample.lambda0 + 0.5 * r * complex(math.cos(t2), math.sin(t2))
-        ratio, n = _pair_ratio(sample, a, b, delta_p, cfg)
-        if n < 3:
-            continue
-        max_ratio = max(max_ratio, ratio)
-        pairs_used += 1
-    if pairs_used == 0:
-        raise DegenerateRadius("no pair kept its orbits close for 3 steps")
-
-    lam_e = sample.lambda0 + 0.5 * r
-    h = r / 100.0
-    pts_e, ders_e = _param_orbit(sample.kind, lam_e, M, cfg)
-    n_e = min(_close_horizon(sample, pts_e, delta_p), len(ders_e))
-    corollary = math.nan
-    if n_e >= 1:
-        pts_p, _ = _param_orbit(sample.kind, lam_e + h, n_e, cfg)
-        pts_m, _ = _param_orbit(sample.kind, lam_e - h, n_e, cfg)
-        if len(pts_p) > n_e and len(pts_m) > n_e:
-            xi_prime = (pts_p[n_e] - pts_m[n_e]) / (2.0 * h)
-            x_prime = (
-                x_function(sample, lam_e + h, cfg) - x_function(sample, lam_e - h, cfg)
-            ) / (2.0 * h)
-            deriv = 1.0 + 0j
-            for k in range(n_e):
-                deriv *= ders_e[k]
-            denom = deriv * x_prime
-            if denom != 0:
-                corollary = abs(xi_prime / denom - 1.0)
-    return DistortionReport(
-        max_ratio=max_ratio, corollary_ratio=corollary, pairs_used=pairs_used
+    orbits, xs = _distortion_scales(sample, r, n_pairs)
+    h, _, e, errors, walks = _pullback_batch(
+        sample, np.array(xs), [0, 0], [DEFAULT_N_STEPS] * 2, cfg, orbits
     )
+    return _distortion(sample, r, n_pairs, walks, e - h, errors)

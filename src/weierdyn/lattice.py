@@ -487,13 +487,21 @@ def _split_coeffs(kind: LatticeKind) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _split_pair_coeffs(kind: LatticeKind) -> np.ndarray:
-    """The coefficients of wp (row 0) and of wp' (row 1, the dcoeffs) as
-    (real, imag) columns, shape (count, 2, 2, 1)."""
+def _pair_columns(kind: LatticeKind) -> np.ndarray:
+    """The coefficients of wp and of wp' (the dcoeffs) as the columns
+    _wp_pair_split's Horner adds, shape (count, 4, 1): rows c.real, d.real,
+    c.imag and d.imag."""
     kd = _kind_data(kind)
     return np.array([
-        [[[c.real], [c.imag]], [[d.real], [d.imag]]] for c, d in zip(kd.coeffs, kd.dcoeffs)
+        [[c.real], [d.real], [c.imag], [d.imag]] for c, d in zip(kd.coeffs, kd.dcoeffs)
     ])
+
+
+def _pair_rows(kind: LatticeKind, n_terms: int, size: int) -> np.ndarray:
+    """_pair_columns' first n_terms entries spread over `size` points, shape
+    (n_terms, 4, size): the contiguous rows that _wp_pair_split adds fastest,
+    for a caller that evaluates many times at one width."""
+    return np.repeat(_pair_columns(kind)[:n_terms], size, axis=2)
 
 
 # _translate_argmin holds nine candidates per point at once, so it takes
@@ -599,19 +607,63 @@ def _wp_split(zr, zi, lam, lam2, kind: LatticeKind, n_terms: int, pole_eps: floa
     return vr, vi, pole, m, n
 
 
-def _wp_pair_split(zr, zi, lam, lam2, lam3, kind: LatticeKind, n_terms: int, pole_eps: float):
+def _pair_horner(u2r, u2i, rows, n_terms: int):
+    """The scalar loops acc = acc*u2 + c_k and dacc = dacc*u2 + d_k,
+    k = n_terms-1 .. 0, from 0j, on one flat buffer: (acc.re, dacc.re,
+    acc.im, dacc.im), each of shape (size,).
+
+    rows is _pair_columns(kind) or a _pair_rows table of this width.  The
+    buffer Z = [R, I, R] holds the real parts R = [acc.re, dacc.re] and the
+    imaginary parts I = [acc.im, dacc.im], each 2 * size = m long.  A term is
+    Z[:2m]*[u2r]*4 + Z[m:]*[-u2i, -u2i, u2i, u2i], the coefficients added,
+    and R copied to the tail: the real parts are CPython's ac + (-bd) and the
+    imaginary ones bc + ad, with x - y as x + (-y) and one commuted add, so
+    each element has the bits of the scalar loop.  Each of the five calls
+    runs on contiguous 1-D operands: that takes about 0.6 of the time of
+    _horner_split's broadcast 4-D views at the pullback lockstep's 81-126
+    points and about 0.7 at 1,025 (2-vCPU Xeon, numpy 2.4).
+    """
+    size = u2r.size
+    m = 2 * size
+    z = np.zeros(3 * m)
+    t = np.empty(2 * m)
+    neg = -u2i
+    u1 = np.concatenate([u2r, u2r, u2r, u2r])
+    u2 = np.concatenate([neg, neg, u2i, u2i])
+    head, tail, re = z[: 2 * m], z[m:], z[:m]
+    acc, copy = head.reshape(4, size), z[2 * m :]
+    # positional outputs and a slice copy: numpy's keyword parsing and
+    # copyto's dispatch cost as much as the arithmetic at these widths
+    mul, add = np.multiply, np.add
+    for k in range(n_terms - 1, -1, -1):
+        mul(tail, u2, t)
+        mul(head, u1, head)
+        add(head, t, head)
+        add(acc, rows[k], acc)
+        copy[:] = re
+    return acc
+
+
+def _wp_pair_split(
+    zr, zi, lam, lam2, lam3, kind: LatticeKind, n_terms: int, pole_eps: float, rows=None
+):
     """wp and wp' at zr + i*zi, element by element the same bits as scalar
     `wp_pair`.
 
     lam, lam2 and lam3 are _divisor preparations of each element's lat.lam,
-    lam2 = lat.lam * lat.lam and lam2 * lat.lam.  Returns (val_re, val_im,
+    lam2 = lat.lam * lat.lam and lam2 * lat.lam.  rows, when given, is
+    _pair_rows(kind, n_terms, zr.size), prepared once by a caller that
+    evaluates many times at one width; without it the Horner adds
+    _pair_columns, which takes no memory per point.  Returns (val_re, val_im,
     dval_re, dval_im, pole), with pole as in _wp_split and both values
     meaningless there.
     """
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         re, im, pole, _, _ = _reduced_split(zr, zi, lam, kind, pole_eps)
         u2r, u2i = _cmul(re, im, re, im)
-        (ar, ai), (dr, di) = _horner_split(u2r, u2i, _split_pair_coeffs(kind), n_terms)
+        ar, dr, ai, di = _pair_horner(
+            u2r, u2i, _pair_columns(kind) if rows is None else rows, n_terms
+        )
         # (1/u2 + acc*u2) / lam2 and (-2/(u2*u0) + dacc*u0) / (lam2*lam)
         ir, ii = _cdiv(1.0, 0.0, u2r, u2i)
         pr, pi = _cmul(ar, ai, u2r, u2i)

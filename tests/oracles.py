@@ -5,21 +5,35 @@ quantity the library computes another way.
 """
 
 import math
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
 
+from weierdyn.dynamics import iterate
+from weierdyn.hyperbolic import (
+    DISTORTION_BUDGET,
+    DegenerateRadius,
+    DistortionReport,
+    HyperbolicSample,
+    x_function,
+)
 from weierdyn.lattice import (
     _TRANSLATE_CHUNK,
     Lattice,
     LatticeKind,
     ToleranceConfig,
     _cdiv,
+    _cdiv_by,
     _cmul,
+    _horner_split,
     _kind_data,
     _nearest_translate,
     _recenter,
+    _reduced_split,
     _split_coeffs,
+    make_lattice,
+    sph_dist,
 )
 from weierdyn.misiurewicz import _g_batch, _pole_coef
 
@@ -164,6 +178,140 @@ def wp_split_four_calls(zr, zi, lam, lam2, kind: LatticeKind, n_terms: int, pole
         pr, pi = _cmul(acc[0], acc[1], u2r, u2i)
         vr, vi = _cdiv(ir + pr, ii + pi, lam2[0], lam2[1])
     return vr, vi, pole, m, n
+
+
+# ---------------------------------------------------------------------------
+# split-array wp_pair on broadcast 4-D Horner views
+#
+# lattice._wp_pair_split before its Horner ran on one flat buffer: the pair
+# Horner was _horner_split with both coefficient rows, kept verbatim apart
+# from the names.
+
+
+@lru_cache(maxsize=None)
+def _split_pair_coeffs(kind: LatticeKind) -> np.ndarray:
+    """The coefficients of wp (row 0) and of wp' (row 1, the dcoeffs) as
+    (real, imag) columns, shape (count, 2, 2, 1)."""
+    kd = _kind_data(kind)
+    return np.array([
+        [[[c.real], [c.imag]], [[d.real], [d.imag]]] for c, d in zip(kd.coeffs, kd.dcoeffs)
+    ])
+
+
+def wp_pair_split_broadcast(zr, zi, lam, lam2, lam3, kind: LatticeKind, n_terms: int, pole_eps: float):
+    """wp and wp' at zr + i*zi, element by element the same bits as scalar
+    `wp_pair`, with lam, lam2 and lam3 _divisor preparations as
+    lattice._wp_pair_split takes them.  Returns (val_re, val_im, dval_re,
+    dval_im, pole)."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        re, im, pole, _, _ = _reduced_split(zr, zi, lam, kind, pole_eps)
+        u2r, u2i = _cmul(re, im, re, im)
+        (ar, ai), (dr, di) = _horner_split(u2r, u2i, _split_pair_coeffs(kind), n_terms)
+        ir, ii = _cdiv(1.0, 0.0, u2r, u2i)
+        pr, pi = _cmul(ar, ai, u2r, u2i)
+        vr, vi = _cdiv_by(ir + pr, ii + pi, lam2)
+        cr, ci = _cmul(u2r, u2i, re, im)
+        qr, qi = _cdiv(-2.0, 0.0, cr, ci)
+        sr, si = _cmul(dr, di, re, im)
+        dvr, dvi = _cdiv_by(qr + sr, qi + si, lam3)
+    return vr, vi, dvr, dvi, pole
+
+
+# ---------------------------------------------------------------------------
+# scalar distortion
+#
+# hyperbolic.distortion_report before its critical orbits and x values came
+# from one _pullback_batch: one iterate per orbit and one x_function per x,
+# kept verbatim apart from the names.
+
+
+def param_orbit(
+    kind: LatticeKind, lam: complex, n_max: int, cfg: ToleranceConfig
+) -> tuple[tuple[complex, ...], tuple[complex, ...]]:
+    """Critical orbit of lam with flat derivatives, stopping early at poles."""
+    lat = make_lattice(kind, lam, cfg)
+    trace = iterate(lat, lat.crit_values[0], n_max, cfg)
+    return trace.points, trace.derivs
+
+
+def close_horizon(sample: HyperbolicSample, pts: tuple[complex, ...], delta_p: float) -> int:
+    """Largest n with the orbit within delta_p of the reference at all k <= n."""
+    n = 0
+    limit = min(len(pts), len(sample.points))
+    for k in range(limit):
+        if sph_dist(pts[k], sample.points[k]) >= delta_p:
+            break
+        n = k
+    return n
+
+
+def pair_ratio(
+    sample: HyperbolicSample, a: complex, b: complex, delta_p: float, cfg: ToleranceConfig
+) -> tuple[float, int]:
+    """(|product of f_a'/f_b' over the first n steps - 1|, n) for one pair:
+    n is the largest step both critical orbits stay within delta_p of the
+    reference orbit, at most the derivatives either orbit has."""
+    M = len(sample.points) - 1
+    pts_a, ders_a = param_orbit(sample.kind, a, M, cfg)
+    pts_b, ders_b = param_orbit(sample.kind, b, M, cfg)
+    n = min(close_horizon(sample, pts_a, delta_p), close_horizon(sample, pts_b, delta_p))
+    n = min(n, len(ders_a), len(ders_b))
+    prod = 1.0 + 0j
+    for k in range(n):
+        prod *= ders_a[k] / ders_b[k]
+    return abs(prod - 1.0), n
+
+
+def distortion_report_scalar(
+    sample: HyperbolicSample, r: float, n_pairs: int, cfg: ToleranceConfig
+) -> DistortionReport:
+    """hyperbolic.distortion_report, one scalar orbit and chain at a time."""
+    if n_pairs < 1:
+        raise ValueError("n_pairs must be at least 1")
+    if r <= 0:
+        raise ValueError("r must be positive")
+    delta_p = min(sample.delta / 4.0, r * DISTORTION_BUDGET)
+    M = len(sample.points) - 1
+    if M < 3:
+        raise DegenerateRadius("no pair kept its orbits close for 3 steps")
+
+    max_ratio = 0.0
+    pairs_used = 0
+    for i in range(n_pairs):
+        t = 2.0 * math.pi * i / n_pairs
+        a = sample.lambda0 + r * complex(math.cos(t), math.sin(t))
+        t2 = t + math.pi / n_pairs
+        b = sample.lambda0 + 0.5 * r * complex(math.cos(t2), math.sin(t2))
+        ratio, n = pair_ratio(sample, a, b, delta_p, cfg)
+        if n < 3:
+            continue
+        max_ratio = max(max_ratio, ratio)
+        pairs_used += 1
+    if pairs_used == 0:
+        raise DegenerateRadius("no pair kept its orbits close for 3 steps")
+
+    lam_e = sample.lambda0 + 0.5 * r
+    h = r / 100.0
+    pts_e, ders_e = param_orbit(sample.kind, lam_e, M, cfg)
+    n_e = min(close_horizon(sample, pts_e, delta_p), len(ders_e))
+    corollary = math.nan
+    if n_e >= 1:
+        pts_p, _ = param_orbit(sample.kind, lam_e + h, n_e, cfg)
+        pts_m, _ = param_orbit(sample.kind, lam_e - h, n_e, cfg)
+        if len(pts_p) > n_e and len(pts_m) > n_e:
+            xi_prime = (pts_p[n_e] - pts_m[n_e]) / (2.0 * h)
+            x_prime = (
+                x_function(sample, lam_e + h, cfg) - x_function(sample, lam_e - h, cfg)
+            ) / (2.0 * h)
+            deriv = 1.0 + 0j
+            for k in range(n_e):
+                deriv *= ders_e[k]
+            denom = deriv * x_prime
+            if denom != 0:
+                corollary = abs(xi_prime / denom - 1.0)
+    return DistortionReport(
+        max_ratio=max_ratio, corollary_ratio=corollary, pairs_used=pairs_used
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -434,6 +434,37 @@ def test_verify_exit_codes_by_sample_length(capsys, m_steps, code, last):
     assert out.splitlines()[-1] == last
 
 
+@pytest.mark.parametrize("delta", ["nan", "-1", "-inf", "-5e-324"])
+def test_verify_refuses_a_nan_or_negative_delta(capsys, delta):
+    # NaN once passed every separation test and exited 0; a negative delta
+    # died in a ShadowLost traceback from the identity residual
+    code, out, err = _run(
+        capsys, "verify", "--kind", "square", "--lambda0", CANDIDATE_ARG, "--m-steps", "16",
+        f"--delta={delta}",
+    )
+    assert (code, err) == (1, "error: delta must be non-negative\n")
+    assert out.splitlines()[-1] == "  newton_tol = 1e-09"
+
+
+@pytest.mark.parametrize("delta, tail", [
+    ("0", [
+        "sample M=16 delta=0.0 N_exp=1 min_crit=0.2829191301802507 min_inf=1.04801601007968",
+        "expansion C=0.999999999 a=3.4552512445372425 n_range=8",
+        "identity residual at lambda0 = 0.0",
+        "shadowing lost at step 11",
+    ]),
+    ("inf", ["separation violated at step 0 (infinity)"]),
+])
+def test_verify_keeps_its_output_at_delta_zero_and_infinity(capsys, delta, tail):
+    code, out, err = _run(
+        capsys, "verify", "--kind", "square", "--lambda0", CANDIDATE_ARG, "--m-steps", "16",
+        "--delta", delta,
+    )
+    assert (code, err) == (2, "")
+    lines = out.splitlines()
+    assert lines[-len(tail) - 1] == "  newton_tol = 1e-09" and lines[-len(tail):] == tail
+
+
 def test_render_param_writes_both_files(tmp_path, capsys):
     ppm = tmp_path / "p.ppm"
     csv = tmp_path / "p.csv"

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from conftest import ATTRACTING_SQ, CANDIDATE, CANDIDATE_ABS_MULT
-from weierdyn import hyperbolic, lattice
+from oracles import close_horizon, distortion_report_scalar, pair_ratio, param_orbit
+from weierdyn import dynamics, hyperbolic, lattice
 from weierdyn.cli import main
 from weierdyn.hyperbolic import (
     DEFAULT_N_STEPS,
@@ -27,9 +28,11 @@ from weierdyn.hyperbolic import (
     winding_number,
     x_function,
 )
+from weierdyn.dynamics import iterate
 from weierdyn.lattice import (
     LatticeKind,
     ToleranceConfig,
+    ZeroParameter,
     make_lattice,
     sph_deriv,
     sph_dist,
@@ -71,6 +74,12 @@ def test_build_sample_separation_violation(cfg):
         build_sample(LatticeKind.SQUARE, CANDIDATE, 16, 0.3, cfg)
     assert info.value.step == 0
     assert info.value.kind == "crit"
+
+
+@pytest.mark.parametrize("delta", [math.nan, -1.0, -math.inf, -5e-324])
+def test_build_sample_refuses_a_nan_or_negative_delta(cfg, delta):
+    with pytest.raises(ValueError, match="^delta must be non-negative$"):
+        build_sample(LatticeKind.SQUARE, CANDIDATE, 16, delta, cfg)
 
 
 def test_build_sample_no_expansion_at_attracting(cfg):
@@ -247,19 +256,134 @@ def test_distortion_shrinks_with_radius(cfg, candidate_sample):
     assert ratios[0] >= ratios[1] >= ratios[2]
 
 
+def _one_pair_report(sample, a, b, r, cfg):
+    """distortion_report's reduction over the single pair (a, b), with the
+    corollary orbits and x chains of radius r."""
+    orbits, xs = hyperbolic._distortion_scales(sample, r, 1)
+    h, _, e, errors, walks = hyperbolic._pullback_batch(
+        sample, np.array(xs), [0, 0], [DEFAULT_N_STEPS] * 2, cfg, [a, b] + orbits[2:]
+    )
+    return hyperbolic._distortion(sample, r, 1, walks, e - h, errors)
+
+
 def test_distortion_identical_parameters_give_unit_product(cfg, candidate_sample):
     # the pair ratio is a product of derivative quotients; the same parameter
     # on both sides of distortion_report's pair loop collapses it to 1
     r = 1e-6
-    delta_p = min(candidate_sample.delta / 4.0, r * hyperbolic.DISTORTION_BUDGET)
     a = CANDIDATE + r * cmath.exp(0.3j)
-    ratio, n = hyperbolic._pair_ratio(candidate_sample, a, a, delta_p, cfg)
-    assert n >= 3
-    assert ratio <= 1e-15
+    rep = _one_pair_report(candidate_sample, a, a, r, cfg)
+    assert rep.pairs_used == 1
+    assert rep.max_ratio <= 1e-15
     # a distinct pair through the same loop does not collapse
-    ratio, n = hyperbolic._pair_ratio(candidate_sample, a, CANDIDATE + 0.5 * r, delta_p, cfg)
-    assert n >= 3
-    assert ratio > 1e-9
+    rep = _one_pair_report(candidate_sample, a, CANDIDATE + 0.5 * r, r, cfg)
+    assert rep.pairs_used == 1
+    assert rep.max_ratio > 1e-9
+    # the oracle's scalar pair loop agrees
+    delta_p = min(candidate_sample.delta / 4.0, r * hyperbolic.DISTORTION_BUDGET)
+    ratio, n = pair_ratio(candidate_sample, a, CANDIDATE + 0.5 * r, delta_p, cfg)
+    assert n >= 3 and ratio == rep.max_ratio
+
+
+def _distortion_outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (ValueError, ArithmeticError, RuntimeError) as exc:
+        return exc
+
+
+@pytest.fixture(scope="module")
+def distortion_samples(cfg):
+    samples = {}
+    for kind, lam0 in ((LatticeKind.SQUARE, CANDIDATE), (LatticeKind.TRIANGULAR, TRI_SAMPLE)):
+        for M in (2, 3, 16):
+            samples[kind, M] = build_sample(kind, lam0, M, 0.02, cfg)
+    return samples
+
+
+@pytest.mark.parametrize("kind", [LatticeKind.SQUARE, LatticeKind.TRIANGULAR], ids=lambda k: k.value)
+@pytest.mark.parametrize("M", [2, 3, 16])
+def test_distortion_report_equals_the_scalar_oracle(cfg, distortion_samples, kind, M):
+    # the report compares with ==, so every float has the oracle's bits; an
+    # error has the oracle's type and message
+    sample = distortion_samples[kind, M]
+    kinds = set()
+    for r in (1e-6, 5e-7, 2.5e-7, 1e-3, 1.0):
+        for n_pairs in (1, 3, 20):
+            got = _distortion_outcome(distortion_report, sample, r, n_pairs, cfg)
+            want = _distortion_outcome(distortion_report_scalar, sample, r, n_pairs, cfg)
+            kinds.add(type(want).__name__)
+            if isinstance(want, Exception):
+                assert type(got) is type(want) and str(got) == str(want)
+            else:
+                assert _same_report(got, want)
+    assert kinds == ({"DegenerateRadius"} if M == 2 else {"DistortionReport", "DegenerateRadius"})
+
+
+def test_distortion_report_raises_the_errors_of_the_scalar_loop(cfg, candidate_sample):
+    # a refused scale, a lost x chain and rejected arguments, each the
+    # oracle's exception at the oracle's point of the loop
+    no_ref = dataclasses.replace(candidate_sample, ext_usable=0)
+    tight = dataclasses.replace(candidate_sample, delta=1e-9)
+    refs = list(candidate_sample.ext_points)
+    refs[20] = complex(math.nan, 0.0)
+    lost = dataclasses.replace(candidate_sample, ext_points=tuple(refs))
+    cases = [
+        (candidate_sample, math.nan, 20), (candidate_sample, math.inf, 3),
+        (candidate_sample, 1e-300, 3), (candidate_sample, 5e-324, 2),
+        (candidate_sample, 0.0, 3), (candidate_sample, 1e-6, 0),
+        (no_ref, 1e-6, 3), (tight, 1e-10, 3), (lost, 1e-6, 3),
+    ]
+    names = []
+    for sample, r, n_pairs in cases:
+        got = _distortion_outcome(distortion_report, sample, r, n_pairs, cfg)
+        want = _distortion_outcome(distortion_report_scalar, sample, r, n_pairs, cfg)
+        names.append(type(want).__name__)
+        if isinstance(want, Exception):
+            assert type(got) is type(want) and str(got) == str(want)
+        else:
+            assert _same_report(got, want)
+    assert set(names) == {
+        "ZeroParameter", "ValueError", "ZeroDivisionError", "DegenerateRadius", "ShadowLost",
+        "DistortionReport",
+    }
+
+
+def test_distortion_corollary_reads_the_scalar_loop_in_order(cfg, candidate_sample):
+    # the corollary's orbits at lambda_e + h and lambda_e - h are checked
+    # before the x chains, each pair in that order, and an orbit that ends
+    # at step n_e (iterate's points one short) gives no xi'
+    r, n_pairs = 1e-6, 3
+    orbits, xs = hyperbolic._distortion_scales(candidate_sample, r, n_pairs)
+    h, _, e, errors, walks = hyperbolic._pullback_batch(
+        candidate_sample, np.array(xs), [0, 0], [DEFAULT_N_STEPS] * 2, cfg, orbits
+    )
+    at = 2 * n_pairs
+    delta_p = min(candidate_sample.delta / 4.0, r * hyperbolic.DISTORTION_BUDGET)
+    pts_e, ders_e = param_orbit(LatticeKind.SQUARE, orbits[at], 16, cfg)
+    n_e = min(close_horizon(candidate_sample, pts_e, delta_p), len(ders_e))
+    assert 1 <= n_e < 16
+
+    def report(orbit_errors=(None, None), x_errors=(None, None), size=None):
+        err = list(walks.errors)
+        err[at + 1 : at + 3] = orbit_errors
+        sizes = walks.size.copy()
+        if size is not None:
+            sizes[at + 1] = size
+        cut = dataclasses.replace(walks, errors=err, size=sizes)
+        return _distortion_outcome(
+            hyperbolic._distortion, candidate_sample, r, n_pairs, cut, e - h, list(x_errors)
+        )
+
+    assert report() == distortion_report(candidate_sample, r, n_pairs, cfg)
+    refused = ZeroParameter("lattice scale must be nonzero and finite")
+    lost, lost_too = ShadowLost(step=5), ShadowLost(step=7)
+    assert report((None, refused), (lost, None)) is refused
+    assert report((None, None), (None, lost)) is lost
+    assert report((None, None), (lost_too, lost)) is lost_too
+    # one point short of n_e + 1: no xi', so no x chain is read either
+    short = report(x_errors=(lost, lost), size=n_e)
+    assert math.isnan(short.corollary_ratio)
+    assert report(x_errors=(lost, lost), size=n_e + 1) is lost
 
 
 def test_distortion_rejects_degenerate_radius(cfg, candidate_sample):
@@ -309,7 +433,7 @@ def _scalar_outcomes(sample, lams, cfg):
 def _x_batch(sample, lams, cfg):
     """x on the circle lams from one anchor-0 batch, as order_K forms it."""
     n = len(lams)
-    h, _, e, errors = hyperbolic._pullback_batch(
+    h, _, e, errors, _ = hyperbolic._pullback_batch(
         sample, np.array(lams), [0] * n, [DEFAULT_N_STEPS] * n, cfg
     )
     return e - h, errors
@@ -317,6 +441,15 @@ def _x_batch(sample, lams, cfg):
 
 def _bits(z):
     return np.array([z], dtype=complex).view(np.int64).tolist()
+
+
+def _same_report(got, want):
+    """Whether two DistortionReports are equal, a NaN corollary equal to NaN."""
+    if math.isnan(want.corollary_ratio):
+        return math.isnan(got.corollary_ratio) and dataclasses.replace(
+            got, corollary_ratio=0.0
+        ) == dataclasses.replace(want, corollary_ratio=0.0)
+    return got == want
 
 
 def _same_outcome(got, err, want):
@@ -481,7 +614,7 @@ def _mixed_batch(sample):
 
 def _assert_mixed_is_scalar(sample, cfg):
     lams, anchors, steps = _mixed_batch(sample)
-    h, _, _, errors = hyperbolic._pullback_batch(sample, np.array(lams), anchors, steps, cfg)
+    h, _, _, errors, _ = hyperbolic._pullback_batch(sample, np.array(lams), anchors, steps, cfg)
     want = [_chain_outcome(sample, *row, cfg) for row in zip(lams, anchors, steps)]
     for got, err, w in zip(h.tolist(), errors, want):
         assert _same_outcome(got, err, w)
@@ -492,7 +625,7 @@ def test_pullback_batch_gives_wp_of_each_h(cfg, candidate_sample):
     # fh[i] is scalar wp of h[i] on the chain's lattice, the value
     # track_motion computes for its conjugacy residual
     lams, anchors, steps = _mixed_batch(candidate_sample)
-    h, fh, _, errors = hyperbolic._pullback_batch(
+    h, fh, _, errors, _ = hyperbolic._pullback_batch(
         candidate_sample, np.array(lams), anchors, steps, cfg
     )
     solved = [i for i, err in enumerate(errors) if err is None]
@@ -537,13 +670,55 @@ def test_pullback_batch_newton_cap_has_the_scalar_steps(candidate_sample):
     assert sum(isinstance(w, complex) for w in want) >= 8
 
 
+@pytest.mark.parametrize("kind, lambda0, prepole", [
+    (LatticeKind.SQUARE, CANDIDATE, 0.5783308619020432 + 0.7360677656029049j),
+    (LatticeKind.TRIANGULAR, TRI_SAMPLE, 0.5392909261501828 + 0.11091500820528369j),
+], ids=["square", "triangular"])
+@pytest.mark.parametrize("pole_eps", [1e-6, 0.3])
+def test_pullback_batch_orbits_are_iterate(cfg, kind, lambda0, prepole, pole_eps):
+    # each forward orbit riding the lockstep has iterate's points, derivs and
+    # end: a pole hit, an escape or the step budget; the chains it rides
+    # with keep their bits and errors
+    tol = ToleranceConfig(pole_eps=pole_eps)
+    sample = build_sample(kind, lambda0, 16, 0.02, cfg)
+    gen = np.random.default_rng(2101)
+    scales = [complex(gen.uniform(0.5, 3.0), gen.uniform(0.5, 3.0)) for _ in range(60)]
+    scales += [prepole, 0j, complex(math.nan, 1.0), lambda0]
+    lams, anchors, steps = _mixed_batch(sample)
+    h, fh, e, errors, walks = hyperbolic._pullback_batch(
+        sample, np.array(lams), anchors, steps, tol, scales
+    )
+    h0, fh0, e0, errors0, _ = hyperbolic._pullback_batch(sample, np.array(lams), anchors, steps, tol)
+    for got, want in ((h, h0), (fh, fh0), (e, e0)):
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert [repr(x) for x in errors] == [repr(x) for x in errors0]
+    ends = set()
+    for j, lam in enumerate(scales):
+        try:
+            lat = make_lattice(kind, lam, tol)
+        except ValueError as exc:
+            assert type(walks.errors[j]) is type(exc) and str(walks.errors[j]) == str(exc)
+            continue
+        assert walks.errors[j] is None
+        trace = iterate(lat, lat.crit_values[0], 16, tol)
+        ends.add(type(trace.outcome).__name__)
+        n = walks.size[j]
+        assert n == len(trace.points)
+        assert _bits(walks.points[j, :n]) == _bits(trace.points)
+        assert _bits(walks.derivs[j, : n - 1]) == _bits(trace.derivs)
+        assert np.isnan(walks.points[j, n:]).all() and np.isnan(walks.derivs[j, n - 1 :]).all()
+    # wp on a scale of pole_eps 0.3 emits values beyond the escape scale
+    escaped = {"EscapedSphericalBall"} if pole_eps == 0.3 else set()
+    assert ends == {"BudgetExhausted", "PoleHit"} | escaped
+
+
 def test_pullback_batch_is_invariant_under_permutation(cfg, candidate_sample):
     lams, anchors, steps = _mixed_batch(candidate_sample)
-    h, _, e, errors = hyperbolic._pullback_batch(
+    h, _, e, errors, _ = hyperbolic._pullback_batch(
         candidate_sample, np.array(lams), anchors, steps, cfg
     )
     perm = np.random.default_rng(20261018).permutation(len(lams)).tolist()
-    hp, _, ep, errp = hyperbolic._pullback_batch(
+    hp, _, ep, errp, _ = hyperbolic._pullback_batch(
         candidate_sample, np.array([lams[i] for i in perm]), [anchors[i] for i in perm],
         [steps[i] for i in perm], cfg,
     )
@@ -570,7 +745,7 @@ def _motion_samples(cfg, candidate_sample):
 def test_verify_motion_equals_the_scalar_calls(cfg, candidate_sample, which):
     sample = _motion_samples(cfg, candidate_sample)[which]
     rho = 1e-3
-    got = hyperbolic.verify_motion(sample, rho, 12, 64, cfg)
+    got = hyperbolic.verify_motion(sample, rho, 12, 64, 1e-6, 20, cfg)
 
     ident = track_motion(sample, sample.points[0], sample.lambda0, 12, cfg)
     assert got.identity_residual == abs(ident.h_value - sample.points[0])
@@ -597,36 +772,87 @@ def test_verify_motion_equals_the_scalar_calls(cfg, candidate_sample, which):
         assert _same_outcome(None, got.order, exc)
     else:
         assert got.order == want_K
+    want = _distortion_outcome(distortion_report_scalar, sample, 1e-6, 20, cfg)
+    if isinstance(want, Exception):
+        assert _same_outcome(None, got.distortion, want)
+    else:
+        assert _same_report(got.distortion, want)
 
 
 def test_verify_motion_reports_the_first_failing_frame_and_order_errors(cfg, candidate_sample):
     tight = dataclasses.replace(candidate_sample, delta=0.001)
-    got = hyperbolic.verify_motion(tight, 1e-3, 12, 64, cfg)
+    got = hyperbolic.verify_motion(tight, 1e-3, 12, 64, 1e-6, 20, cfg)
     assert isinstance(got.conj_residual, ShadowLost) and got.conj_residual.step == 0
-    got = hyperbolic.verify_motion(candidate_sample, 1e-3, 12, 3, cfg)
+    got = hyperbolic.verify_motion(candidate_sample, 1e-3, 12, 3, 1e-6, 20, cfg)
     assert isinstance(got.order, ValueError) and str(got.order) == "n_samples must be at least 4"
     assert got.conj_residual == 5.89368419225394e-10
-    got = hyperbolic.verify_motion(candidate_sample, 0.0, 12, 64, cfg)
+    assert got.distortion == distortion_report(candidate_sample, 1e-6, 20, cfg)
+    got = hyperbolic.verify_motion(candidate_sample, 0.0, 12, 64, 1e-6, 20, cfg)
     assert isinstance(got.order, NearZero)
+    # the distortion's argument checks and its degenerate radius come back
+    # as values, with the motion checks still computed
+    for r, n_pairs, want in ((0.0, 20, "r must be positive"), (1e-6, 0, "n_pairs must be at least 1"),
+                             (1.0, 20, "no pair kept its orbits close for 3 steps")):
+        got = hyperbolic.verify_motion(candidate_sample, 1e-3, 12, 64, r, n_pairs, cfg)
+        assert str(got.distortion) == want and got.order == 1
 
 
 def test_verify_runs_one_pullback_batch(capsys, monkeypatch):
-    calls = []
+    calls, widths = [], []
     real = hyperbolic._pullback_batch
+    real_pair = hyperbolic._wp_pair_split
 
     def spy(*args):
-        calls.append(len(args[1]))
+        calls.append((len(args[1]), len(args[5])))
         return real(*args)
 
+    def spy_pair(*args):
+        widths.append(len(args[0]))
+        return real_pair(*args)
+
     monkeypatch.setattr(hyperbolic, "_pullback_batch", spy)
-    for name in ("track_motion", "order_K"):
+    monkeypatch.setattr(hyperbolic, "_wp_pair_split", spy_pair)
+    for name in ("track_motion", "order_K", "x_function", "distortion_report"):
         monkeypatch.setattr(hyperbolic, name, None)
     argv = ["verify", "--kind", "square", "--lambda0", "1.9101297082387314+0.7624256939043886i",
             "--m-steps", "16"]
     assert main(argv) == 0
-    assert "order K = 1" in capsys.readouterr().out
-    # the identity, 16 distinct frame anchors and the 64 circle chains
-    assert calls == [1 + 16 + 64]
+    out = capsys.readouterr().out
+    assert "order K = 1" in out and "distortion max_ratio=" in out
+    # the identity, 16 distinct frame anchors, the 64 circle chains and the
+    # two x chains; the 2 * 20 + 3 critical orbits of the distortion pairs
+    assert calls == [(1 + 16 + 64 + 2, 2 * 20 + 3)]
+    # the orbits ride the first 16 rounds: as many rounds as the chains alone
+    assert len(widths) == 81
+    assert widths[:16] == [126] * 12 + [125] * 4 and max(widths[16:]) == 82
+
+
+def test_verify_runs_scalar_wp_pair_only_in_build_sample(capsys, monkeypatch):
+    # every wp and wp' of verify after build_sample comes from the lockstep
+    callers = []
+    real = lattice.wp_pair
+
+    def spy(*args):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return real(*args)
+
+    for module in (lattice, hyperbolic, dynamics):
+        monkeypatch.setattr(module, "wp_pair", spy)
+    argv = ["verify", "--kind", "square", "--lambda0", "1.9101297082387314+0.7624256939043886i",
+            "--m-steps", "16"]
+    real_build = hyperbolic.build_sample
+    seen = {}
+
+    def build(*args):
+        sample = real_build(*args)
+        seen["build"] = len(callers)
+        return sample
+
+    monkeypatch.setattr(hyperbolic, "build_sample", build)
+    assert main(argv) == 0
+    assert "distortion max_ratio=" in capsys.readouterr().out
+    # build_sample's iterate of M + EXTENSION = 80 steps, and nothing after
+    assert set(callers) == {"iterate"} and seen["build"] == len(callers) == 80
 
 
 def test_verify_makes_no_wp_split_call_from_hyperbolic(capsys, monkeypatch):

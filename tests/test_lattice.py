@@ -7,7 +7,12 @@ import numpy as np
 import pytest
 
 from conftest import E1_SQUARE_NORM, E1_TRI_NORM
-from oracles import eisenstein_direct_sum, wp_direct_sum, wp_split_four_calls
+from oracles import (
+    eisenstein_direct_sum,
+    wp_direct_sum,
+    wp_pair_split_broadcast,
+    wp_split_four_calls,
+)
 from weierdyn import lattice
 from weierdyn.lattice import (
     LatticeKind,
@@ -386,6 +391,69 @@ def test_wp_pair_split_has_the_bits_of_wp_pair(cfg, kind):
     assert _bits(vi[keep]) == _bits([v.imag for (v, _), p in zip(want, want_pole) if not p])
     assert _bits(dr[keep]) == _bits([d.real for (_, d), p in zip(want, want_pole) if not p])
     assert _bits(di[keep]) == _bits([d.imag for (_, d), p in zip(want, want_pole) if not p])
+
+
+def _special_pair_points(kind, cfg, gen, width):
+    """width (scale, point) pairs: points next to lattice points (inside and
+    just outside pole_eps), on the real axis of scale 1 with a signed zero
+    imaginary part, signed zeros, NaN and infinities, then random ones."""
+    tau = lattice._kind_data(kind).tau
+    special = [(1.0 + 0j, complex(x, y)) for x in (0.3, 0.0, -0.3, -0.0) for y in (0.0, -0.0)]
+    for z in (complex(math.nan, 0.0), complex(0.0, math.nan), complex(math.inf, 1.0),
+              complex(1.0, -math.inf), complex(-math.inf, math.inf)):
+        special.append((1.5 - 0.5j, z))
+    for r in (0.0, 0.999, 1.001, 3.0):
+        lam = complex(gen.uniform(0.3, 3.0), gen.uniform(-3.0, 3.0))
+        m, n = gen.integers(-3, 4, 2).tolist()
+        turn = cmath.exp(1j * gen.uniform(-math.pi, math.pi))
+        special.append((lam, (m + n * tau + r * cfg.pole_eps * turn) * lam))
+    pairs = special[:width]
+    while len(pairs) < width:
+        lam = complex(gen.uniform(-3.0, 3.0), gen.uniform(-3.0, 3.0))
+        pairs.append((lam, complex(gen.uniform(-6.0, 6.0), gen.uniform(-6.0, 6.0))))
+    return [p[0] for p in pairs], [p[1] for p in pairs]
+
+
+@pytest.mark.parametrize("kind", [LatticeKind.SQUARE, LatticeKind.TRIANGULAR], ids=lambda k: k.value)
+@pytest.mark.parametrize("width", [1, 2, 63, 64, 65, 81, 128, 1025])
+def test_wp_pair_split_has_the_bits_of_wp_pair_at_every_width(cfg, kind, width):
+    # the flat pair Horner, with the coefficient columns and with rows
+    # prepared for the width, gives the bits of the broadcast 4-D Horner on
+    # every element (NaN included) and scalar wp_pair's where that accepts
+    # the point; scalar wp_pair refuses a non-finite point outright
+    gen = np.random.default_rng(width)
+    lams, zs = _special_pair_points(kind, cfg, gen, width)
+    lam, lam2 = lattice._split_scales(np.array(lams))
+    z = np.array(zs)
+    n_terms = lattice._terms_for_tol(kind, cfg.eval_tol)
+    args = (
+        z.real.copy(), z.imag.copy(), lattice._divisor(*lam), lattice._divisor(*lam2),
+        lattice._divisor(*lattice._cmul(*lam2, *lam)), kind, n_terms, cfg.pole_eps,
+    )
+    flat = lattice._wp_pair_split(*args)
+    rows = lattice._wp_pair_split(*args, lattice._pair_rows(kind, n_terms, width))
+    broadcast = wp_pair_split_broadcast(*args)
+    for got, same, want in zip(flat, rows, broadcast):
+        assert np.array_equal(got.view(np.uint8), same.view(np.uint8))
+        assert np.array_equal(got.view(np.uint8), want.view(np.uint8))
+    vr, vi, dr, di, pole = flat
+    assert not pole.all()
+    for i, (value, point) in enumerate(zip(lams, zs)):
+        lat = make_lattice(kind, value, cfg)
+        if not (math.isfinite(point.real) and math.isfinite(point.imag)):
+            with pytest.raises((ValueError, OverflowError)):
+                wp_pair(point, lat, cfg)
+            assert not pole[i] and math.isnan(vr[i]) and math.isnan(dr[i])
+            continue
+        try:
+            val, dval = wp_pair(point, lat, cfg)
+        except PoleHit:
+            assert pole[i]
+            continue
+        assert not pole[i]
+        assert _bits([vr[i], vi[i], dr[i], di[i]]) == _bits(
+            [val.real, val.imag, dval.real, dval.imag]
+        )
 
 
 @pytest.mark.parametrize("kind", [LatticeKind.SQUARE, LatticeKind.TRIANGULAR])
