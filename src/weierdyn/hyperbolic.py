@@ -386,14 +386,15 @@ def _pullback_batch(
     where errors[i] is not None, and e[i] where the lattice is refused.
     walks holds the forward orbits.
 
-    Each element keeps its own pullback step and Newton iteration count, and
-    a round evaluates lattice._wp_pair_split once at the current iterate of
-    every live element, so chains of any anchors, horizons and scales share
-    every round.  A forward orbit takes one step z <- wp(z) per round, from
-    the same call, and ends by iterate's escape and pole rules.  Element by
-    element the arithmetic and the order of the checks are _pullback_chain's
-    and iterate's, so each h and orbit point has its bits and each error is
-    the scalar one.  No scale gets a Lattice.
+    Orbits and chains are the columns of one lockstep table, and a round
+    evaluates lattice._wp_pair_split once on all of it.  The orbits' columns
+    lead for M rounds: an orbit takes step s in round s, and once iterate's
+    escape or pole rule ends it, its column runs on unrecorded.  Each chain
+    keeps its own pullback step and Newton iteration count, so chains of any
+    anchors, horizons and scales share every round.  Element by element the
+    arithmetic and the order of the checks are _pullback_chain's and
+    iterate's, so each h and orbit point has its bits and each error is the
+    scalar one.  No scale gets a Lattice.
     """
     kind = sample.kind
     n_chains = len(anchors)
@@ -410,16 +411,15 @@ def _pullback_batch(
     crit, hits = _crit_values_hits(kind, lam, lam2, _half_periods_split(kind, lam), cfg)
     for at, hit in hits.items():
         errors[int(good[at])] = hit
-    e = np.full(n_chains, complex(math.nan, math.nan))
+    h = np.full(n_chains, complex(math.nan, math.nan))
+    e, fh = h.copy(), h.copy()
     chain_at = good < n_chains
     e[good[chain_at]] = _complex(crit[0, 0, chain_at], crit[0, 1, chain_at])
-    h = np.full(n_chains, complex(math.nan, math.nan))
-    fh = h.copy()
 
-    # the chains that start, at step k = horizon - 1: Newton for
-    # f(w) = refs[anchor + horizon] from w = refs[anchor + k]; and the orbits
-    # that start, at their critical value
-    live, steps, first, walking = [], [], [], []
+    # the orbits that start, at their critical value; and the chains that
+    # start, at step k = horizon - 1: Newton for f(w) = refs[anchor + horizon]
+    # from w = refs[anchor + k]
+    walking, live, steps, first = [], [], [], []
     for at, i in enumerate(good.tolist()):
         if errors[i] is not None:
             continue
@@ -433,25 +433,6 @@ def _pullback_batch(
         live.append(at)
         steps.append(horizon - 1)
         first.append(anchors[i] + horizon - 1)
-    # per live chain: its element, step k, reference index anchor + k, Newton
-    # iteration count, iterate z, target t and the _divisor rows of lam, lam2
-    # and lam3 = lam2 * lam.  The counters are floats and the index moves
-    # back by lookup in `back`, because integer arithmetic would be numpy
-    # loops that verify runs nowhere else, each adding resident pages.
-    elem = good[live]
-    k = np.array(steps, dtype=float)
-    ref = np.array(first, dtype=int)
-    it = np.zeros(elem.size)
-    refs = np.array(sample.ext_points, dtype=complex)
-    ref_r, ref_i = refs.real.copy(), refs.imag.copy()
-    back = np.arange(-1, refs.size - 1)
-    zr, zi = ref_r[ref], ref_i[ref]
-    target = [r + 1 for r in first]
-    tr, ti = ref_r[target], ref_i[target]
-    consts = np.vstack([_divisor(*lam), _divisor(*lam2), _divisor(*_cmul(*lam2, *lam))])
-    c = consts[:, live]
-    # per walking orbit: its row, point w, divisor rows and escape scale; the
-    # orbits all take their step s in round s
     M = len(sample.points) - 1
     walks = _Walks(
         points=np.full((lam_c.size - n_chains, M + 1), complex(math.nan, math.nan)),
@@ -460,54 +441,60 @@ def _pullback_batch(
         errors=errors[n_chains:],
     )
     row = good[walking] - n_chains
-    wr, wi = crit[0, 0, walking], crit[0, 1, walking]
-    walks.points[row, 0] = _complex(wr, wi)
+    walks.points[row, 0] = _complex(crit[0, 0, walking], crit[0, 1, walking])
     walks.size[row] = 1
-    wc = consts[:, walking]
-    esc = np.array([escape_scale(v, cfg.pole_eps) for v in lam_c[good[walking]].tolist()])
     if M < 1:
-        row = row[:0]
-    s = 0
+        walking, row = [], row[:0]
+    # the table's rows: the iterate z, then the _divisor rows of lam, lam2
+    # and lam3 = lam2 * lam; its columns: the orbits, then the chains
+    nw = len(walking)
+    table = np.vstack([
+        crit[0], _divisor(*lam), _divisor(*lam2), _divisor(*_cmul(*lam2, *lam))
+    ])[:, walking + live]
+    refs = np.array(sample.ext_points, dtype=complex)
+    ref_r, ref_i = refs.real.copy(), refs.imag.copy()
+    table[:2, nw:] = ref_r[first], ref_i[first]
+    # per orbit: its row, escape scale and whether it goes on, as iterate's
+    # escape rule ends an orbit before its step
+    esc = np.array([escape_scale(v, cfg.pole_eps) for v in lam_c[good[walking]].tolist()])
+    going = ~(np.hypot(table[0, :nw], table[1, :nw]) > esc)
+    # per chain: its element, step k, reference index anchor + k, Newton
+    # iteration count and target t.  The counters are floats and the index
+    # moves back by lookup in `back`, because integer arithmetic would be
+    # numpy loops that verify runs nowhere else, each adding resident pages.
+    elem = good[live]
+    k = np.array(steps, dtype=float)
+    ref = np.array(first, dtype=int)
+    it = np.zeros(elem.size)
+    back = np.arange(-1, refs.size - 1)
+    target = [r + 1 for r in first]
+    tr, ti = ref_r[target], ref_i[target]
+    s, rows = 0, None
     n_terms = _terms_for_tol(kind, cfg.eval_tol)
-    rows = None
     eps = sample.delta / 2.0
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        while elem.size or row.size:
-            if row.size:
-                # iterate's escape rule ends an orbit before its step
-                out = np.hypot(wr, wi) > esc
-                if out.any():
-                    row, wr, wi, wc, esc = row[~out], wr[~out], wi[~out], wc[:, ~out], esc[~out]
-            nw = row.size
-            if nw:
-                xr, xi, xc = np.concatenate([wr, zr]), np.concatenate([wi, zi]), np.hstack([wc, c])
-            else:
-                xr, xi, xc = zr, zi, c
-            if not xr.size:
-                break
-            if rows is None or rows.shape[2] != xr.size:
-                # the old table goes first, so two never coexist
+        while table.shape[1]:
+            if rows is None or rows.shape[2] != table.shape[1]:
+                # the old rows go first, so two tables of them never coexist
                 rows = None
-                rows = _pair_rows(kind, n_terms, xr.size)
+                rows = _pair_rows(kind, n_terms, table.shape[1])
             vr, vi, dr, di, pole = _wp_pair_split(
-                xr, xi, xc[0:3], xc[3:6], xc[6:9], kind, n_terms, cfg.pole_eps, rows
+                *table[:2], table[2:5], table[5:8], table[8:11], kind, n_terms, cfg.pole_eps, rows
             )
             if nw:
-                # the orbits take step s; a pole hit ends an orbit there
-                step = ~pole[:nw]
-                row, wc, esc = row[step], wc[:, step], esc[step]
-                wr, wi = vr[:nw][step], vi[:nw][step]
-                walks.derivs[row, s] = _complex(dr[:nw][step], di[:nw][step])
+                # the orbits take step s: a pole hit ends an orbit there, and
+                # the escape rule before its next step
+                going &= ~pole[:nw]
+                at = row[going]
+                walks.derivs[at, s] = _complex(dr[:nw][going], di[:nw][going])
                 s += 1
-                walks.points[row, s] = _complex(wr, wi)
-                walks.size[row] = s + 1
-                if s == M:
-                    row = row[:0]
-                vr, vi, dr, di, pole = vr[nw:], vi[nw:], dr[nw:], di[nw:], pole[nw:]
-            if not elem.size:
-                continue
-            gr = vr - tr
-            gi = vi - ti
+                walks.points[at, s] = _complex(vr[:nw][going], vi[:nw][going])
+                walks.size[at] = s + 1
+                going &= ~(np.hypot(vr[:nw], vi[:nw]) > esc)
+                table[:2, :nw] = vr[:nw], vi[:nw]
+            zr, zi = table[0, nw:], table[1, nw:]
+            vr, vi, dr, di, pole = vr[nw:], vi[nw:], dr[nw:], di[nw:], pole[nw:]
+            gr, gi = vr - tr, vi - ti
             fail = pole | ~(np.isfinite(zr) & np.isfinite(zi))
             done = ~fail & (np.hypot(gr, gi) < cfg.newton_tol)
             fail |= ~done & (dr == 0) & (di == 0)
@@ -515,30 +502,32 @@ def _pullback_batch(
             done &= ~fail
             it += 1.0
             fail |= ~done & (it == _NEWTON_ITERS)
-            for at in np.flatnonzero(fail).tolist():
-                errors[int(elem[at])] = ShadowLost(step=int(k[at]))
-            # a solved step moves its chain one step back; after step 0 the
-            # chain is finished, its w is h and this round's wp value is
-            # wp(h), as scalar wp has wp_pair's value bits
+            # a solved step moves its chain one step back: the next step
+            # solves for the w just found from the next reference point; the
+            # other chains take their Newton update
             k[done] -= 1.0
             ref[done] = back[ref[done]]
-            end = done & (k < 0.0)
-            h[elem[end]] = _complex(zr[end], zi[end])
-            fh[elem[end]] = _complex(vr[end], vi[end])
             qr, qi = _cdiv(gr, gi, dr, di)
-            drop = fail | end
-            if drop.any():
-                keep = ~drop
-                elem, k, ref, it, done = elem[keep], k[keep], ref[keep], it[keep], done[keep]
-                c, tr, ti = c[:, keep], tr[keep], ti[keep]
-                zr, zi, qr, qi = zr[keep], zi[keep], qr[keep], qi[keep]
-            # the next step solves for the w just found from the next
-            # reference point; the other chains take their Newton update
-            tr = np.where(done, zr, tr)
-            ti = np.where(done, zi, ti)
-            zr = np.where(done, ref_r[ref], zr - qr)
-            zi = np.where(done, ref_i[ref], zi - qi)
+            tr, ti = np.where(done, zr, tr), np.where(done, zi, ti)
+            table[0, nw:] = np.where(done, ref_r[ref], zr - qr)
+            table[1, nw:] = np.where(done, ref_i[ref], zi - qi)
             it[done] = 0.0
+            # the one compaction: the orbits' columns leave after round M, a
+            # chain's when it fails or ends.  After step 0 a chain is finished:
+            # its w, now its target, is h and this round's wp value is wp(h),
+            # as scalar wp has wp_pair's value bits
+            end = done & (k < 0.0)
+            drop = np.full(table.shape[1], s == M)
+            drop[nw:] = fail | end
+            if drop.any():
+                for at in np.flatnonzero(fail).tolist():
+                    errors[int(elem[at])] = ShadowLost(step=int(k[at]))
+                h[elem[end]] = _complex(tr[end], ti[end])
+                fh[elem[end]] = _complex(vr[end], vi[end])
+                table = table[:, ~drop]
+                keep = ~drop[nw:]
+                elem, k, ref, it, tr, ti = (a[keep] for a in (elem, k, ref, it, tr, ti))
+                nw = table.shape[1] - elem.size
     return h, fh, e, errors[:n_chains], walks
 
 
@@ -791,6 +780,9 @@ def _distortion_scales(
         raise ValueError("n_pairs must be at least 1")
     if r <= 0:
         raise ValueError("r must be positive")
+    if r / 100.0 == 0:
+        # the central differences divide by 2 * (r/100)
+        raise ValueError("r/100 must not underflow to zero")
     if len(sample.points) - 1 < 3:
         # an orbit of M steps has M derivatives, too few for any pair
         raise DegenerateRadius("no pair kept its orbits close for 3 steps")

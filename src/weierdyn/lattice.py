@@ -116,6 +116,8 @@ class ToleranceConfig:
     def __post_init__(self):
         if not (self.eval_tol > 0 and self.pole_eps > 0 and self.newton_tol > 0):
             raise ValueError("tolerances must be positive")
+        if not all(map(math.isfinite, (self.eval_tol, self.pole_eps, self.newton_tol))):
+            raise ValueError("tolerances must be finite")
         if not self.eval_tol < self.pole_eps:
             raise ValueError("eval_tol must be smaller than pole_eps")
         # wp and wp_pair divide by u0^2 and u0^3 with |u0| >= pole_eps; below

@@ -41,7 +41,6 @@ from .lattice import (
     Lattice,
     LatticeKind,
     ToleranceConfig,
-    _cdiv_by,
     _check_scale,
     _cmul,
     _complex,
@@ -50,7 +49,7 @@ from .lattice import (
     _divisor,
     _half_periods_split,
     _kind_data,
-    _nearest_translate,
+    _reduced_split,
     _scales_ok,
     _sph_dist_to_inf_split,
     _split_scales,
@@ -774,7 +773,7 @@ def covering_steps(
     if d <= 0:
         raise ValueError("disc radius must be positive")
 
-    kind, kd = lat.kind, _kind_data(lat.kind)
+    kind = lat.kind
 
     def crit_dist(zr, zi):
         lam = np.broadcast_to([[lat.lam.real], [lat.lam.imag]], (2, zr.size))
@@ -824,7 +823,7 @@ def covering_steps(
         if reached:
             return m
         with np.errstate(invalid="ignore", over="ignore"):
-            u0r, u0i, _, _ = _nearest_translate(*_cdiv_by(wr, wi, divisors[0]), kd)
+            u0r, u0i, _, _, _ = _reduced_split(wr, wi, divisors[0], kind, cfg.pole_eps)
         pd = np.hypot(u0r, u0i) * abs(lat.lam)
         # a ball that swallows a pole keeps clearance rho - pd from it; one
         # that escapes is dropped; one whose centre hits a pole keeps rho

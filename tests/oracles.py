@@ -270,6 +270,8 @@ def distortion_report_scalar(
         raise ValueError("n_pairs must be at least 1")
     if r <= 0:
         raise ValueError("r must be positive")
+    if r / 100.0 == 0:
+        raise ValueError("r/100 must not underflow to zero")
     delta_p = min(sample.delta / 4.0, r * DISTORTION_BUDGET)
     M = len(sample.points) - 1
     if M < 3:

@@ -147,6 +147,31 @@ def test_pole_eps_whose_cube_underflows_exits_one(capsys):
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--kind", "square", "--lambda0", CANDIDATE_ARG, "--m-steps", "16",
+     "--newton-tol", "inf"],
+    ["classify", "--kind", "square", "--lambda", "2.0", "--pole-eps", "inf"],
+], ids=["verify-newton-tol", "classify-pole-eps"])
+def test_infinite_tolerance_exits_one(capsys, argv):
+    # an infinite newton_tol passed every verify check vacuously, and an
+    # infinite pole_eps put every half-period in pole; the config is refused
+    code, _, err = _run(capsys, *argv)
+    assert code == 1
+    assert err.splitlines() == ["error: tolerances must be finite"]
+
+
+def test_verify_refuses_a_distortion_radius_whose_step_underflows(capsys):
+    # the corollary's central differences divide by 2 * (r/100), which is 0
+    # at r = 5e-324
+    code, out, err = _run(
+        capsys, "verify", "--kind", "square", "--lambda0", CANDIDATE_ARG, "--m-steps", "16",
+        "--n-pairs", "2", "--r-distortion", "5e-324",
+    )
+    assert code == 1
+    assert err.splitlines() == ["error: r/100 must not underflow to zero"]
+    assert "order K = 1" in out
+
+
 def test_config_complex_needs_both_halves(tmp_path, capsys):
     path = tmp_path / "run.cfg"
     path.write_text("lambda_re = 2.0\n")

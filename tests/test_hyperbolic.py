@@ -343,8 +343,7 @@ def test_distortion_report_raises_the_errors_of_the_scalar_loop(cfg, candidate_s
         else:
             assert _same_report(got, want)
     assert set(names) == {
-        "ZeroParameter", "ValueError", "ZeroDivisionError", "DegenerateRadius", "ShadowLost",
-        "DistortionReport",
+        "ZeroParameter", "ValueError", "DegenerateRadius", "ShadowLost", "DistortionReport",
     }
 
 
@@ -710,6 +709,127 @@ def test_pullback_batch_orbits_are_iterate(cfg, kind, lambda0, prepole, pole_eps
     # wp on a scale of pole_eps 0.3 emits values beyond the escape scale
     escaped = {"EscapedSphericalBall"} if pole_eps == 0.3 else set()
     assert ends == {"BudgetExhausted", "PoleHit"} | escaped
+
+
+SQUARE_PREPOLE_0 = 1.1978657560733494 + 1.1978657560733494j
+
+
+def _assert_walks_are_iterate(walks, kind, scales, M, tol):
+    """Each orbit of walks has iterate's points and derivs over M steps, and
+    nothing past them; returns iterate's outcomes."""
+    ends = []
+    for j, lam in enumerate(scales):
+        lat = make_lattice(kind, lam, tol)
+        assert walks.errors[j] is None
+        trace = iterate(lat, lat.crit_values[0], max(M, 1), tol)
+        n = min(len(trace.points), M + 1)
+        assert walks.size[j] == n
+        assert _bits(walks.points[j, :n]) == _bits(trace.points[:n])
+        assert _bits(walks.derivs[j, : n - 1]) == _bits(trace.derivs[: n - 1])
+        assert np.isnan(walks.points[j, n:]).all() and np.isnan(walks.derivs[j, n - 1 :]).all()
+        ends.append(trace.outcome)
+    return ends
+
+
+def _assert_chains_are_scalar(sample, batch, h, errors, tol):
+    want = [_chain_outcome(sample, *row, tol) for row in zip(*batch)]
+    assert len(errors) == len(want)
+    for got, err, w in zip(h.tolist(), errors, want):
+        assert _same_outcome(got, err, w)
+
+
+def _widths_of(monkeypatch):
+    """The widths of the _wp_pair_split calls made from hyperbolic."""
+    widths = []
+    real = hyperbolic._wp_pair_split
+
+    def spy(*args):
+        widths.append(len(args[0]))
+        return real(*args)
+
+    monkeypatch.setattr(hyperbolic, "_wp_pair_split", spy)
+    return widths
+
+
+@pytest.mark.parametrize("chains", [False, True], ids=["orbits-only", "with-chains"])
+def test_pullback_batch_orbits_escaping_before_their_first_step(candidate_sample, chains):
+    # at pole_eps 0.4 both critical values lie beyond the escape scale, so
+    # iterate ends each orbit at step 0; the chains riding along keep their
+    # scalar outcomes
+    tol = ToleranceConfig(pole_eps=0.4)
+    scales = [CANDIDATE, 2.3 + 1.1j]
+    batch = _mixed_batch(candidate_sample) if chains else ([], [], [])
+    h, _, _, errors, walks = hyperbolic._pullback_batch(
+        candidate_sample, np.array(batch[0], dtype=complex), batch[1], batch[2], tol, scales
+    )
+    ends = _assert_walks_are_iterate(walks, LatticeKind.SQUARE, scales, 16, tol)
+    assert ends == [dynamics.EscapedSphericalBall(step=0)] * 2
+    _assert_chains_are_scalar(candidate_sample, batch, h, errors, tol)
+
+
+def test_pullback_batch_orbit_hitting_a_pole_at_step_0(cfg, candidate_sample):
+    # the critical value of an order-0 prepole parameter is a pole
+    scales = [SQUARE_PREPOLE_0, CANDIDATE]
+    batch = _mixed_batch(candidate_sample)
+    h, _, _, errors, walks = hyperbolic._pullback_batch(
+        candidate_sample, np.array(batch[0]), batch[1], batch[2], cfg, scales
+    )
+    ends = _assert_walks_are_iterate(walks, LatticeKind.SQUARE, scales, 16, cfg)
+    assert type(ends[0]) is dynamics.PoleHit and ends[0].step == 0
+    assert ends[1] == dynamics.BudgetExhausted()
+    _assert_chains_are_scalar(candidate_sample, batch, h, errors, cfg)
+
+
+@pytest.mark.parametrize("M", [0, 1])
+def test_pullback_batch_on_the_shortest_samples(cfg, M):
+    # M = 0 gives the orbits no column and M = 1 one round
+    sample = build_sample(LatticeKind.SQUARE, CANDIDATE, M, 0.02, cfg)
+    gen = np.random.default_rng(2301)
+    scales = [complex(gen.uniform(0.5, 3.0), gen.uniform(0.5, 3.0)) for _ in range(20)]
+    scales += [SQUARE_PREPOLE_0, CANDIDATE]
+    batch = _mixed_batch(sample)
+    h, _, _, errors, walks = hyperbolic._pullback_batch(
+        sample, np.array(batch[0]), batch[1], batch[2], cfg, scales
+    )
+    assert walks.points.shape == (len(scales), M + 1) and walks.derivs.shape == (len(scales), M)
+    _assert_walks_are_iterate(walks, LatticeKind.SQUARE, scales, M, cfg)
+    _assert_chains_are_scalar(sample, batch, h, errors, cfg)
+
+
+def test_pullback_batch_orbits_without_chains(cfg, candidate_sample, monkeypatch):
+    # orbits alone take M rounds at their full width, whether or not they
+    # have ended: an ended orbit keeps its column to round M
+    gen = np.random.default_rng(2302)
+    scales = [complex(gen.uniform(0.5, 3.0), gen.uniform(0.5, 3.0)) for _ in range(30)]
+    scales += [SQUARE_PREPOLE_0, CANDIDATE]
+    widths = _widths_of(monkeypatch)
+    h, fh, e, errors, walks = hyperbolic._pullback_batch(
+        candidate_sample, np.array([], dtype=complex), [], [], cfg, scales
+    )
+    assert h.size == fh.size == e.size == len(errors) == 0
+    assert widths == [len(scales)] * 16
+    ends = _assert_walks_are_iterate(walks, LatticeKind.SQUARE, scales, 16, cfg)
+    assert {type(end).__name__ for end in ends} == {"BudgetExhausted", "PoleHit"}
+
+
+def test_pullback_batch_chains_failing_as_the_orbits_leave(cfg, candidate_sample, monkeypatch):
+    # a NaN reference point at step 19 fails both x chains of a distortion
+    # batch at r = 1e-4 in round 15, the last round of the M = 16 orbits:
+    # every column leaves at the one compaction after it
+    refs = list(candidate_sample.ext_points)
+    refs[19] = complex(math.nan, 0.0)
+    lost = dataclasses.replace(candidate_sample, ext_points=tuple(refs))
+    orbits, xs = hyperbolic._distortion_scales(lost, 1e-4, 3)
+    widths = _widths_of(monkeypatch)
+    h, _, e, errors, walks = hyperbolic._pullback_batch(
+        lost, np.array(xs), [0, 0], [DEFAULT_N_STEPS] * 2, cfg, orbits
+    )
+    assert widths == [len(orbits) + 2] * 16
+    want = _scalar_outcomes(lost, xs, cfg)
+    assert all(isinstance(w, ShadowLost) and w.step == 19 for w in want)
+    for got, err, w in zip((e - h).tolist(), errors, want):
+        assert _same_outcome(got, err, w)
+    _assert_walks_are_iterate(walks, LatticeKind.SQUARE, orbits, 16, cfg)
 
 
 def test_pullback_batch_is_invariant_under_permutation(cfg, candidate_sample):

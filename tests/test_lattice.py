@@ -71,6 +71,21 @@ def test_tolerance_config_refuses_a_pole_eps_whose_cube_underflows():
         wp_pair(1e-150, lat, tiny)
 
 
+@pytest.mark.parametrize("field", ["eval_tol", "pole_eps", "newton_tol"])
+def test_tolerance_config_refuses_an_infinite_tolerance(field):
+    # an infinite tolerance would pass checks vacuously: a residual is always
+    # below 10 * inf, and no point is ever within eval_tol of a pole
+    with pytest.raises(ValueError, match="^tolerances must be finite$"):
+        ToleranceConfig(**{field: math.inf})
+    # the other refusals keep their own messages
+    with pytest.raises(ValueError, match="^tolerances must be positive$"):
+        ToleranceConfig(**{field: -math.inf})
+    with pytest.raises(ValueError, match="^tolerances must be positive$"):
+        ToleranceConfig(**{field: math.nan})
+    with pytest.raises(ValueError, match="^eval_tol must be smaller than pole_eps$"):
+        ToleranceConfig(eval_tol=1e-3, pole_eps=1e-6)
+
+
 def test_reduce_roundtrip(cfg, square2):
     gen = np.random.default_rng(41)
     for _ in range(100):
