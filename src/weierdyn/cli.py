@@ -468,7 +468,9 @@ def _scan_grid(values: dict[str, object]):
 
 def _thread_count(values: dict[str, object]) -> int:
     threads = values["threads"]
-    return threads if threads and threads > 0 else (os.cpu_count() or 1)
+    if threads < 0:
+        raise ValueError("threads must be non-negative")
+    return threads or (os.cpu_count() or 1)
 
 
 def _cmd_render_param(values: dict[str, object]) -> int:

@@ -516,6 +516,8 @@ def classify(kind: LatticeKind, lam: complex, budget: int, cfg: ToleranceConfig)
     Everything else, including parabolic and rotation-domain behavior and
     exhausted budgets, is Indeterminate.
     """
+    if budget < 1:
+        raise ValueError("budget must be at least 1")
     lat = make_lattice(kind, lam, cfg)
     # square: e2 = -e1 shares e1's orbit and e3 = 0 is a pole
     crit = lat.crit_values if kind is LatticeKind.TRIANGULAR else lat.crit_values[:1]
@@ -543,7 +545,7 @@ def classify_batch(
     chunks of TAIL_CHUNK parameters (_tail_verdicts), which is where the
     near-return ring is kept."""
     if budget < 1:
-        raise ValueError("max_iter must be at least 1")
+        raise ValueError("budget must be at least 1")
     lam_c = np.asarray(lams, dtype=complex).reshape(-1)
     ok = _scales_ok(lam_c)
     good = lam_c[ok]

@@ -567,30 +567,6 @@ def _reduced_split(zr, zi, lam, kind: LatticeKind, pole_eps: float):
     return re, im, np.hypot(re, im) < pole_eps, m, n
 
 
-def _horner_split(u2r, u2i, coeffs: np.ndarray, n_terms: int) -> np.ndarray:
-    """The scalar loop acc = acc*u2 + c_k, k = n_terms-1 .. 0, from acc = 0j,
-    for each coefficient row of coeffs, of shape (count, 2, 1) as
-    _split_coeffs or (count, rows, 2, 1) as _split_pair_coeffs: acc of shape
-    (2, size) or (rows, 2, size).
-
-    With uv = [u^2, i*u^2] = [(u2r, u2i), (-u2i, u2r)], acc*u^2 =
-    acc.re*uv[0] + acc.im*uv[1], whose parts are exactly CPython's
-    (ac - bd, ad + bc), since x - y is x + (-y) in IEEE arithmetic.  Every
-    product of a term comes from one multiply, so a term takes three numpy
-    calls for any number of rows.
-    """
-    uv = np.array([[u2r, u2i], [-u2i, u2r]])
-    acc = np.zeros(coeffs.shape[1:-1] + uv.shape[2:])
-    tw = np.empty(acc.shape[:-2] + uv.shape)
-    # views that stay valid, as the loop writes acc and tw in place
-    acc_col, tw0, tw1 = acc[..., None, :], tw[..., 0, :, :], tw[..., 1, :, :]
-    for k in range(n_terms - 1, -1, -1):
-        np.multiply(acc_col, uv, out=tw)
-        np.add(tw0, tw1, out=acc)
-        np.add(acc, coeffs[k], out=acc)
-    return acc
-
-
 def _wp_split(zr, zi, lam, lam2, kind: LatticeKind, n_terms: int, pole_eps: float):
     """wp at zr + i*zi, element by element the same bits as scalar `wp`.
 
@@ -602,38 +578,38 @@ def _wp_split(zr, zi, lam, lam2, kind: LatticeKind, n_terms: int, pole_eps: floa
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         re, im, pole, m, n = _reduced_split(zr, zi, lam, kind, pole_eps)
         u2r, u2i = _cmul(re, im, re, im)
-        ar, ai = _horner_split(u2r, u2i, _split_coeffs(kind), n_terms)
+        ar, ai = _horner(u2r, u2i, _split_coeffs(kind), n_terms)
         ir, ii = _cdiv(1.0, 0.0, u2r, u2i)
         pr, pi = _cmul(ar, ai, u2r, u2i)
         vr, vi = _cdiv_by(ir + pr, ii + pi, lam2)
     return vr, vi, pole, m, n
 
 
-def _pair_horner(u2r, u2i, rows, n_terms: int):
-    """The scalar loops acc = acc*u2 + c_k and dacc = dacc*u2 + d_k,
-    k = n_terms-1 .. 0, from 0j, on one flat buffer: (acc.re, dacc.re,
-    acc.im, dacc.im), each of shape (size,).
+def _horner(u2r, u2i, rows, n_terms: int):
+    """The scalar loop acc = acc*u2 + c_k, k = n_terms-1 .. 0, from 0j, for
+    p = rows.shape[1] // 2 accumulators at once on one flat buffer: returns
+    their real parts, then their imaginary parts, as 2p rows of shape (size,).
 
-    rows is _pair_columns(kind) or a _pair_rows table of this width.  The
-    buffer Z = [R, I, R] holds the real parts R = [acc.re, dacc.re] and the
-    imaginary parts I = [acc.im, dacc.im], each 2 * size = m long.  A term is
-    Z[:2m]*[u2r]*4 + Z[m:]*[-u2i, -u2i, u2i, u2i], the coefficients added,
-    and R copied to the tail: the real parts are CPython's ac + (-bd) and the
-    imaginary ones bc + ad, with x - y as x + (-y) and one commuted add, so
-    each element has the bits of the scalar loop.  Each of the five calls
-    runs on contiguous 1-D operands: that takes about 0.6 of the time of
-    _horner_split's broadcast 4-D views at the pullback lockstep's 81-126
-    points and about 0.7 at 1,025 (2-vCPU Xeon, numpy 2.4).
+    rows holds the coefficients' p real-part rows, then their p imaginary-
+    part rows: _split_coeffs (p = 1: wp's c_k), or _pair_columns or a
+    _pair_rows table of this width (p = 2: c_k and the d_k of wp').  The
+    buffer Z = [R, I, R] holds the accumulators' real parts R and imaginary
+    parts I, each p * size = m long.  A term is Z[:2m]*[u2r]*2p +
+    Z[m:]*([-u2i]*p + [u2i]*p), the coefficients added, and R copied to the
+    tail: the real parts are CPython's ac + (-bd) and the imaginary ones
+    bc + ad, with x - y as x + (-y) and one commuted add, so for one
+    accumulator or two each element has the bits of the scalar loop.  Each
+    of the five calls runs on contiguous 1-D operands.
     """
     size = u2r.size
-    m = 2 * size
+    p = rows.shape[1] // 2
+    m = p * size
     z = np.zeros(3 * m)
     t = np.empty(2 * m)
-    neg = -u2i
-    u1 = np.concatenate([u2r, u2r, u2r, u2r])
-    u2 = np.concatenate([neg, neg, u2i, u2i])
+    u1 = np.concatenate([u2r] * (2 * p))
+    u2 = np.concatenate([-u2i] * p + [u2i] * p)
     head, tail, re = z[: 2 * m], z[m:], z[:m]
-    acc, copy = head.reshape(4, size), z[2 * m :]
+    acc, copy = head.reshape(2 * p, size), z[2 * m :]
     # positional outputs and a slice copy: numpy's keyword parsing and
     # copyto's dispatch cost as much as the arithmetic at these widths
     mul, add = np.multiply, np.add
@@ -663,7 +639,7 @@ def _wp_pair_split(
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         re, im, pole, _, _ = _reduced_split(zr, zi, lam, kind, pole_eps)
         u2r, u2i = _cmul(re, im, re, im)
-        ar, dr, ai, di = _pair_horner(
+        ar, dr, ai, di = _horner(
             u2r, u2i, _pair_columns(kind) if rows is None else rows, n_terms
         )
         # (1/u2 + acc*u2) / lam2 and (-2/(u2*u0) + dacc*u0) / (lam2*lam)

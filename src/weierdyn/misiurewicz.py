@@ -770,8 +770,10 @@ def covering_steps(
         cfg = ToleranceConfig()
     if grid < 64:
         raise ValueError("grid must be at least 64")
-    if d <= 0:
-        raise ValueError("disc radius must be positive")
+    if not (math.isfinite(d) and d > 0):
+        raise ValueError("disc radius must be finite and positive")
+    if math.isnan(delta) or delta < 0:
+        raise ValueError("delta must be non-negative")
 
     kind = lat.kind
 

@@ -29,7 +29,7 @@ from .dynamics import (
     classify_batch,
     orbit_array,
 )
-from .lattice import LatticeKind, ToleranceConfig, ZeroParameter
+from .lattice import LatticeKind, ToleranceConfig, _check_scale
 
 # pixels per block, rounded down to whole rows.  A parameter holds no
 # lattice: the head keeps one point per critical orbit, and the tail's ring
@@ -217,9 +217,9 @@ def render_dynamical_plane(
     threads: int = 1,
 ) -> Image:
     """Color every pixel by the step at which its forward orbit first hits a
-    pole, cycling a fixed palette; budget exhaustion paints black."""
-    if lam == 0:
-        raise ZeroParameter("lambda must be nonzero")
+    pole, cycling a fixed palette; budget exhaustion paints black.  A scale
+    make_lattice refuses raises its ZeroParameter before any block runs."""
+    _check_scale(lam)
     pixels = _run_blocks(_dyn_rows, (kind, lam, grid, budget, cfg), grid, threads)
     return Image(width=grid.width_px, height=grid.height_px, pixels=tuple(pixels))
 

@@ -26,7 +26,6 @@ from weierdyn.lattice import (
     _cdiv,
     _cdiv_by,
     _cmul,
-    _horner_split,
     _kind_data,
     _nearest_translate,
     _recenter,
@@ -183,9 +182,33 @@ def wp_split_four_calls(zr, zi, lam, lam2, kind: LatticeKind, n_terms: int, pole
 # ---------------------------------------------------------------------------
 # split-array wp_pair on broadcast 4-D Horner views
 #
-# lattice._wp_pair_split before its Horner ran on one flat buffer: the pair
-# Horner was _horner_split with both coefficient rows, kept verbatim apart
-# from the names.
+# lattice._wp_split and lattice._wp_pair_split before their Horner ran on one
+# flat buffer, kept verbatim apart from the names: _horner_split was the
+# Horner of both, on wp's coefficient row or on the rows of wp and wp'.
+
+
+def _horner_split(u2r, u2i, coeffs: np.ndarray, n_terms: int) -> np.ndarray:
+    """The scalar loop acc = acc*u2 + c_k, k = n_terms-1 .. 0, from acc = 0j,
+    for each coefficient row of coeffs, of shape (count, 2, 1) as
+    _split_coeffs or (count, rows, 2, 1) as _split_pair_coeffs: acc of shape
+    (2, size) or (rows, 2, size).
+
+    With uv = [u^2, i*u^2] = [(u2r, u2i), (-u2i, u2r)], acc*u^2 =
+    acc.re*uv[0] + acc.im*uv[1], whose parts are exactly CPython's
+    (ac - bd, ad + bc), since x - y is x + (-y) in IEEE arithmetic.  Every
+    product of a term comes from one multiply, so a term takes three numpy
+    calls for any number of rows.
+    """
+    uv = np.array([[u2r, u2i], [-u2i, u2r]])
+    acc = np.zeros(coeffs.shape[1:-1] + uv.shape[2:])
+    tw = np.empty(acc.shape[:-2] + uv.shape)
+    # views that stay valid, as the loop writes acc and tw in place
+    acc_col, tw0, tw1 = acc[..., None, :], tw[..., 0, :, :], tw[..., 1, :, :]
+    for k in range(n_terms - 1, -1, -1):
+        np.multiply(acc_col, uv, out=tw)
+        np.add(tw0, tw1, out=acc)
+        np.add(acc, coeffs[k], out=acc)
+    return acc
 
 
 @lru_cache(maxsize=None)

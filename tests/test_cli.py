@@ -612,3 +612,64 @@ def test_pole_eps_past_half_exits_one_without_traceback(tmp_path, monkeypatch, c
     code, _, err = _run(capsys, *argv, "--pole-eps", "0.6")
     assert code == 1
     assert err.splitlines() == ["error: point within pole_eps of lattice point (0, 0)"]
+
+
+@pytest.mark.parametrize("extra, message", [
+    (("--d", "nan"), "disc radius must be finite and positive"),
+    (("--d", "inf"), "disc radius must be finite and positive"),
+    (("--d", "0.01", "--delta", "nan"), "delta must be non-negative"),
+    (("--d", "0.01", "--delta=-1"), "delta must be non-negative"),
+], ids=["d-nan", "d-inf", "delta-nan", "delta-negative"])
+def test_covering_refuses_a_bad_radius_or_delta(capsys, extra, message):
+    # each of these once exited 0, with covering_steps = none or 3
+    code, out, err = _run(
+        capsys, "covering", "--kind", "square", "--lambda", "1.9+0.7i",
+        "--center", "0.3+0.2i", *extra,
+    )
+    assert (code, err.splitlines()) == (1, [f"error: {message}"])
+    assert "covering_steps" not in out
+
+
+_RENDER_DYN = (
+    "render-dyn", "--kind", "square", "--lambda", "2.0", "--origin=-0.9-0.9i",
+    "--extent", "1.8+1.8i", "--width-px", "2", "--height-px", "2", "--budget", "10",
+    "--out", "d.ppm",
+)
+
+
+# _RENDER_AT_POLE_EPS is the small render-param of the pole_eps test above
+@pytest.mark.parametrize("argv", [_RENDER_AT_POLE_EPS, _RENDER_DYN], ids=["param", "dyn"])
+def test_render_refuses_a_negative_thread_count(tmp_path, monkeypatch, capsys, argv):
+    # --threads -3 once ran silently on every core
+    monkeypatch.chdir(tmp_path)
+    code, _, err = _run(capsys, *argv, "--threads=-3")
+    assert (code, err.splitlines()) == (1, ["error: threads must be non-negative"])
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    (*_RENDER_AT_POLE_EPS, "--threads", "1"),
+    ("classify", "--kind", "square", "--lambda", "2.0"),
+    # the budget is checked before the scale, so lambda = 0 reports it too
+    ("classify", "--kind", "square", "--lambda", "0.0"),
+], ids=["render-param", "classify", "classify-zero-lambda"])
+def test_zero_budget_is_reported_by_its_option_name(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    code, _, err = _run(capsys, *argv, "--budget", "0")
+    assert (code, err.splitlines()) == (1, ["error: budget must be at least 1"])
+
+
+@pytest.mark.parametrize("lam", ["0.0", "1e-60", "1e300+1e300i"])
+def test_render_dyn_refuses_the_scale_before_starting_workers(tmp_path, monkeypatch, capsys, lam):
+    # a refused scale once started a process pool and failed in a worker
+    import concurrent.futures
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    monkeypatch.chdir(tmp_path)
+    argv = [a if a != "2.0" else lam for a in _RENDER_DYN]
+    code, _, err = _run(capsys, *argv, "--threads", "2")
+    assert (code, err.splitlines()) == (1, ["error: lattice scale must be nonzero and finite"])
+    assert list(tmp_path.iterdir()) == []

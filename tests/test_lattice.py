@@ -430,20 +430,23 @@ def _special_pair_points(kind, cfg, gen, width):
 
 
 @pytest.mark.parametrize("kind", [LatticeKind.SQUARE, LatticeKind.TRIANGULAR], ids=lambda k: k.value)
-@pytest.mark.parametrize("width", [1, 2, 63, 64, 65, 81, 128, 1025])
+@pytest.mark.parametrize("width", [1, 2, 63, 64, 65, 81, 128, 1025, 4096, 4097])
 def test_wp_pair_split_has_the_bits_of_wp_pair_at_every_width(cfg, kind, width):
-    # the flat pair Horner, with the coefficient columns and with rows
-    # prepared for the width, gives the bits of the broadcast 4-D Horner on
-    # every element (NaN included) and scalar wp_pair's where that accepts
-    # the point; scalar wp_pair refuses a non-finite point outright
+    # the flat Horner, with two accumulator pairs (_wp_pair_split, on the
+    # coefficient columns and on rows prepared for the width) and with one
+    # (_wp_split), gives the bits of its broadcast oracle on every element
+    # (NaN included) and scalar wp_pair's and wp's where those accept the
+    # point; scalar wp_pair and wp refuse a non-finite point outright
     gen = np.random.default_rng(width)
     lams, zs = _special_pair_points(kind, cfg, gen, width)
     lam, lam2 = lattice._split_scales(np.array(lams))
     z = np.array(zs)
     n_terms = lattice._terms_for_tol(kind, cfg.eval_tol)
+    zr, zi = z.real.copy(), z.imag.copy()
+    lam_div, lam2_div = lattice._divisor(*lam), lattice._divisor(*lam2)
     args = (
-        z.real.copy(), z.imag.copy(), lattice._divisor(*lam), lattice._divisor(*lam2),
-        lattice._divisor(*lattice._cmul(*lam2, *lam)), kind, n_terms, cfg.pole_eps,
+        zr, zi, lam_div, lam2_div, lattice._divisor(*lattice._cmul(*lam2, *lam)), kind, n_terms,
+        cfg.pole_eps,
     )
     flat = lattice._wp_pair_split(*args)
     rows = lattice._wp_pair_split(*args, lattice._pair_rows(kind, n_terms, width))
@@ -451,24 +454,35 @@ def test_wp_pair_split_has_the_bits_of_wp_pair_at_every_width(cfg, kind, width):
     for got, same, want in zip(flat, rows, broadcast):
         assert np.array_equal(got.view(np.uint8), same.view(np.uint8))
         assert np.array_equal(got.view(np.uint8), want.view(np.uint8))
+    with np.errstate(invalid="ignore"):
+        single = lattice._wp_split(zr, zi, lam_div, lam2_div, kind, n_terms, cfg.pole_eps)
+        four = wp_split_four_calls(zr, zi, lam, lam2, kind, n_terms, cfg.pole_eps)
+    for got, want in zip(single, four):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got.view(np.uint8), want.view(np.uint8))
     vr, vi, dr, di, pole = flat
+    sr, si, spole, sm, sn = single
+    assert np.array_equal(spole, pole)
     assert not pole.all()
     for i, (value, point) in enumerate(zip(lams, zs)):
         lat = make_lattice(kind, value, cfg)
         if not (math.isfinite(point.real) and math.isfinite(point.imag)):
-            with pytest.raises((ValueError, OverflowError)):
-                wp_pair(point, lat, cfg)
-            assert not pole[i] and math.isnan(vr[i]) and math.isnan(dr[i])
+            for scalar in (wp_pair, wp):
+                with pytest.raises((ValueError, OverflowError)):
+                    scalar(point, lat, cfg)
+            assert not pole[i] and math.isnan(vr[i]) and math.isnan(dr[i]) and math.isnan(sr[i])
             continue
         try:
             val, dval = wp_pair(point, lat, cfg)
-        except PoleHit:
-            assert pole[i]
+        except PoleHit as hit:
+            assert pole[i] and (sm[i], sn[i]) == (hit.m, hit.n)
             continue
         assert not pole[i]
         assert _bits([vr[i], vi[i], dr[i], di[i]]) == _bits(
             [val.real, val.imag, dval.real, dval.imag]
         )
+        val = wp(point, lat, cfg)
+        assert _bits([sr[i], si[i]]) == _bits([val.real, val.imag])
 
 
 @pytest.mark.parametrize("kind", [LatticeKind.SQUARE, LatticeKind.TRIANGULAR])

@@ -202,6 +202,12 @@ def test_covering_steps_validates_inputs(cfg, square2):
         covering_steps(square2, 0j, 0.5, 0.05, 12, 32, cfg)
     with pytest.raises(ValueError):
         covering_steps(square2, 0j, -1.0, 0.05, 12, 64, cfg)
+    for d in (math.nan, math.inf, -math.inf, 0.0):
+        with pytest.raises(ValueError, match="^disc radius must be finite and positive$"):
+            covering_steps(square2, 0j, d, 0.05, 12, 64, cfg)
+    for delta in (math.nan, -1.0, -math.inf, -5e-324):
+        with pytest.raises(ValueError, match="^delta must be non-negative$"):
+            covering_steps(square2, 0j, 0.01, delta, 12, 64, cfg)
 
 
 # (kind, lambda, center, d, delta, maxN, grid, result) recorded from the
