@@ -82,10 +82,10 @@ SEED_THRESHOLD = 10.0
 # of a batch; finished contours are replaced from the queue
 LIVE_CONTOURS = 64
 
-# density samples whose critical orbits run in one lockstep batch; larger
-# blocks cost peak memory, and at 1024 the criterion-6 pass, whose orbits
-# mostly stop within a few steps, measured no faster than at 512
-BLOCK_SIZE = 512
+# density samples whose critical orbits run in one lockstep batch, enough
+# for a radius at the CLI's 2,000 samples; a batch's peak memory is about
+# 0.93 KiB per sample (tracemalloc, criterion 6), so it stays bounded
+BLOCK_SIZE = 2048
 
 
 class PrematurePole(ArithmeticError):
@@ -605,19 +605,20 @@ def find_prepole_params(
 # separation check and density experiment
 
 
-# violation codes of _first_violations, indices into _VIOLATION_KINDS
+# violation codes of _violation_codes, indices into _VIOLATION_KINDS
 _VIOLATION_KINDS = (
     None, ViolationKind.NEAR_CRITICAL, ViolationKind.NEAR_INFINITY, ViolationKind.POLE_HIT
 )
 _NEAR_CRITICAL, _NEAR_INFINITY, _POLE_HIT = 1, 2, 3
 
 
-def _first_violations(
+def _violation_codes(
     kind: LatticeKind, lams: np.ndarray, delta: float, M: int, cfg: ToleranceConfig
-) -> list[Optional[Violation]]:
-    """First violation along the non-pole critical orbits, for every scale
-    of lams (each one make_lattice accepts); all orbits run in one lockstep
-    orbit_array batch with no Lattice per parameter.
+) -> tuple[np.ndarray, np.ndarray]:
+    """(step, code) of the first violation along the non-pole critical
+    orbits, for every scale of lams (each one make_lattice accepts), code 0
+    where there is none; all orbits run in one lockstep orbit_array batch
+    with no Lattice per parameter.
 
     Pole capture is a violation at any step including 0; proximity checks
     apply to iterates only (step >= 1).  A value chordally close to infinity
@@ -662,9 +663,17 @@ def _first_violations(
     step = np.where(code != 0, step, M + 1).reshape(per, -1)
     first = step.argmin(axis=0)
     cols = np.arange(lams.size)
+    return step[first, cols], code.reshape(per, -1)[first, cols]
+
+
+def _first_violations(
+    kind: LatticeKind, lams: np.ndarray, delta: float, M: int, cfg: ToleranceConfig
+) -> list[Optional[Violation]]:
+    """_violation_codes as one Violation or None per scale of lams."""
+    step, code = _violation_codes(kind, lams, delta, M, cfg)
     return [
         None if c == 0 else Violation(step=s, kind=_VIOLATION_KINDS[c])
-        for s, c in zip(step[first, cols].tolist(), code.reshape(per, -1)[first, cols].tolist())
+        for s, c in zip(step.tolist(), code.tolist())
     ]
 
 
@@ -688,6 +697,17 @@ def misiurewicz_check(
     )
 
 
+def _density_params(lambda0: complex, r: float, seed: int, ri: int, n_samples: int) -> np.ndarray:
+    """lambda0 + r * rng.unit_disc_point(seed, ri, i) for i < n_samples,
+    formed on split float arrays with CPython's bits: r * u is
+    complex(r, 0.0) * u."""
+    lambda0, r = complex(lambda0), float(r)
+    u = np.array([rng.unit_disc_point(seed, ri, i) for i in range(n_samples)])
+    return _complex(
+        lambda0.real + (r * u.real - 0.0 * u.imag), lambda0.imag + (r * u.imag + 0.0 * u.real)
+    )
+
+
 def density_scan(
     kind: LatticeKind,
     lambda0: complex,
@@ -705,7 +725,8 @@ def density_scan(
     evaluation order.  Parameters that make_lattice refuses count as
     failures: lambda = 0, where the family is undefined, and scales too
     small or too large to carry.  The samples of a radius are checked in
-    blocks of BLOCK_SIZE, each one _first_violations batch.
+    blocks of BLOCK_SIZE, each one _violation_codes batch; only the
+    draws run per sample.
     """
     if cfg is None:
         cfg = ToleranceConfig()
@@ -719,12 +740,12 @@ def density_scan(
         raise ValueError("delta must be non-negative")
     rows = []
     for ri, r in enumerate(radii):
-        lams = np.array([lambda0 + r * rng.unit_disc_point(seed, ri, i) for i in range(n_samples)])
+        lams = _density_params(lambda0, r, seed, ri, n_samples)
         lams = lams[_scales_ok(lams)]
         fails = n_samples - lams.size
         for at in range(0, lams.size, BLOCK_SIZE):
-            block = _first_violations(kind, lams[at : at + BLOCK_SIZE], delta, M, cfg)
-            fails += sum(v is not None for v in block)
+            _, code = _violation_codes(kind, lams[at : at + BLOCK_SIZE], delta, M, cfg)
+            fails += int(np.count_nonzero(code))
         rows.append(
             DensityRow(
                 radius=float(r),

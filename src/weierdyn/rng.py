@@ -10,6 +10,8 @@ order.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 
@@ -43,15 +45,30 @@ class SplitMix:
         return 2.0 * self.uniform() - 1.0
 
 
+@lru_cache(maxsize=64)
+def _folded(keys: tuple) -> int:
+    """SplitMix(*keys)'s state, kept for the key prefixes that recur."""
+    return SplitMix(*keys)._state
+
+
 def unit_disc_point(*keys: int) -> complex:
     """Deterministic uniform point of the closed unit disc for this key tuple.
 
     Rejection sampling from the square; the stream is private to the keys, so
-    the draw count of one sample never shifts another.
+    the draw count of one sample never shifts another.  The bits are those
+    of SplitMix(*keys).uniform_signed() pairs: the fold of every key but the
+    last is memoized, and the rest of the stream runs inline.
     """
-    g = SplitMix(*keys)
+    s = _mix((_folded(keys[:-1]) + _GAMMA) ^ (keys[-1] & _MASK)) if keys else 0
     while True:
-        x = g.uniform_signed()
-        y = g.uniform_signed()
+        # 2.0 * ((u >> 11) * 2**-53) - 1.0, with the exact doubling folded in
+        s = (s + _GAMMA) & _MASK
+        z = ((s ^ (s >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+        x = ((z ^ (z >> 31)) >> 11) * 2.0 ** -52 - 1.0
+        s = (s + _GAMMA) & _MASK
+        z = ((s ^ (s >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+        y = ((z ^ (z >> 31)) >> 11) * 2.0 ** -52 - 1.0
         if x * x + y * y <= 1.0:
             return complex(x, y)

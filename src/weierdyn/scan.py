@@ -217,8 +217,11 @@ def render_dynamical_plane(
     threads: int = 1,
 ) -> Image:
     """Color every pixel by the step at which its forward orbit first hits a
-    pole, cycling a fixed palette; budget exhaustion paints black.  A scale
-    make_lattice refuses raises its ZeroParameter before any block runs."""
+    pole, cycling a fixed palette; budget exhaustion paints black.  A budget
+    below 1, then a scale make_lattice refuses, raises before any block
+    runs."""
+    if budget < 1:
+        raise ValueError("budget must be at least 1")
     _check_scale(lam)
     pixels = _run_blocks(_dyn_rows, (kind, lam, grid, budget, cfg), grid, threads)
     return Image(width=grid.width_px, height=grid.height_px, pixels=tuple(pixels))

@@ -35,6 +35,7 @@ from weierdyn.lattice import (
     sph_dist,
 )
 from weierdyn.misiurewicz import _g_batch, _pole_coef
+from weierdyn.rng import SplitMix
 
 # ---------------------------------------------------------------------------
 # direct lattice sums
@@ -415,3 +416,24 @@ def recount(
             return int(round(w)) if abs(w - round(w)) <= 0.25 else None
         n_pts *= 2
     return None
+
+
+# ---------------------------------------------------------------------------
+# sampler
+#
+# rng.unit_disc_point before its key prefix was folded once: one SplitMix per
+# sample, kept verbatim.
+
+
+def unit_disc_point(*keys: int) -> complex:
+    """Deterministic uniform point of the closed unit disc for this key tuple.
+
+    Rejection sampling from the square; the stream is private to the keys, so
+    the draw count of one sample never shifts another.
+    """
+    g = SplitMix(*keys)
+    while True:
+        x = g.uniform_signed()
+        y = g.uniform_signed()
+        if x * x + y * y <= 1.0:
+            return complex(x, y)

@@ -659,6 +659,16 @@ def test_zero_budget_is_reported_by_its_option_name(tmp_path, monkeypatch, capsy
     assert (code, err.splitlines()) == (1, ["error: budget must be at least 1"])
 
 
+@pytest.mark.parametrize("budget", ["0", "-5"])
+def test_render_dyn_refuses_a_budget_below_one(tmp_path, monkeypatch, capsys, budget):
+    # --budget 0 once wrote an image of orbits that took no step, and
+    # --budget=-5 was refused under the name max_iter
+    monkeypatch.chdir(tmp_path)
+    code, _, err = _run(capsys, *_RENDER_DYN, f"--budget={budget}", "--threads", "1")
+    assert (code, err.splitlines()) == (1, ["error: budget must be at least 1"])
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("lam", ["0.0", "1e-60", "1e300+1e300i"])
 def test_render_dyn_refuses_the_scale_before_starting_workers(tmp_path, monkeypatch, capsys, lam):
     # a refused scale once started a process pool and failed in a worker

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import CANDIDATE, CANDIDATE_ABS_MULT, PREPOLE_SQ, PREPOLE_TRI
+import oracles
 from oracles import _g_array, recount, winding_count
 from weierdyn import lattice, misiurewicz, rng
 from weierdyn.dynamics import AllCriticalPrepole, EscapedSphericalBall, PoleHit, classify, iterate
@@ -53,6 +54,64 @@ def test_unit_disc_point_stays_in_disc():
         p = rng.unit_disc_point(9, 0, i)
         assert abs(p) <= 1.0
     assert rng.unit_disc_point(9, 0, 0) == rng.unit_disc_point(9, 0, 0)
+
+
+def _bits(z: complex) -> tuple[str, str]:
+    return z.real.hex(), z.imag.hex()
+
+
+def _rejections(*keys: int) -> int:
+    """The square points the reference stream of these keys rejects."""
+    g = rng.SplitMix(*keys)
+    count = 0
+    while True:
+        x, y = g.uniform_signed(), g.uniform_signed()
+        if x * x + y * y <= 1.0:
+            return count
+        count += 1
+
+
+@pytest.mark.parametrize("keys", [
+    (),
+    (5,),
+    (1, 2, 3),
+    (1, 2, 3, 4),
+    (-1, -7, 3),
+    (4, -2),
+    (2**64 + 3, 2**70, 9),
+    (6, 2**64 + 5),
+], ids=["none", "one", "three", "four", "negative", "negative-last", "wide", "wide-last"])
+def test_unit_disc_point_is_the_reference_stream(keys):
+    assert _bits(rng.unit_disc_point(*keys)) == _bits(oracles.unit_disc_point(*keys))
+
+
+def test_unit_disc_point_masks_its_keys_to_64_bits():
+    assert _bits(rng.unit_disc_point(-1, -7, 3)) == _bits(rng.unit_disc_point(2**64 - 1, 2**64 - 7, 3))
+    assert _bits(rng.unit_disc_point(6, 2**64 + 5)) == _bits(rng.unit_disc_point(6, 5))
+
+
+def test_unit_disc_point_is_the_reference_on_the_criterion_6_keys():
+    for ri in range(2):
+        for i in range(2000):
+            keys = (20260816, ri, i)
+            assert _bits(rng.unit_disc_point(*keys)) == _bits(oracles.unit_disc_point(*keys))
+
+
+def test_unit_disc_point_is_the_reference_through_rejections():
+    keys = [(7, 1, i) for i in range(3000) if _rejections(7, 1, i) >= 3]
+    assert len(keys) >= 10
+    for k in keys:
+        assert _bits(rng.unit_disc_point(*k)) == _bits(oracles.unit_disc_point(*k))
+
+
+def test_unit_disc_point_does_not_depend_on_call_order():
+    # two seeds and two radius indices, each prefix's samples in turn, then
+    # from a cold memo one sample of every prefix in turn
+    prefixes = [(seed, ri) for seed in (3, 20260816) for ri in (0, 1)]
+    in_order = {(*p, i): _bits(rng.unit_disc_point(*p, i)) for p in prefixes for i in range(300)}
+    rng._folded.cache_clear()
+    interleaved = {(*p, i): _bits(rng.unit_disc_point(*p, i)) for i in range(300) for p in prefixes}
+    assert interleaved == in_order
 
 
 def test_pole_location_linear_in_lambda():
@@ -768,6 +827,37 @@ def test_density_scan_counts_excluded_parameters_as_failures(cfg):
     for lam0 in (complex(math.nan, 0.0), complex(math.inf, 1.0)):
         rows = density_scan(LatticeKind.SQUARE, lam0, (1e-3,), 5, 0.05, 10, 1, cfg)
         assert [r.fail_fraction for r in rows] == [1.0]
+
+
+@pytest.mark.parametrize(
+    "lam0",
+    [PREPOLE_SQ, 0j, complex(-0.0, -0.0), 2.0, complex(math.nan, 0.0), complex(math.inf, 1.0)],
+    ids=["prepole", "zero", "negative-zero", "float", "nan", "inf"],
+)
+def test_density_params_have_the_bits_of_the_scalar_sum(lam0):
+    # at the subnormal radius r * u rounds to signed zeros, whose signs only
+    # CPython's complex(r, 0.0) * u terms give
+    for ri, r in enumerate((1e-3, 0.7, 2, 5e-324)):
+        got = misiurewicz._density_params(lam0, r, 11, ri, 500)
+        want = np.array([lam0 + r * rng.unit_disc_point(11, ri, i) for i in range(500)])
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_density_scan_counts_equal_the_violation_list(cfg):
+    # density_scan counts the nonzero codes of _violation_codes; on sets of
+    # both kinds that reach every outcome, the count is the refused scales
+    # plus the Violations of _first_violations
+    seen = set()
+    for kind, lam0, r, delta, M, case_cfg in VIOLATION_CASES:
+        case_cfg = case_cfg or cfg
+        lams = np.array([lam0 + r * rng.unit_disc_point(41, 0, i) for i in range(40)])
+        kept = lams[lattice._scales_ok(lams)]
+        violations = _first_violations(kind, kept, delta, M, case_cfg)
+        seen |= {v and v.kind for v in violations}
+        fails = lams.size - kept.size + sum(v is not None for v in violations)
+        [row] = density_scan(kind, lam0, (r,), 40, delta, M, 41, case_cfg)
+        assert row.fail_fraction == fails / 40
+    assert seen == {None, *ViolationKind}
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
