@@ -16,7 +16,7 @@ downstream estimates:
     f_lambda(w) = w_next, each pullback required to stay inside the
     shadowing ball around the reference orbit.  Expansion of f_lambda0
     makes the pullback a contraction, so the chain converges geometrically
-    in the horizon length.
+    in the horizon length.  Every chain here runs in _pullback_batch.
   * x_function is e_lambda - h_lambda(e_lambda0), the transversality
     quantity: zero at lambda0, not identically zero nearby, and its
     vanishing order K is read off as a winding number.
@@ -51,12 +51,9 @@ from .lattice import (
     _terms_for_tol,
     _wp_pair_split,
     crit_sph_dist,
-    is_infinite,
     make_lattice,
     sph_deriv,
-    sph_dist,
     sph_dist_to_inf,
-    wp,
     wp_pair,
 )
 from .lattice import PoleHit as PoleError
@@ -180,7 +177,7 @@ class MotionFrame:
 @dataclass(frozen=True)
 class MotionCheck:
     """verify_motion's results.  Each field holds the value, or the exception
-    the scalar computation raises in its place."""
+    the stand-alone call raises in its place."""
 
     identity_residual: float | Exception
     frames: tuple[MotionFrame | Exception, ...]
@@ -306,51 +303,6 @@ def adapted_metric(z: complex, lat: Lattice, N: int, cfg: ToleranceConfig) -> fl
     return total / N
 
 
-def _pullback_chain(
-    sample: HyperbolicSample,
-    lat: Lattice,
-    anchor: int,
-    n_steps: int,
-    cfg: ToleranceConfig,
-) -> tuple[complex, int]:
-    """Backward Newton shadowing of the reference orbit starting at anchor,
-    on the lattice lat of the parameter tracked to.
-
-    Returns (h_value approximating h_lambda(points[anchor]), horizon used).
-    At pullback step k, a pole hit, a non-finite Newton iterate, a zero
-    derivative, _NEWTON_ITERS iterations without convergence or a result
-    farther than delta/2 from the reference point raise ShadowLost(step=k).
-    """
-    refs = sample.ext_points
-    horizon = min(n_steps, sample.ext_usable - anchor)
-    if horizon < 1:
-        raise ValueError("no reference orbit beyond the anchor point")
-    eps = sample.delta / 2.0
-    w = refs[anchor + horizon]
-    for k in range(horizon - 1, -1, -1):
-        target = w
-        ref = refs[anchor + k]
-        w = ref
-        for _ in range(_NEWTON_ITERS):
-            if is_infinite(w):
-                raise ShadowLost(step=k)
-            try:
-                val, dval = wp_pair(w, lat, cfg)
-            except PoleError:
-                raise ShadowLost(step=k) from None
-            g = val - target
-            if abs(g) < cfg.newton_tol:
-                break
-            if dval == 0:
-                raise ShadowLost(step=k)
-            w = w - g / dval
-        else:
-            raise ShadowLost(step=k)
-        if sph_dist(w, ref) > eps:
-            raise ShadowLost(step=k)
-    return w, horizon
-
-
 @dataclass(frozen=True)
 class _Walks:
     """The forward critical orbits of _pullback_batch, one row per scale.
@@ -375,16 +327,22 @@ def _pullback_batch(
     cfg: ToleranceConfig,
     orbits: Sequence[complex] = (),
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[Optional[Exception]], _Walks]:
-    """_pullback_chain(sample, make_lattice(kind, lams[i]), anchors[i],
-    n_steps[i], cfg) for every element i at once, and the forward critical
+    """The pullback chains of elements i at once, and the forward critical
     orbits of the scales in orbits, M = len(sample.points) - 1 steps each.
 
-    Returns (h, fh, e, errors, walks): h[i] is the chain's h_value, fh[i] is
-    wp(h[i]) on that lattice, from the round that solved h[i], e[i] the
-    lattice's crit_values[0], and errors[i] the exception make_lattice or the
-    chain raises for element i, or None.  h[i] and fh[i] are meaningless
-    where errors[i] is not None, and e[i] where the lattice is refused.
-    walks holds the forward orbits.
+    Chain i runs on the lattice of lams[i] over horizon = min(n_steps[i],
+    ext_usable - anchors[i]) steps, a ValueError below 1: from w =
+    ext_points[anchor + horizon], step k = horizon - 1, ..., 0 solves wp(w')
+    = w by Newton from ext_points[anchor + k].  A pole hit, a non-finite
+    iterate, a zero derivative, _NEWTON_ITERS iterations or a result farther
+    than delta/2 from ext_points[anchor + k] raise ShadowLost(step=k).
+
+    Returns (h, fh, e, errors, walks): h[i] is the chain's last w, its
+    h_lambda(points[anchors[i]]), fh[i] is wp(h[i]) on that lattice, from
+    the round that solved h[i], e[i] the lattice's crit_values[0], and
+    errors[i] the exception make_lattice or the chain raises for element i,
+    or None.  h[i] and fh[i] are meaningless where errors[i] is not None,
+    and e[i] where the lattice is refused.  walks holds the forward orbits.
 
     Orbits and chains are the columns of one lockstep table, and a round
     evaluates lattice._wp_pair_split once on all of it.  The orbits' columns
@@ -392,9 +350,10 @@ def _pullback_batch(
     escape or pole rule ends it, its column runs on unrecorded.  Each chain
     keeps its own pullback step and Newton iteration count, so chains of any
     anchors, horizons and scales share every round.  Element by element the
-    arithmetic and the order of the checks are _pullback_chain's and
-    iterate's, so each h and orbit point has its bits and each error is the
-    scalar one.  No scale gets a Lattice.
+    arithmetic and the order of the checks are those of one chain of scalar
+    wp_pair calls on make_lattice(kind, lams[i]), and of iterate, so each h
+    and orbit point has their bits and each error is the scalar one.  No
+    scale gets a Lattice.
     """
     kind = sample.kind
     n_chains = len(anchors)
@@ -402,7 +361,7 @@ def _pullback_batch(
         np.asarray(lams, dtype=complex).reshape(-1), np.asarray(orbits, dtype=complex).reshape(-1)
     ])
     errors: list[Optional[Exception]] = [None] * lam_c.size
-    # make_lattice's refusals come first, as _pullback_chain needs the lattice
+    # make_lattice's refusals come first, as a chain needs the lattice
     ok = _scales_ok(lam_c)
     for i in np.flatnonzero(~ok).tolist():
         errors[i] = ZeroParameter("lattice scale must be nonzero and finite")
@@ -539,6 +498,26 @@ def _anchor(sample: HyperbolicSample, z0: complex, cfg: ToleranceConfig) -> int:
     raise ValueError("z0 is not a sample point")
 
 
+def _frame(
+    sample: HyperbolicSample, z0: complex, lam: complex, n_steps: int, anchor: int, chains: dict
+) -> MotionFrame | Exception:
+    """track_motion's frame at z0 from chains, which maps the anchors of
+    _pullback_batch chains to their (h, fh, error): the error of the chain
+    at anchor, or its h with the conjugacy residual |h(anchor + 1) -
+    fh(anchor)|, NaN where the chain at anchor + 1 fails or did not run."""
+    h, fh, err = chains[anchor]
+    if err is not None:
+        return err
+    downstream = chains.get(anchor + 1)
+    conj = math.nan
+    if downstream is not None and downstream[2] is None:
+        conj = abs(downstream[0] - fh)
+    return MotionFrame(
+        z0=complex(z0), lam=complex(lam), h_value=h, conj_residual=conj,
+        steps_used=min(n_steps, sample.ext_usable - anchor),
+    )
+
+
 def track_motion(
     sample: HyperbolicSample,
     z0: complex,
@@ -546,37 +525,30 @@ def track_motion(
     n_steps: int,
     cfg: ToleranceConfig,
 ) -> MotionFrame:
-    """h_lambda(z0) for z0 a sample point, by backward pullback shadowing.
-
-    The conjugacy residual |h(f_lambda0(z0)) - f_lambda(h(z0))| is computed
-    from a second, independent pullback chain anchored one step downstream;
-    it is NaN when no such chain exists.
-    """
+    """h_lambda(z0) for z0 a sample point, by backward pullback shadowing,
+    and the conjugacy residual |h(f_lambda0(z0)) - f_lambda(h(z0))| from a
+    second, independent chain anchored one step downstream, NaN when that
+    chain fails.  Both chains run in one _pullback_batch."""
     anchor = _anchor(sample, z0, cfg)
-    lat = make_lattice(sample.kind, lam, cfg)
-    h_value, used = _pullback_chain(sample, lat, anchor, n_steps, cfg)
-
-    conj = math.nan
-    if anchor + 2 <= sample.ext_usable:
-        try:
-            h_next, _ = _pullback_chain(sample, lat, anchor + 1, n_steps, cfg)
-            conj = abs(h_next - wp(h_value, lat, cfg))
-        except (ShadowLost, PoleError, ValueError):
-            conj = math.nan
-    return MotionFrame(
-        z0=complex(z0), lam=complex(lam), h_value=h_value, conj_residual=conj, steps_used=used
-    )
+    anchors = [anchor, anchor + 1]
+    h, fh, _, errors, _ = _pullback_batch(sample, np.array([lam] * 2), anchors, [n_steps] * 2, cfg)
+    chains = dict(zip(anchors, zip(h.tolist(), fh.tolist(), errors)))
+    frame = _frame(sample, z0, lam, n_steps, anchor, chains)
+    if isinstance(frame, Exception):
+        raise frame
+    return frame
 
 
 def x_function(sample: HyperbolicSample, lam: complex, cfg: ToleranceConfig) -> complex:
     """x(lambda) = e_lambda - h_lambda(e_lambda0); zero exactly at lambda0.
 
-    h is track_motion's h_value at points[0], from the one pullback chain it
-    needs; the conjugacy residual track_motion also computes is not.
+    h is track_motion's h_value at points[0], from the one _pullback_batch
+    chain it needs; the conjugacy chain track_motion also runs is not.
     """
-    lat = make_lattice(sample.kind, lam, cfg)
-    h_value, _ = _pullback_chain(sample, lat, 0, DEFAULT_N_STEPS, cfg)
-    return lat.crit_values[0] - h_value
+    h, _, e, errors, _ = _pullback_batch(sample, np.array([lam]), [0], [DEFAULT_N_STEPS], cfg)
+    if errors[0] is not None:
+        raise errors[0]
+    return (e - h).tolist()[0]
 
 
 def winding_number(values: list[complex]) -> int:
@@ -628,7 +600,9 @@ def order_K(sample: HyperbolicSample, rho: float, n_samples: int, cfg: Tolerance
     """Vanishing order of x at lambda0: the winding number of x around the
     circle |lambda - lambda0| = rho.  x comes from _pullback_batch, with the
     bits of x_function, and the error of the first sample that fails is the
-    one x_function raises there."""
+    one x_function raises there.  A non-finite rho is refused first."""
+    if not math.isfinite(rho):
+        raise ValueError("rho must be finite")
     lams = _circle(sample, rho, n_samples)
     h, _, e, errors, _ = _pullback_batch(
         sample, np.array(lams), [0] * n_samples, [DEFAULT_N_STEPS] * n_samples, cfg
@@ -655,15 +629,17 @@ def verify_motion(
       * order: order_K(sample, rho, n_samples, cfg);
       * distortion: distortion_report(sample, r, n_pairs, cfg).
 
-    Each is the value, or the exception the scalar call raises, with the same
+    Each is the value, or the exception that call raises, with the same
     bits.  The frames' chains run once per anchor: the conjugacy chain of the
     frame anchored at a is the main chain of the frame anchored at a + 1.
-    The identity's conjugacy chain is not reported, so it does not run.
+    The identity's conjugacy chain is not reported, so it does not run.  A
+    non-finite rho raises ValueError before anything runs.
     """
+    if not math.isfinite(rho):
+        raise ValueError("rho must be finite")
     probe = sample.lambda0 + rho
-    ext = sample.ext_usable
     anchors = [_anchor(sample, z, cfg) for z in sample.points]
-    chained = sorted(set(anchors) | {a + 1 for a in anchors if a + 2 <= ext})
+    chained = sorted(set(anchors) | {a + 1 for a in anchors if a + 2 <= sample.ext_usable})
     order: int | Exception | None = None
     try:
         circle = _circle(sample, rho, n_samples)
@@ -685,26 +661,11 @@ def verify_motion(
     )
     hv = h.tolist()
     identity = errors[0] if errors[0] is not None else abs(hv[0] - sample.points[0])
-
-    # chain i + 1 is anchored at chained[i]; the conjugacy residual compares
-    # the next anchor's h with wp at lambda0 + rho of this one's
-    row = {a: 1 + i for i, a in enumerate(chained)}
-    fhv = fh.tolist()
-    frames: list[MotionFrame | Exception] = []
-    for z, a in zip(sample.points, anchors):
-        i = row[a]
-        if errors[i] is not None:
-            frames.append(errors[i])
-            continue
-        conj = math.nan
-        if a + 2 <= ext and errors[row[a + 1]] is None:
-            conj = abs(hv[row[a + 1]] - fhv[i])
-        frames.append(
-            MotionFrame(
-                z0=complex(z), lam=complex(probe), h_value=hv[i], conj_residual=conj,
-                steps_used=min(n_steps, ext - a),
-            )
-        )
+    # chain i + 1 is anchored at chained[i]
+    chains = dict(zip(chained, zip(hv[1:], fh.tolist()[1:], errors[1:])))
+    frames = tuple(
+        _frame(sample, z, probe, n_steps, a, chains) for z, a in zip(sample.points, anchors)
+    )
 
     at = 1 + len(chained)
     end = at + len(circle)
@@ -719,7 +680,7 @@ def verify_motion(
         except (ValueError, ArithmeticError, RuntimeError) as exc:
             distortion = exc
     return MotionCheck(
-        identity_residual=identity, frames=tuple(frames), order=order, distortion=distortion
+        identity_residual=identity, frames=frames, order=order, distortion=distortion
     )
 
 
@@ -780,6 +741,8 @@ def _distortion_scales(
         raise ValueError("n_pairs must be at least 1")
     if r <= 0:
         raise ValueError("r must be positive")
+    if not math.isfinite(r):
+        raise ValueError("r must be finite")
     if r / 100.0 == 0:
         # the central differences divide by 2 * (r/100)
         raise ValueError("r/100 must not underflow to zero")

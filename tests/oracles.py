@@ -12,11 +12,15 @@ import numpy as np
 
 from weierdyn.dynamics import iterate
 from weierdyn.hyperbolic import (
+    _NEWTON_ITERS,
+    DEFAULT_N_STEPS,
     DISTORTION_BUDGET,
     DegenerateRadius,
     DistortionReport,
     HyperbolicSample,
-    x_function,
+    MotionFrame,
+    ShadowLost,
+    _anchor,
 )
 from weierdyn.lattice import (
     _TRANSLATE_CHUNK,
@@ -31,9 +35,13 @@ from weierdyn.lattice import (
     _recenter,
     _reduced_split,
     _split_coeffs,
+    is_infinite,
     make_lattice,
     sph_dist,
+    wp,
+    wp_pair,
 )
+from weierdyn.lattice import PoleHit as PoleError
 from weierdyn.misiurewicz import _g_batch, _pole_coef
 from weierdyn.rng import SplitMix
 
@@ -242,6 +250,92 @@ def wp_pair_split_broadcast(zr, zi, lam, lam2, lam3, kind: LatticeKind, n_terms:
 
 
 # ---------------------------------------------------------------------------
+# scalar pullback
+#
+# hyperbolic's holomorphic motion before every chain ran in _pullback_batch:
+# one Newton pullback chain at a time on a Lattice of the scale tracked to,
+# kept verbatim apart from the names.
+
+
+def pullback_chain(
+    sample: HyperbolicSample,
+    lat: Lattice,
+    anchor: int,
+    n_steps: int,
+    cfg: ToleranceConfig,
+) -> tuple[complex, int]:
+    """Backward Newton shadowing of the reference orbit starting at anchor,
+    on the lattice lat of the parameter tracked to.
+
+    Returns (h_value approximating h_lambda(points[anchor]), horizon used).
+    At pullback step k, a pole hit, a non-finite Newton iterate, a zero
+    derivative, _NEWTON_ITERS iterations without convergence or a result
+    farther than delta/2 from the reference point raise ShadowLost(step=k).
+    """
+    refs = sample.ext_points
+    horizon = min(n_steps, sample.ext_usable - anchor)
+    if horizon < 1:
+        raise ValueError("no reference orbit beyond the anchor point")
+    eps = sample.delta / 2.0
+    w = refs[anchor + horizon]
+    for k in range(horizon - 1, -1, -1):
+        target = w
+        ref = refs[anchor + k]
+        w = ref
+        for _ in range(_NEWTON_ITERS):
+            if is_infinite(w):
+                raise ShadowLost(step=k)
+            try:
+                val, dval = wp_pair(w, lat, cfg)
+            except PoleError:
+                raise ShadowLost(step=k) from None
+            g = val - target
+            if abs(g) < cfg.newton_tol:
+                break
+            if dval == 0:
+                raise ShadowLost(step=k)
+            w = w - g / dval
+        else:
+            raise ShadowLost(step=k)
+        if sph_dist(w, ref) > eps:
+            raise ShadowLost(step=k)
+    return w, horizon
+
+
+def track_motion_scalar(
+    sample: HyperbolicSample,
+    z0: complex,
+    lam: complex,
+    n_steps: int,
+    cfg: ToleranceConfig,
+) -> MotionFrame:
+    """hyperbolic.track_motion from two scalar chains: h_lambda(z0), and the
+    conjugacy residual |h(f_lambda0(z0)) - f_lambda(h(z0))| from a second
+    chain anchored one step downstream, NaN when no such chain exists."""
+    anchor = _anchor(sample, z0, cfg)
+    lat = make_lattice(sample.kind, lam, cfg)
+    h_value, used = pullback_chain(sample, lat, anchor, n_steps, cfg)
+
+    conj = math.nan
+    if anchor + 2 <= sample.ext_usable:
+        try:
+            h_next, _ = pullback_chain(sample, lat, anchor + 1, n_steps, cfg)
+            conj = abs(h_next - wp(h_value, lat, cfg))
+        except (ShadowLost, PoleError, ValueError):
+            conj = math.nan
+    return MotionFrame(
+        z0=complex(z0), lam=complex(lam), h_value=h_value, conj_residual=conj, steps_used=used
+    )
+
+
+def x_function_scalar(sample: HyperbolicSample, lam: complex, cfg: ToleranceConfig) -> complex:
+    """hyperbolic.x_function from one scalar chain: e_lambda - h_lambda(e_lambda0)."""
+    lat = make_lattice(sample.kind, lam, cfg)
+    h_value, _ = pullback_chain(sample, lat, 0, DEFAULT_N_STEPS, cfg)
+    return lat.crit_values[0] - h_value
+
+
+# ---------------------------------------------------------------------------
 # scalar distortion
 #
 # hyperbolic.distortion_report before its critical orbits and x values came
@@ -294,6 +388,8 @@ def distortion_report_scalar(
         raise ValueError("n_pairs must be at least 1")
     if r <= 0:
         raise ValueError("r must be positive")
+    if not math.isfinite(r):
+        raise ValueError("r must be finite")
     if r / 100.0 == 0:
         raise ValueError("r/100 must not underflow to zero")
     delta_p = min(sample.delta / 4.0, r * DISTORTION_BUDGET)
@@ -327,7 +423,8 @@ def distortion_report_scalar(
         if len(pts_p) > n_e and len(pts_m) > n_e:
             xi_prime = (pts_p[n_e] - pts_m[n_e]) / (2.0 * h)
             x_prime = (
-                x_function(sample, lam_e + h, cfg) - x_function(sample, lam_e - h, cfg)
+                x_function_scalar(sample, lam_e + h, cfg)
+                - x_function_scalar(sample, lam_e - h, cfg)
             ) / (2.0 * h)
             deriv = 1.0 + 0j
             for k in range(n_e):

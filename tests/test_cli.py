@@ -172,6 +172,45 @@ def test_verify_refuses_a_distortion_radius_whose_step_underflows(capsys):
     assert "order K = 1" in out
 
 
+EXPANSION_LINE = "expansion C=0.999999999 a=3.4552512445372425 n_range=8"
+
+
+@pytest.mark.parametrize("option, error, last", [
+    ("--rho=nan", "rho must be finite", EXPANSION_LINE),
+    ("--rho=inf", "rho must be finite", EXPANSION_LINE),
+    ("--rho=-inf", "rho must be finite", EXPANSION_LINE),
+    ("--r-distortion=nan", "r must be finite", "order K = 1"),
+    ("--r-distortion=inf", "r must be finite", "order K = 1"),
+    ("--r-distortion=0", "r must be positive", "order K = 1"),
+    ("--r-distortion=-1", "r must be positive", "order K = 1"),
+    ("--r-distortion=-inf", "r must be positive", "order K = 1"),
+])
+def test_verify_refuses_a_non_finite_rho_or_distortion_radius(capsys, option, error, last):
+    # a NaN or infinite rho or r once reached make_lattice as a NaN or
+    # infinite scale, and the error blamed the lattice scale
+    code, out, err = _run(
+        capsys, "verify", "--kind", "square", "--lambda0", CANDIDATE_ARG, "--m-steps", "16",
+        option,
+    )
+    assert (code, err) == (1, f"error: {error}\n")
+    assert out.splitlines()[-1] == last
+
+
+@pytest.mark.parametrize("rho", ["0", "5e-324"])
+def test_verify_keeps_its_output_at_a_zero_or_subnormal_rho(capsys, rho):
+    # every circle scale is lambda0 itself, where x is 0
+    code, out, err = _run(
+        capsys, "verify", "--kind", "square", "--lambda0", CANDIDATE_ARG, "--m-steps", "16",
+        "--rho", rho,
+    )
+    assert (code, err) == (2, "")
+    assert out.splitlines()[-3:] == [
+        "identity residual at lambda0 = 0.0",
+        "max conjugacy residual at lambda0+rho = 0.0",
+        "order_K failed: |x| on the circle is within noise of zero",
+    ]
+
+
 def test_config_complex_needs_both_halves(tmp_path, capsys):
     path = tmp_path / "run.cfg"
     path.write_text("lambda_re = 2.0\n")
@@ -209,6 +248,60 @@ def test_classify_zero_lambda_exit_one(capsys):
     code, _, err = _run(capsys, "classify", "--kind", "square", "--lambda", "0.0")
     assert code == 1
     assert "error:" in err
+
+
+# classify's echo, whose lambda and budget lines each case fills in
+CLASSIFY_ECHO = """resolved config for classify:
+  kind = {}
+  lambda_re = {}
+  lambda_im = {}
+  budget = {}
+  eval_tol = 1e-12
+  pole_eps = 1e-06
+  newton_tol = 1e-09
+"""
+
+# (kind, --lambda, --budget, echoed lambda_re and lambda_im, exit code, the
+# verdict line or None for the error exit); recorded from the scalar
+# classify path, which stays because it is faster than a one-element batch
+CLASSIFY_STDOUT = [
+    ("square", "1.2+2.04i", None, "1.2", "2.04", 0,
+     "AttractingCycles count=1 period=1 multiplier=0.2579624230351499+0.2546917851325303i "
+     "abs=0.3625086441895705"),
+    ("square", PREPOLE_SQ_ARG, None, "0.5783308619020432", "0.7360677656029049", 0,
+     "AllCriticalPrepole steps=[1,1,0]"),
+    ("square", CANDIDATE_ARG, None, "1.9101297082387314", "0.7624256939043886", 2,
+     "Indeterminate iterations_used=2000"),
+    ("square", "2.0", "1", "2.0", "0.0", 2, "Indeterminate iterations_used=1"),
+    ("square", "0.0", None, "0.0", "0.0", 1, None),
+    ("triangular", "1.8+1.44i", None, "1.8", "1.44", 0,
+     "AttractingCycles count=1 period=3 multiplier=0.12941511517819912+0.10539925240983103i "
+     "abs=0.16690498628003245"),
+    ("triangular", "2.3", None, "2.3", "0.0", 0,
+     "AttractingCycles count=3 period=1 multiplier=-0.23425108408283554-9.733636867914196e-17i "
+     "abs=0.23425108408283554"),
+    ("triangular", "0.5392909261501828+0.11091500820528369i", None, "0.5392909261501828",
+     "0.11091500820528369", 0, "AllCriticalPrepole steps=[1,1,1]"),
+    ("triangular", "2.3364428785230364+0.7841800498035085i", None, "2.3364428785230364",
+     "0.7841800498035085", 2, "Indeterminate iterations_used=2000"),
+    ("triangular", "2.3", "1", "2.3", "0.0", 2, "Indeterminate iterations_used=1"),
+    ("triangular", "0.0", None, "0.0", "0.0", 1, None),
+]
+
+
+@pytest.mark.parametrize(
+    "kind, lam, budget, re, im, code, verdict", CLASSIFY_STDOUT,
+    ids=[f"{c[0]}-{c[1]}-budget-{c[2] or 2000}" for c in CLASSIFY_STDOUT],
+)
+def test_classify_stdout_is_pinned(capsys, kind, lam, budget, re, im, code, verdict):
+    argv = ["classify", "--kind", kind, "--lambda", lam]
+    if budget is not None:
+        argv += ["--budget", budget]
+    want = CLASSIFY_ECHO.format(kind, re, im, budget or "2000")
+    if verdict is not None:
+        want += verdict + "\n"
+    err = "" if code != 1 else "error: lattice scale must be nonzero and finite\n"
+    assert _run(capsys, *argv) == (code, want, err)
 
 
 def test_echo_reports_resolved_values(capsys):

@@ -7,7 +7,15 @@ import numpy as np
 import pytest
 
 from conftest import ATTRACTING_SQ, CANDIDATE, CANDIDATE_ABS_MULT
-from oracles import close_horizon, distortion_report_scalar, pair_ratio, param_orbit
+from oracles import (
+    close_horizon,
+    distortion_report_scalar,
+    pair_ratio,
+    param_orbit,
+    pullback_chain,
+    track_motion_scalar,
+    x_function_scalar,
+)
 from weierdyn import dynamics, hyperbolic, lattice
 from weierdyn.cli import main
 from weierdyn.hyperbolic import (
@@ -173,31 +181,34 @@ def test_x_function_zero_only_at_base(cfg, candidate_sample):
         assert abs(x_function(candidate_sample, lam, cfg)) > 1e-4
 
 
-def test_x_function_runs_one_chain_and_equals_track_motion(cfg, candidate_sample, monkeypatch):
-    # the order_K circle: x is e_lambda minus track_motion's h_value, bit for
-    # bit, from one pullback chain per call (track_motion runs two)
-    lams = [
-        candidate_sample.lambda0 + 1e-3 * complex(math.cos(t), math.sin(t))
-        for t in (2.0 * math.pi * i / 64 for i in range(64))
-    ]
-    e0 = candidate_sample.points[0]
-    want = [
-        make_lattice(LatticeKind.SQUARE, lam, cfg).crit_values[0]
-        - track_motion(candidate_sample, e0, lam, DEFAULT_N_STEPS, cfg).h_value
-        for lam in lams
-    ]
+def _spy_batches(monkeypatch):
+    """The anchors of each hyperbolic._pullback_batch call, as they happen."""
     calls = []
-    real = hyperbolic._pullback_chain
+    real = hyperbolic._pullback_batch
 
     def spy(*args):
-        calls.append(args)
+        calls.append(list(args[2]))
         return real(*args)
 
-    monkeypatch.setattr(hyperbolic, "_pullback_chain", spy)
-    for lam, w in zip(lams, want):
+    monkeypatch.setattr(hyperbolic, "_pullback_batch", spy)
+    return calls
+
+
+def test_x_function_runs_one_chain_and_equals_track_motion(cfg, candidate_sample, monkeypatch):
+    # the order_K circle: x is e_lambda minus track_motion's h_value, bit for
+    # bit, from one _pullback_batch of one chain per call; track_motion's
+    # batch holds its two chains
+    lams = _circle(candidate_sample, 1e-3, 64)
+    e0 = candidate_sample.points[0]
+    calls = _spy_batches(monkeypatch)
+    for lam in lams:
+        e = make_lattice(LatticeKind.SQUARE, lam, cfg).crit_values[0]
         calls.clear()
-        assert x_function(candidate_sample, lam, cfg) == w
-        assert len(calls) == 1
+        h = track_motion(candidate_sample, e0, lam, DEFAULT_N_STEPS, cfg).h_value
+        assert calls == [[0, 1]]
+        calls.clear()
+        assert _bits(x_function(candidate_sample, lam, cfg)) == _bits(e - h)
+        assert calls == [[0]]
 
 
 def test_winding_number_synthetic_loops():
@@ -284,7 +295,8 @@ def test_distortion_identical_parameters_give_unit_product(cfg, candidate_sample
     assert n >= 3 and ratio == rep.max_ratio
 
 
-def _distortion_outcome(fn, *args):
+def _outcome(fn, *args):
+    """fn(*args), or the exception it raises."""
     try:
         return fn(*args)
     except (ValueError, ArithmeticError, RuntimeError) as exc:
@@ -309,8 +321,8 @@ def test_distortion_report_equals_the_scalar_oracle(cfg, distortion_samples, kin
     kinds = set()
     for r in (1e-6, 5e-7, 2.5e-7, 1e-3, 1.0):
         for n_pairs in (1, 3, 20):
-            got = _distortion_outcome(distortion_report, sample, r, n_pairs, cfg)
-            want = _distortion_outcome(distortion_report_scalar, sample, r, n_pairs, cfg)
+            got = _outcome(distortion_report, sample, r, n_pairs, cfg)
+            want = _outcome(distortion_report_scalar, sample, r, n_pairs, cfg)
             kinds.add(type(want).__name__)
             if isinstance(want, Exception):
                 assert type(got) is type(want) and str(got) == str(want)
@@ -327,16 +339,18 @@ def test_distortion_report_raises_the_errors_of_the_scalar_loop(cfg, candidate_s
     refs = list(candidate_sample.ext_points)
     refs[20] = complex(math.nan, 0.0)
     lost = dataclasses.replace(candidate_sample, ext_points=tuple(refs))
+    # every scale of a radius 1e-200 around 0 has a cube that underflows
+    at_zero = dataclasses.replace(candidate_sample, lambda0=0j)
     cases = [
-        (candidate_sample, math.nan, 20), (candidate_sample, math.inf, 3),
+        (candidate_sample, math.nan, 20), (candidate_sample, math.inf, 3), (at_zero, 1e-200, 20),
         (candidate_sample, 1e-300, 3), (candidate_sample, 5e-324, 2),
         (candidate_sample, 0.0, 3), (candidate_sample, 1e-6, 0),
         (no_ref, 1e-6, 3), (tight, 1e-10, 3), (lost, 1e-6, 3),
     ]
     names = []
     for sample, r, n_pairs in cases:
-        got = _distortion_outcome(distortion_report, sample, r, n_pairs, cfg)
-        want = _distortion_outcome(distortion_report_scalar, sample, r, n_pairs, cfg)
+        got = _outcome(distortion_report, sample, r, n_pairs, cfg)
+        want = _outcome(distortion_report_scalar, sample, r, n_pairs, cfg)
         names.append(type(want).__name__)
         if isinstance(want, Exception):
             assert type(got) is type(want) and str(got) == str(want)
@@ -345,6 +359,32 @@ def test_distortion_report_raises_the_errors_of_the_scalar_loop(cfg, candidate_s
     assert set(names) == {
         "ZeroParameter", "ValueError", "DegenerateRadius", "ShadowLost", "DistortionReport",
     }
+
+
+@pytest.mark.parametrize("r", [math.nan, math.inf])
+def test_distortion_report_refuses_a_non_finite_radius(cfg, candidate_sample, r):
+    # a NaN or infinite r once made every scale NaN, and the refusal of the
+    # first one was blamed on the lattice scale
+    with pytest.raises(ValueError, match="^r must be finite$"):
+        distortion_report(candidate_sample, r, 3, cfg)
+    got = hyperbolic.verify_motion(candidate_sample, 1e-3, 12, 64, r, 3, cfg)
+    assert str(got.distortion) == "r must be finite" and got.order == 1
+
+
+@pytest.mark.parametrize("rho", [math.nan, math.inf, -math.inf])
+def test_order_K_and_verify_motion_refuse_a_non_finite_rho(
+    cfg, candidate_sample, monkeypatch, rho
+):
+    # the batch never runs: a NaN or infinite rho made every frame's scale
+    # NaN or infinite, which make_lattice refused as the lattice scale
+    def refuse(*args):
+        raise AssertionError("the batch must not run")
+
+    monkeypatch.setattr(hyperbolic, "_pullback_batch", refuse)
+    with pytest.raises(ValueError, match="^rho must be finite$"):
+        order_K(candidate_sample, rho, 64, cfg)
+    with pytest.raises(ValueError, match="^rho must be finite$"):
+        hyperbolic.verify_motion(candidate_sample, rho, 12, 64, 1e-6, 20, cfg)
 
 
 def test_distortion_corollary_reads_the_scalar_loop_in_order(cfg, candidate_sample):
@@ -369,7 +409,7 @@ def test_distortion_corollary_reads_the_scalar_loop_in_order(cfg, candidate_samp
         if size is not None:
             sizes[at + 1] = size
         cut = dataclasses.replace(walks, errors=err, size=sizes)
-        return _distortion_outcome(
+        return _outcome(
             hyperbolic._distortion, candidate_sample, r, n_pairs, cut, e - h, list(x_errors)
         )
 
@@ -419,11 +459,11 @@ def _circle(sample, rho, count):
 
 
 def _scalar_outcomes(sample, lams, cfg):
-    """x_function per scale: the value, or the exception it raises."""
+    """The scalar x_function per scale: the value, or the exception it raises."""
     out = []
     for lam in lams:
         try:
-            out.append(x_function(sample, lam, cfg))
+            out.append(x_function_scalar(sample, lam, cfg))
         except (ValueError, ArithmeticError, RuntimeError) as exc:
             out.append(exc)
     return out
@@ -490,7 +530,7 @@ def test_order_K_builds_no_lattice_and_calls_no_scalar_wp(cfg, candidate_sample,
         calls.append(args)
         raise AssertionError("order_K must not take the scalar path")
 
-    for name in ("make_lattice", "wp_pair", "wp", "_pullback_chain"):
+    for name in ("make_lattice", "wp_pair"):
         monkeypatch.setattr(hyperbolic, name, refuse)
     assert order_K(candidate_sample, 1e-3, 64, cfg) == 1
     assert calls == []
@@ -506,7 +546,7 @@ def test_order_K_raises_the_shadow_lost_of_the_scalar_loop(cfg, candidate_sample
     dist = []
     for lam in lams:
         e = make_lattice(LatticeKind.SQUARE, lam, cfg).crit_values[0]
-        dist.append(sph_dist(e - x_function(candidate_sample, lam, cfg), e0))
+        dist.append(sph_dist(e - x_function_scalar(candidate_sample, lam, cfg), e0))
     cut = sorted(dist)[64 - failing]
     sample = dataclasses.replace(candidate_sample, delta=2.0 * cut * (1.0 - 1e-9))
     want = _assert_batch_is_scalar(sample, lams, cfg)
@@ -572,29 +612,39 @@ def test_pullback_batch_records_refusals_in_the_scalar_order(cfg, candidate_samp
         order_K(short, 1e-3, 8, cfg)
 
 
-def test_x_function_and_track_motion_build_one_lattice(cfg, candidate_sample, monkeypatch):
-    built = []
-    real = hyperbolic.make_lattice
+def test_x_function_and_track_motion_build_no_lattice(cfg, candidate_sample, monkeypatch):
+    # each public call is one _pullback_batch call, which gives no scale a
+    # Lattice and evaluates no scalar wp
+    def refuse(*args, **kwargs):
+        raise AssertionError("the motion views must not take the scalar path")
 
-    def spy(*args):
-        built.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(hyperbolic, "make_lattice", spy)
+    monkeypatch.setattr(lattice.Lattice, "__init__", refuse)
+    for name in ("make_lattice", "wp_pair"):
+        monkeypatch.setattr(hyperbolic, name, refuse)
+    calls = _spy_batches(monkeypatch)
     lam = CANDIDATE + 1e-3j
     x_function(candidate_sample, lam, cfg)
-    assert len(built) == 1
-    built.clear()
-    frame = track_motion(candidate_sample, candidate_sample.points[2], lam, 20, cfg)
-    assert len(built) == 1
+    assert calls == [[0]]
+    calls.clear()
+    z = candidate_sample.points[2]
+    a = hyperbolic._anchor(candidate_sample, z, cfg)
+    frame = track_motion(candidate_sample, z, lam, 20, cfg)
+    assert calls == [[a, a + 1]]
     assert not math.isnan(frame.conj_residual)
+    # at the last anchor of a sample with no reference point two steps past
+    # it, the downstream chain has no horizon: a NaN residual
+    calls.clear()
+    short = dataclasses.replace(candidate_sample, ext_usable=17)
+    frame = track_motion(short, short.points[16], lam, 20, cfg)
+    assert calls == [[16, 17]] and math.isnan(frame.conj_residual)
 
 
 def _chain_outcome(sample, lam, anchor, n_steps, cfg):
-    """_pullback_chain on make_lattice(lam): its h_value, or the exception."""
+    """The scalar pullback chain on make_lattice(lam): its h_value, or the
+    exception."""
     try:
         lat = make_lattice(sample.kind, lam, cfg)
-        return hyperbolic._pullback_chain(sample, lat, anchor, n_steps, cfg)[0]
+        return pullback_chain(sample, lat, anchor, n_steps, cfg)[0]
     except (ValueError, ArithmeticError, RuntimeError) as exc:
         return exc
 
@@ -655,7 +705,7 @@ def test_pullback_batch_mixed_chains_have_the_scalar_bits(cfg, candidate_sample)
     _, clean = _assert_mixed_is_scalar(candidate_sample, cfg)
     assert isinstance(clean[anchors.index(20)], complex)
     lat = make_lattice(LatticeKind.SQUARE, candidate_sample.lambda0, cfg)
-    _, used = hyperbolic._pullback_chain(candidate_sample, lat, 20, 12, cfg)
+    _, used = pullback_chain(candidate_sample, lat, 20, 12, cfg)
     assert used == candidate_sample.ext_usable - 20 < 12
 
 
@@ -847,6 +897,76 @@ def test_pullback_batch_is_invariant_under_permutation(cfg, candidate_sample):
         assert _bits(ep[j]) == _bits(e[i])
 
 
+# the motion views' scales: lambda0, 0, NaN, a scale whose cube underflows,
+# and offsets from 1e-6 to 0.3, each in two opposite directions
+_VIEW_OFFSETS = [1e-6, 1e-4, 1e-3, 1e-2, 0.1, 0.3]
+_VIEW_STEPS = [0, 1, 5, 12, 20, 48]
+
+
+def _view_scales(sample):
+    lams = [sample.lambda0, 0j, complex(math.nan, 0.0), 1e-60 + 0j]
+    for i, off in enumerate(_VIEW_OFFSETS):
+        lams += [sample.lambda0 + off * cmath.exp(1j * math.pi * (i + d) / 4.0) for d in (0, 4)]
+    return lams
+
+
+def _assert_same_view(got, want):
+    """got is the library's outcome, want the oracle's: the same exception
+    type, message and step, or the same bits in every field."""
+    if isinstance(want, Exception):
+        assert _same_outcome(None, got, want)
+    elif isinstance(want, complex):
+        assert _bits(got) == _bits(want)
+    else:
+        got_bits, want_bits = (
+            [_bits(v) for v in (f.z0, f.lam, f.h_value, f.conj_residual)] for f in (got, want)
+        )
+        assert got_bits == want_bits and got.steps_used == want.steps_used
+
+
+def _view_cases():
+    """(id, kind, lambda0, M, delta, pole_eps) of the motion views' samples."""
+    return [
+        ("square", LatticeKind.SQUARE, CANDIDATE, 16, 0.02, 1e-6),
+        ("square-26", LatticeKind.SQUARE, CANDIDATE, 26, 0.02, 1e-6),
+        ("square-delta-0", LatticeKind.SQUARE, CANDIDATE, 16, 0.0, 1e-6),
+        ("triangular", LatticeKind.TRIANGULAR, TRI_SAMPLE, 16, 0.02, 1e-6),
+        ("pole-eps-0.49", LatticeKind.SQUARE, CANDIDATE, 16, 0.02, 0.49),
+    ]
+
+
+@pytest.mark.parametrize("case", _view_cases(), ids=lambda c: c[0])
+def test_track_motion_and_x_function_have_the_oracle_bits(cfg, case):
+    # every sample point and one point off the sample, the i-th with the
+    # n_steps of index i mod 6 and two seeded draws of the scale; x at every
+    # scale
+    name, kind, lambda0, M, delta, pole_eps = case
+    sample = build_sample(kind, lambda0, M, delta, cfg)
+    tol = ToleranceConfig(pole_eps=pole_eps)
+    lams = _view_scales(sample)
+    gen = np.random.default_rng(2701)
+    seen = set()
+    for i, z in enumerate(list(sample.points) + [sample.points[0] + 0.5]):
+        n_steps = _VIEW_STEPS[i % len(_VIEW_STEPS)]
+        for lam in (lams[j] for j in gen.choice(len(lams), 2, replace=False)):
+            got = _outcome(track_motion, sample, z, lam, n_steps, tol)
+            _assert_same_view(got, _outcome(track_motion_scalar, sample, z, lam, n_steps, tol))
+            seen.add(type(got).__name__)
+            if isinstance(got, hyperbolic.MotionFrame) and math.isnan(got.conj_residual):
+                seen.add("NaN residual")
+    for lam in lams:
+        got = _outcome(x_function, sample, lam, tol)
+        _assert_same_view(got, _outcome(x_function_scalar, sample, lam, tol))
+        seen.add(type(got).__name__)
+    errors = {"ShadowLost", "ValueError", "ZeroParameter"}
+    values = {"MotionFrame", "complex"} if pole_eps < 0.49 else set()
+    assert seen == errors | values | ({"NaN residual"} if name == "square-26" else set())
+    # a pole_eps of 0.49 loses every chain through refs[25]
+    lost = _outcome(x_function, sample, sample.lambda0, tol)
+    assert isinstance(lost, ShadowLost) == (pole_eps == 0.49)
+    assert pole_eps < 0.49 or lost.step == 25
+
+
 def _motion_samples(cfg, candidate_sample):
     tri = build_sample(LatticeKind.TRIANGULAR, TRI_SAMPLE, 16, 0.02, cfg)
     return {
@@ -867,13 +987,13 @@ def test_verify_motion_equals_the_scalar_calls(cfg, candidate_sample, which):
     rho = 1e-3
     got = hyperbolic.verify_motion(sample, rho, 12, 64, 1e-6, 20, cfg)
 
-    ident = track_motion(sample, sample.points[0], sample.lambda0, 12, cfg)
+    ident = track_motion_scalar(sample, sample.points[0], sample.lambda0, 12, cfg)
     assert got.identity_residual == abs(ident.h_value - sample.points[0])
     assert len(got.frames) == len(sample.points)
     nan_seen = False
     for z, frame in zip(sample.points, got.frames):
         try:
-            want = track_motion(sample, z, sample.lambda0 + rho, 12, cfg)
+            want = track_motion_scalar(sample, z, sample.lambda0 + rho, 12, cfg)
         except (ValueError, ShadowLost) as exc:
             assert _same_outcome(None, frame, exc)
             continue
@@ -892,7 +1012,7 @@ def test_verify_motion_equals_the_scalar_calls(cfg, candidate_sample, which):
         assert _same_outcome(None, got.order, exc)
     else:
         assert got.order == want_K
-    want = _distortion_outcome(distortion_report_scalar, sample, 1e-6, 20, cfg)
+    want = _outcome(distortion_report_scalar, sample, 1e-6, 20, cfg)
     if isinstance(want, Exception):
         assert _same_outcome(None, got.distortion, want)
     else:

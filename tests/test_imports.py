@@ -173,3 +173,71 @@ def test_guard_reports_an_uncalled_public_callable():
         "- `a.b`: why\n  more\n- `c.d`: why\n\n## Next\n\n- `e.f`: not kept\n"
     )
     assert _readme_kept(readme) == ["a.b", "c.d"]
+
+
+def _unreached_oracles(oracles: ast.Module, tests: dict[str, ast.Module]) -> list[str]:
+    """The public functions of the oracle module oracles that no test module
+    of tests (module name -> tree) reaches: none uses a name it imports from
+    oracles or an `oracles.name` attribute for them, nor for an oracle
+    function, public or private, whose body refers to them, recursively."""
+    defs = {
+        node.name: node for node in oracles.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    }
+    reached = set()
+    for tree in tests.values():
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "oracles":
+                imported.update({alias.asname or alias.name: alias.name for alias in node.names})
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and node.id in imported:
+                reached.add(imported[node.id])
+            elif (
+                isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id == "oracles"
+            ):
+                reached.add(node.attr)
+    todo = sorted(reached & defs.keys())
+    while todo:
+        for node in ast.walk(defs[todo.pop()]):
+            if isinstance(node, ast.Name) and node.id in defs and node.id not in reached:
+                reached.add(node.id)
+                todo.append(node.id)
+    return sorted(name for name in defs if not _is_private(name) and name not in reached)
+
+
+def test_every_public_oracle_is_reached_from_a_test():
+    # an oracle no test reaches checks nothing, so a rewired test that drops
+    # one must drop the oracle too
+    tests_dir = ROOT / "tests"
+    oracles = ast.parse((tests_dir / "oracles.py").read_text())
+    tests = {
+        path.stem: ast.parse(path.read_text(), str(path))
+        for path in sorted(tests_dir.glob("test_*.py"))
+    }
+    assert _unreached_oracles(oracles, tests) == []
+
+
+def test_guard_reports_an_unreached_oracle():
+    oracles = ast.parse(
+        "def called(): return _helper()\n"
+        "def _helper(): return via_helper()\n"
+        "def via_helper(): return 1\n"
+        "def imported_only(): return 0\n"
+        "def dead(): return called()\n"
+        "def by_attribute(): return 0\n"
+        "def recursive(n): return recursive(n - 1) if n else 0\n"
+        "def aliased(): return 0\n"
+        "def shadowed(): return 0\n"
+    )
+    user = ast.parse(
+        "import oracles\n"
+        "from oracles import called, imported_only, aliased as other_name\n"
+        "from elsewhere import shadowed\n"
+        "def test_a(): assert called() == oracles.by_attribute() + 1 == other_name() + 1\n"
+        "def test_b(): assert shadowed() == 0\n"
+    )
+    assert _unreached_oracles(oracles, {"test_user": user}) == [
+        "dead", "imported_only", "recursive", "shadowed",
+    ]
