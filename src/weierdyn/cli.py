@@ -575,11 +575,13 @@ def main(argv: Optional[list[str]] = None) -> int:
         values = _resolve(COMMANDS[ns.command], ns, config)
         _echo_config(ns.command, values)
         return _RUNNERS[ns.command](values)
-    except (ValueError, OSError, PoleHit) as exc:
+    except (ValueError, OSError, PoleHit, MemoryError) as exc:
         # UsageError, ZeroParameter and DiscTouchesU are ValueErrors,
         # IoFailure is an OSError; PoleHit is make_lattice refusing a
-        # pole_eps that reaches the half-periods
-        print(f"error: {exc}", file=sys.stderr)
+        # pole_eps that reaches the half-periods; MemoryError is numpy
+        # refusing an array too large for the machine
+        oom = "out of memory: " if isinstance(exc, MemoryError) else ""
+        print(f"error: {oom}{exc}", file=sys.stderr)
         return 1
 
 

@@ -34,6 +34,7 @@ from .lattice import (
     _crit_values_split,
     _divisor,
     _half_periods_split,
+    _kind_data,
     _scales_ok,
     _split_scales,
     _terms_for_tol,
@@ -376,29 +377,19 @@ def orbit_array(
     return OrbitBatch(z0, status, step, m, n, size, ring)
 
 
-def _walk(
-    w: complex, p: int, lat: Lattice, cfg: ToleranceConfig
-) -> tuple[list[complex], list[complex]]:
-    """The points w, f(w), ..., f^p(w) and the flat multipliers mults[k] of
-    f^k at w, by the chain rule (mults[0] = 1)."""
-    points = [w]
-    mults = [1.0 + 0j]
-    for _ in range(p):
-        v, dv = wp_pair(points[-1], lat, cfg)
-        points.append(v)
-        mults.append(mults[-1] * dv)
-    return points, mults
-
-
 def _refine(w: complex, p: int, lat: Lattice, cfg: ToleranceConfig) -> tuple[Cycle, list[complex]]:
-    """Polish a periodic-point candidate by Newton on f^p(w) - w; returns the
-    cycle and its points.  The period is the smallest divisor d of p with
-    |f^d(w) - w| < newton_tol, read off the final walk (d = p qualifies)."""
+    """Polish a periodic-point candidate by Newton on f^p(w) - w, walking with
+    iterate, whose pole hit or escape (the last point too) raises
+    NewtonDivergence; returns the cycle and its points.  The period is the
+    smallest divisor d of p with |f^d(w) - w| < newton_tol (d = p qualifies)."""
     for _ in range(50):
-        try:
-            points, mults = _walk(w, p, lat, cfg)
-        except PoleError:
-            raise NewtonDivergence("cycle refinement stepped onto a pole") from None
+        trace = iterate(lat, w, p, cfg)
+        if not isinstance(trace.outcome, BudgetExhausted):
+            raise NewtonDivergence("cycle refinement stepped onto a pole or past the escape scale")
+        points = list(trace.points)
+        mults = [1.0 + 0j]  # of f^k at w, by the chain rule
+        for dv in trace.derivs:
+            mults.append(mults[-1] * dv)
         g = points[p] - w
         if abs(g) < cfg.newton_tol:
             d = next(
@@ -519,8 +510,7 @@ def classify(kind: LatticeKind, lam: complex, budget: int, cfg: ToleranceConfig)
     if budget < 1:
         raise ValueError("budget must be at least 1")
     lat = make_lattice(kind, lam, cfg)
-    # square: e2 = -e1 shares e1's orbit and e3 = 0 is a pole
-    crit = lat.crit_values if kind is LatticeKind.TRIANGULAR else lat.crit_values[:1]
+    crit = lat.crit_values[: _kind_data(kind).crit_orbits]
     traces = [iterate(lat, e, budget, cfg) for e in crit]
     if all(isinstance(t.outcome, PoleHit) for t in traces):
         return _prepole(kind, [t.outcome.step for t in traces])
@@ -551,7 +541,7 @@ def classify_batch(
     good = lam_c[ok]
     lam, lam2 = _split_scales(good)
     # the orbits of e1 (and e2, e3 for triangular) one after the other
-    per = 3 if kind is LatticeKind.TRIANGULAR else 1
+    per = _kind_data(kind).crit_orbits
     crit = _crit_values_split(kind, lam, lam2, _half_periods_split(kind, lam)[:per], cfg)
     starts = _complex(crit[:, 0].ravel(), crit[:, 1].ravel())
     head_steps = max(budget - DEFAULT_MAX_PERIOD, 0)

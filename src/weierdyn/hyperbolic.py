@@ -44,19 +44,16 @@ from .lattice import (
     _crit_values_hits,
     _divisor,
     _half_periods_split,
+    _lattice_crit_dist,
     _pair_rows,
     _scales_ok,
     _sph_dist_split,
+    _sph_dist_to_inf_split,
     _split_scales,
     _terms_for_tol,
     _wp_pair_split,
-    crit_sph_dist,
     make_lattice,
-    sph_deriv,
-    sph_dist_to_inf,
-    wp_pair,
 )
-from .lattice import PoleHit as PoleError
 from .dynamics import BudgetExhausted, escape_scale, iterate
 
 __all__ = [
@@ -233,46 +230,29 @@ def build_sample(
     ext_points = trace.points
     ext_factors = trace.sph_derivs
 
-    points = ext_points[: M + 1]
-    inf_dists, crit_dists = [], []
-    for s, p in enumerate(points):
-        inf_dists.append(sph_dist_to_inf(p))
-        if inf_dists[-1] < delta:
-            raise SeparationViolated(step=s, kind="infinity")
-        crit_dists.append(crit_sph_dist(p, lat))
-        if crit_dists[-1] < delta:
-            raise SeparationViolated(step=s, kind="crit")
+    # every point's separation at once: the first violation ends the sample
+    # (infinity outranks crit at one step), or the usable continuation
+    zs = np.array(ext_points)
+    inf_dists = _sph_dist_to_inf_split(zs.real, zs.imag)
+    crit_dists = _lattice_crit_dist(lat, zs.real, zs.imag)
+    bad = np.flatnonzero((inf_dists < delta) | (crit_dists < delta)).tolist()
+    if bad and bad[0] <= M:
+        raise SeparationViolated(bad[0], "infinity" if inf_dists[bad[0]] < delta else "crit")
+    ext_usable = (bad[0] if bad else len(ext_points)) - 1
 
-    ext_usable = M
-    for s in range(M + 1, len(ext_points)):
-        p = ext_points[s]
-        if sph_dist_to_inf(p) < delta or crit_sph_dist(p, lat) < delta:
-            break
-        ext_usable = s
-
-    # cumulative log derivative products; factors are positive here since a
-    # zero factor would mean a sample point is exactly critical, which the
-    # separation test above has excluded for delta > 0
-    logs = [0.0]
-    for f in ext_factors:
-        logs.append(logs[-1] + (math.log(f) if f > 0 else -math.inf))
-    n_avail = len(ext_factors) - M
-    N_exp = None
-    for N in range(1, min(N_EXP_MAX, max(n_avail, 0)) + 1):
-        worst = min(logs[i + N] - logs[i] for i in range(M + 1))
-        if worst >= math.log(A_TILDE):
-            N_exp = N
-            break
+    n_avail = min(N_EXP_MAX, len(ext_factors) - M)
+    worst = _least_log_products(ext_factors, M, n_avail)
+    N_exp = next((N for N in range(1, n_avail + 1) if worst[N] >= math.log(A_TILDE)), None)
     if N_exp is None:
         raise NoExpansion(f"no uniform expansion up to N = {N_EXP_MAX}")
 
     return HyperbolicSample(
         kind=kind,
         lambda0=complex(lambda0),
-        points=points,
+        points=ext_points[: M + 1],
         delta=delta,
-        min_crit_dist=min(crit_dists),
-        min_inf_dist=min(inf_dists),
+        min_crit_dist=min(crit_dists[: M + 1].tolist()),
+        min_inf_dist=min(inf_dists[: M + 1].tolist()),
         N_exp=N_exp,
         a_tilde=A_TILDE,
         ext_points=ext_points,
@@ -281,25 +261,36 @@ def build_sample(
     )
 
 
+def _least_log_products(factors: Sequence[float], M: int, n: int) -> list[float]:
+    """worst[k], k = 0..n: the least log-product of k consecutive factors over
+    the starts 0..M, from cumulative log sums (a zero factor adds -inf), each
+    Python's min over the starts in order, so NaN keeps its place."""
+    logs = [0.0]
+    for f in factors:
+        logs.append(logs[-1] + (math.log(f) if f > 0 else -math.inf))
+    cum = np.array(logs[: M + n + 1])
+    with np.errstate(invalid="ignore"):
+        windows = np.lib.stride_tricks.sliding_window_view(cum, M + 1) - cum[: M + 1]
+    return [min(row) for row in windows.tolist()]
+
+
 def adapted_metric(z: complex, lat: Lattice, N: int, cfg: ToleranceConfig) -> float:
     """d(z) = (1/N) * sum of spherical |(f^n)'(z)| for n = 0..N-1.
 
     The n = 0 term is 1.  In this metric one application of f expands by at
-    least 1 + (a_tilde - 1)/(N * max d) on an expanding sample.
+    least 1 + (a_tilde - 1)/(N * max d) on an expanding sample.  A pole hit or
+    escape of iterate(lat, z, N - 1, cfg) at step s raises PoleOnOrbit(step=s).
     """
     if N < 1:
         raise ValueError("N must be at least 1")
-    total = 1.0
-    prod = 1.0
-    z_cur = complex(z)
-    for n in range(1, N):
-        try:
-            val, dval = wp_pair(z_cur, lat, cfg)
-        except PoleError:
-            raise PoleOnOrbit(step=n - 1) from None
-        prod *= sph_deriv(dval, z_cur, val)
-        total += prod
-        z_cur = val
+    total = prod = 1.0
+    if N > 1:
+        trace = iterate(lat, z, N - 1, cfg)
+        if not isinstance(trace.outcome, BudgetExhausted):
+            raise PoleOnOrbit(step=trace.outcome.step)
+        for factor in trace.sph_derivs:
+            prod *= factor
+            total += prod
     return total / N
 
 
@@ -474,7 +465,7 @@ def _pullback_batch(
             # the one compaction: the orbits' columns leave after round M, a
             # chain's when it fails or ends.  After step 0 a chain is finished:
             # its w, now its target, is h and this round's wp value is wp(h),
-            # as scalar wp has wp_pair's value bits
+            # as scalar wp is wp_pair's value
             end = done & (k < 0.0)
             drop = np.full(table.shape[1], s == M)
             drop[nw:] = fail | end
@@ -695,13 +686,7 @@ def fit_expansion(sample: HyperbolicSample, n_range: int) -> ExpansionReport:
         raise ValueError("n_range must be at least 1")
     if len(sample.ext_factors) < len(sample.points) - 1 + n_range:
         raise ValueError("sample orbit too short for the requested range")
-    M = len(sample.points) - 1
-    logs = [0.0]
-    for f in sample.ext_factors:
-        logs.append(logs[-1] + (math.log(f) if f > 0 else -math.inf))
-    mins = []
-    for k in range(n_range + 1):
-        mins.append(min(logs[i + k] - logs[i] for i in range(M + 1)))
+    mins = _least_log_products(sample.ext_factors, len(sample.points) - 1, n_range)
     if any(math.isinf(v) for v in mins):
         raise NoExpansion("a sample point runs through a critical point")
 

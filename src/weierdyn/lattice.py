@@ -160,6 +160,7 @@ class _KindData:
     dcoeffs: tuple[complex, ...]  # 2k * c_k
     max_ratio_sq: float           # worst |z|^2 after re-centering, lattice [1, tau]
     hexagonal: bool               # Voronoi cells are hexagons (triangular kind)
+    crit_orbits: int              # orbits a verdict iterates: e1..e3, or e1 (square)
 
 
 _ZETA4 = math.pi ** 4 / 90.0
@@ -226,6 +227,7 @@ def _kind_data(kind: LatticeKind) -> _KindData:
         dcoeffs=dcoeffs,
         max_ratio_sq=max_ratio_sq,
         hexagonal=kind is LatticeKind.TRIANGULAR,
+        crit_orbits=3 if kind is LatticeKind.TRIANGULAR else 1,
     )
 
 
@@ -372,32 +374,19 @@ def reduce(z: complex, lat: Lattice) -> tuple[complex, int, int]:
     return z_red, m, n
 
 
-def _norm_point(z: complex, lat: Lattice, cfg: ToleranceConfig) -> tuple[complex, int, int]:
-    """Normalized re-centered representative u0 = z/lam - (m + n*tau) with
-    |u0| minimal; raises PoleHit when |u0| < pole_eps."""
-    u0, m, n = _recenter(complex(z) / lat.lam, _kind_data(lat.kind))
-    if abs(u0) < cfg.pole_eps:
-        raise PoleHit(m, n)
-    return u0, m, n
-
-
 def wp(z: complex, lat: Lattice, cfg: ToleranceConfig) -> complex:
-    """Evaluate the Weierstrass function of the lattice at z."""
-    kd = _kind_data(lat.kind)
-    u0, _, _ = _norm_point(z, lat, cfg)
-    u2 = u0 * u0
-    acc = 0j
-    coeffs = kd.coeffs
-    for k in range(lat.n_terms - 1, -1, -1):
-        acc = acc * u2 + coeffs[k]
-    val = 1.0 / u2 + acc * u2
-    return val / (lat.lam * lat.lam)
+    """Evaluate the Weierstrass function of the lattice at z: wp_pair's value."""
+    return wp_pair(z, lat, cfg)[0]
 
 
 def wp_pair(z: complex, lat: Lattice, cfg: ToleranceConfig) -> tuple[complex, complex]:
-    """wp and its derivative wp' together, sharing the reduction."""
+    """wp and its derivative wp' together, sharing the reduction: the
+    representative u0 = z/lam - (m + n*tau) of least modulus, refused with
+    PoleHit(m, n) when |u0| < pole_eps."""
     kd = _kind_data(lat.kind)
-    u0, _, _ = _norm_point(z, lat, cfg)
+    u0, m, n = _recenter(complex(z) / lat.lam, kd)
+    if abs(u0) < cfg.pole_eps:
+        raise PoleHit(m, n)
     u2 = u0 * u0
     acc = 0j
     dacc = 0j
@@ -559,9 +548,9 @@ def _translate_argmin(a, b, fa, fb, kd: _KindData):
 
 
 def _reduced_split(zr, zi, lam, kind: LatticeKind, pole_eps: float):
-    """_norm_point on split arrays, with lam a _divisor of each element's
-    lat.lam: (u0_re, u0_im, pole, m, n), pole flagging the points scalar wp
-    refuses with PoleHit(m, n)."""
+    """wp_pair's reduction on split arrays, with lam a _divisor of each
+    element's lat.lam: (u0_re, u0_im, pole, m, n), pole flagging the points
+    scalar wp refuses with PoleHit(m, n)."""
     ur, ui = _cdiv_by(zr, zi, lam)
     re, im, m, n = _nearest_translate(ur, ui, _kind_data(kind))
     return re, im, np.hypot(re, im) < pole_eps, m, n
@@ -745,36 +734,9 @@ def sph_deriv(fprime: complex, z: complex, fz: complex) -> float:
     return abs(fprime) * (1.0 + abs(z) ** 2) / (1.0 + abs(fz) ** 2)
 
 
-def sph_dist_to_inf(z: complex) -> float:
-    """Chordal distance from z to the point at infinity."""
-    if is_infinite(z):
-        return 0.0
-    h = abs(z)
-    return 2.0 / math.sqrt(1.0 + h * h)
-
-
-def crit_sph_dist(z: complex, lat: Lattice) -> float:
-    """Chordal distance from z to the critical-point set of wp, the three
-    half-periods and all their lattice translates.
-
-    The set accumulates at infinity on the sphere, so the distance from the
-    point at infinity is 0.
-    """
-    if is_infinite(z):
-        return 0.0
-    kd = _kind_data(lat.kind)
-    best = math.inf
-    for c in lat.half_periods:
-        u0, _, _ = _recenter((complex(z) - c) / lat.lam, kd)
-        nearest = z - u0 * lat.lam
-        d = sph_dist(z, nearest)
-        if d < best:
-            best = d
-    return best
-
-
-# The split forms of the chordal distances below follow the scalar formulas
-# operation by operation, so they give the same bits.  Points must be finite.
+# The chordal distances below take split arrays of finite points and follow
+# sph_dist's formula, and CPython's complex quotient and product where they
+# reduce a point, so each element has the bits of Python complex arithmetic.
 
 
 def _sph_dist_split(zr, zi, wr, wi):
@@ -785,14 +747,16 @@ def _sph_dist_split(zr, zi, wr, wi):
 
 
 def _sph_dist_to_inf_split(zr, zi):
-    """sph_dist_to_inf for finite points."""
+    """Chordal distance from each point to the point at infinity."""
     h = np.hypot(zr, zi)
     return 2.0 / np.sqrt(1.0 + h * h)
 
 
 def _crit_sph_dist_split(kind: LatticeKind, zr, zi, lam: np.ndarray, half: np.ndarray):
-    """crit_sph_dist for finite points; lam (2, size) and half (3, 2, size)
-    hold each point's lattice scale and half_periods in split form."""
+    """Chordal distance from each point to the critical set of wp, the
+    half-periods c and their translates: the least sph_dist from z to z -
+    u0*lam, u0 the re-centered (z - c)/lam, NaN skipped.  lam (2, size) and
+    half (3, 2, size) hold each point's scale and half_periods in split form."""
     count = half.shape[0]
     zr = np.tile(zr, count)
     zi = np.tile(zi, count)
@@ -802,5 +766,11 @@ def _crit_sph_dist_split(kind: LatticeKind, zr, zi, lam: np.ndarray, half: np.nd
         u0r, u0i, _, _ = _nearest_translate(ur, ui, _kind_data(kind))
         pr, pi = _cmul(u0r, u0i, lr, li)
         d = _sph_dist_split(zr, zi, zr - pr, zi - pi)
-    # the scalar loop keeps the smallest with d < best, so it skips NaN
     return np.fmin.reduce(d.reshape(count, -1), axis=0)
+
+
+def _lattice_crit_dist(lat: Lattice, zr, zi):
+    """_crit_sph_dist_split for points that all lie on the one lattice lat."""
+    lam = np.broadcast_to([[lat.lam.real], [lat.lam.imag]], (2, zr.size))
+    half = np.broadcast_to([[[c.real], [c.imag]] for c in lat.half_periods], (3, 2, zr.size))
+    return _crit_sph_dist_split(lat.kind, zr, zi, lam, half)

@@ -41,6 +41,7 @@ from .lattice import (
     Lattice,
     LatticeKind,
     ToleranceConfig,
+    ZeroParameter,
     _check_scale,
     _cmul,
     _complex,
@@ -49,6 +50,7 @@ from .lattice import (
     _divisor,
     _half_periods_split,
     _kind_data,
+    _lattice_crit_dist,
     _reduced_split,
     _scales_ok,
     _sph_dist_to_inf_split,
@@ -147,7 +149,10 @@ def _orbit_values(kind: LatticeKind, lams: np.ndarray, n: int, cfg: ToleranceCon
     """f^n_lambda(e_lambda) for every scale of lams, as the last point of
     each orbit of the batch (tail 1); an orbit captured by a pole before
     step n ends in PoleHit there.  The critical values and orbits have the
-    bits of make_lattice's e1 iterated by scalar wp."""
+    bits of make_lattice's e1 iterated by scalar wp.  Raises ZeroParameter,
+    before any scale is squared, when one is a scale make_lattice refuses."""
+    if not _scales_ok(lams).all():
+        raise ZeroParameter("lattice scale must be nonzero and finite")
     lam, lam2 = _split_scales(lams)
     half = _half_periods_split(kind, lam)
     e1 = _crit_values_split(kind, lam, lam2, half[:1], cfg)[0]
@@ -193,7 +198,7 @@ def _critical_orbit(
     """
     latn = _unit_lattice(kind, cfg)
     e1n = latn.crit_values[0]
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         lam2 = lam * lam
         alive = np.isfinite(lam) & (lam != 0)
         w = np.where(alive, e1n / np.where(alive, lam2, 1.0), 0.0)
@@ -632,14 +637,14 @@ def _violation_codes(
     lam, lam2 = _split_scales(lams)
     half = _half_periods_split(kind, lam)
     # the orbits of e1 (and e2, e3 for triangular) one after the other
-    per = 3 if kind is LatticeKind.TRIANGULAR else 1
+    per = _kind_data(kind).crit_orbits
     crit = _crit_values_split(kind, lam, lam2, half[:per], cfg)
     consts = np.tile(np.concatenate([lam, half.reshape(6, -1)]), per)
     orbit_lams = np.tile(lams, per)
 
     def near_codes(idx: np.ndarray, zr: np.ndarray, zi: np.ndarray) -> np.ndarray:
-        """The proximity code of the point zr + i*zi of each orbit idx, as
-        the scalar helpers decide it."""
+        """The proximity code of the point zr + i*zi of each orbit idx, the
+        infinity label before the crit one."""
         c = consts[:, idx]
         d_inf = _sph_dist_to_inf_split(zr, zi)
         d_crit = _crit_sph_dist_split(kind, zr, zi, c[:2], c[2:].reshape(3, 2, -1))
@@ -796,13 +801,6 @@ def covering_steps(
     if math.isnan(delta) or delta < 0:
         raise ValueError("delta must be non-negative")
 
-    kind = lat.kind
-
-    def crit_dist(zr, zi):
-        lam = np.broadcast_to([[lat.lam.real], [lat.lam.imag]], (2, zr.size))
-        half = np.broadcast_to([[[c.real], [c.imag]] for c in lat.half_periods], (3, 2, zr.size))
-        return _crit_sph_dist_split(kind, zr, zi, lam, half)
-
     # cell balls tiling the disc, row by row, as split centres and radii
     h = 2.0 * d / grid
     offsets = -d + (np.arange(grid) + 0.5) * h
@@ -813,8 +811,11 @@ def covering_steps(
     wr, wi = wr[inside], wi[inside]
     rho = np.full(wr.size, h * math.sqrt(0.5))
 
-    # precondition: the disc avoids U_delta (tested on the discretization)
-    if np.any((_sph_dist_to_inf_split(wr, wi) < delta) | (crit_dist(wr, wi) < delta)):
+    # precondition: the disc avoids U_delta (tested on the discretization);
+    # a cell whose |z|^2 overflows is at distance 0 from infinity
+    with np.errstate(over="ignore"):
+        touch = (_sph_dist_to_inf_split(wr, wi) < delta) | (_lattice_crit_dist(lat, wr, wi) < delta)
+    if np.any(touch):
         raise DiscTouchesU("disc discretization meets the delta-neighborhood")
 
     # targets: critical-point balls inside one fundamental cell, the chordal
@@ -826,7 +827,7 @@ def covering_steps(
         br, bi = _cmul(x, 0.0, lat.gen2.real, lat.gen2.imag)
         zr = (ar + br[:, None]).ravel()
         zi = (ai + bi[:, None]).ravel()
-        near = crit_dist(zr, zi) <= delta
+        near = _lattice_crit_dist(lat, zr, zi) <= delta
         ring_r = math.sqrt(max(4.0 / (delta * delta) - 1.0, 0.0))
         angles = [2.0 * math.pi * i / 64.0 for i in range(64)] if delta < 2.0 else []
         ring = [ring_r * complex(math.cos(t), math.sin(t)) for t in angles]
@@ -846,14 +847,14 @@ def covering_steps(
         if reached:
             return m
         with np.errstate(invalid="ignore", over="ignore"):
-            u0r, u0i, _, _, _ = _reduced_split(wr, wi, divisors[0], kind, cfg.pole_eps)
+            u0r, u0i, _, _, _ = _reduced_split(wr, wi, divisors[0], lat.kind, cfg.pole_eps)
         pd = np.hypot(u0r, u0i) * abs(lat.lam)
         # a ball that swallows a pole keeps clearance rho - pd from it; one
         # that escapes is dropped; one whose centre hits a pole keeps rho
         swallow = pd < rho
         step = ~swallow & ~(np.hypot(wr, wi) > esc)
         vr, vi, dvr, dvi, pole = _wp_pair_split(
-            wr[step], wi[step], *divisors, kind, lat.n_terms, cfg.pole_eps
+            wr[step], wi[step], *divisors, lat.kind, lat.n_terms, cfg.pole_eps
         )
         s = np.concatenate([rho[swallow] - pd[swallow], rho[step][pole]])
         rho = rho[step][~pole] * np.hypot(dvr[~pole], dvi[~pole])

@@ -29,7 +29,7 @@ from .dynamics import (
     classify_batch,
     orbit_array,
 )
-from .lattice import LatticeKind, ToleranceConfig, _check_scale
+from .lattice import LatticeKind, ToleranceConfig, _check_scale, _kind_data
 
 # pixels per block, rounded down to whole rows.  A parameter holds no
 # lattice: the head keeps one point per critical orbit, and the tail's ring
@@ -138,7 +138,7 @@ def _param_rows(
             color = _attracting_color(kind, period, count)
         elif isinstance(verdict, AllCriticalPrepole):
             tag = "prepole"
-            count = 3 if kind is LatticeKind.TRIANGULAR else 1
+            count = _kind_data(kind).crit_orbits
             color = PREPOLE_COLOR
         else:
             tag = "indeterminate"

@@ -10,15 +10,21 @@ from typing import Optional
 
 import numpy as np
 
-from weierdyn.dynamics import iterate
+from weierdyn.dynamics import BudgetExhausted, iterate
 from weierdyn.hyperbolic import (
     _NEWTON_ITERS,
+    A_TILDE,
     DEFAULT_N_STEPS,
     DISTORTION_BUDGET,
+    EXTENSION,
+    N_EXP_MAX,
     DegenerateRadius,
     DistortionReport,
+    ExpansionReport,
     HyperbolicSample,
     MotionFrame,
+    NoExpansion,
+    SeparationViolated,
     ShadowLost,
     _anchor,
 )
@@ -434,6 +440,158 @@ def distortion_report_scalar(
                 corollary = abs(xi_prime / denom - 1.0)
     return DistortionReport(
         max_ratio=max_ratio, corollary_ratio=corollary, pairs_used=pairs_used
+    )
+
+
+# ---------------------------------------------------------------------------
+# scalar separation and expansion
+#
+# lattice's scalar chordal distances, and hyperbolic.build_sample and
+# fit_expansion before the sample's separation ran on the split distance
+# kernels and both read one table of least log-products, kept verbatim apart
+# from the names.
+
+
+def sph_dist_to_inf(z: complex) -> float:
+    """Chordal distance from z to the point at infinity."""
+    if is_infinite(z):
+        return 0.0
+    h = abs(z)
+    return 2.0 / math.sqrt(1.0 + h * h)
+
+
+def crit_sph_dist(z: complex, lat: Lattice) -> float:
+    """Chordal distance from z to the critical-point set of wp, the three
+    half-periods and all their lattice translates.
+
+    The set accumulates at infinity on the sphere, so the distance from the
+    point at infinity is 0.
+    """
+    if is_infinite(z):
+        return 0.0
+    kd = _kind_data(lat.kind)
+    best = math.inf
+    for c in lat.half_periods:
+        u0, _, _ = _recenter((complex(z) - c) / lat.lam, kd)
+        nearest = z - u0 * lat.lam
+        d = sph_dist(z, nearest)
+        if d < best:
+            best = d
+    return best
+
+
+def build_sample_scalar(
+    kind: LatticeKind, lambda0: complex, M: int, delta: float, cfg: ToleranceConfig
+) -> HyperbolicSample:
+    """Record the critical orbit of lambda0 with its separation and expansion
+    certificates.
+
+    The orbit is continued EXTENSION steps past M so that derivative products
+    of length up to N_EXP_MAX start at every sample point; the continuation
+    is allowed to die early, the sample itself is not.
+    """
+    if M < 0:
+        raise ValueError("M must be nonnegative")
+    if math.isnan(delta) or delta < 0:
+        raise ValueError("delta must be non-negative")
+    lat = make_lattice(kind, lambda0, cfg)
+    trace = iterate(lat, lat.crit_values[0], M + EXTENSION, cfg)
+    if not isinstance(trace.outcome, BudgetExhausted) and trace.outcome.step <= M:
+        raise SeparationViolated(step=trace.outcome.step, kind="infinity")
+    ext_points = trace.points
+    ext_factors = trace.sph_derivs
+
+    points = ext_points[: M + 1]
+    inf_dists, crit_dists = [], []
+    for s, p in enumerate(points):
+        inf_dists.append(sph_dist_to_inf(p))
+        if inf_dists[-1] < delta:
+            raise SeparationViolated(step=s, kind="infinity")
+        crit_dists.append(crit_sph_dist(p, lat))
+        if crit_dists[-1] < delta:
+            raise SeparationViolated(step=s, kind="crit")
+
+    ext_usable = M
+    for s in range(M + 1, len(ext_points)):
+        p = ext_points[s]
+        if sph_dist_to_inf(p) < delta or crit_sph_dist(p, lat) < delta:
+            break
+        ext_usable = s
+
+    # cumulative log derivative products; factors are positive here since a
+    # zero factor would mean a sample point is exactly critical, which the
+    # separation test above has excluded for delta > 0
+    logs = [0.0]
+    for f in ext_factors:
+        logs.append(logs[-1] + (math.log(f) if f > 0 else -math.inf))
+    n_avail = len(ext_factors) - M
+    N_exp = None
+    for N in range(1, min(N_EXP_MAX, max(n_avail, 0)) + 1):
+        worst = min(logs[i + N] - logs[i] for i in range(M + 1))
+        if worst >= math.log(A_TILDE):
+            N_exp = N
+            break
+    if N_exp is None:
+        raise NoExpansion(f"no uniform expansion up to N = {N_EXP_MAX}")
+
+    return HyperbolicSample(
+        kind=kind,
+        lambda0=complex(lambda0),
+        points=points,
+        delta=delta,
+        min_crit_dist=min(crit_dists),
+        min_inf_dist=min(inf_dists),
+        N_exp=N_exp,
+        a_tilde=A_TILDE,
+        ext_points=ext_points,
+        ext_factors=ext_factors,
+        ext_usable=ext_usable,
+    )
+
+
+def fit_expansion_scalar(sample: HyperbolicSample, n_range: int) -> ExpansionReport:
+    """Lower-envelope expansion constants: per_step_min[k] >= C * a^k, a > 1.
+
+    per_step_min[k] is the minimum over sample points of the spherical
+    |(f^k)'|; the pair (C, a) comes from the steepest supporting edge of the
+    lower convex hull of (k, log per_step_min[k]).
+    """
+    if n_range < 1:
+        raise ValueError("n_range must be at least 1")
+    if len(sample.ext_factors) < len(sample.points) - 1 + n_range:
+        raise ValueError("sample orbit too short for the requested range")
+    M = len(sample.points) - 1
+    logs = [0.0]
+    for f in sample.ext_factors:
+        logs.append(logs[-1] + (math.log(f) if f > 0 else -math.inf))
+    mins = []
+    for k in range(n_range + 1):
+        mins.append(min(logs[i + k] - logs[i] for i in range(M + 1)))
+    if any(math.isinf(v) for v in mins):
+        raise NoExpansion("a sample point runs through a critical point")
+
+    # lower convex hull of (k, mins[k]), left to right
+    hull: list[tuple[float, float]] = []
+    for k, y in enumerate(mins):
+        pt = (float(k), y)
+        while len(hull) >= 2:
+            (x1, y1), (x2, y2) = hull[-2], hull[-1]
+            if (y2 - y1) * (pt[0] - x1) >= (pt[1] - y1) * (x2 - x1):
+                hull.pop()
+            else:
+                break
+        hull.append(pt)
+    (x1, y1), (x2, y2) = hull[-2], hull[-1]
+    slope = (y2 - y1) / (x2 - x1)
+    if not slope > 0.0:
+        raise NoExpansion("no supporting line with a > 1")
+    intercept = min(y - slope * k for k, y in enumerate(mins))
+    # back the intercept off one part in 1e9 so the recorded inequality
+    # survives roundoff in exp/log round trips
+    C = math.exp(intercept) * (1.0 - 1e-9)
+    a = math.exp(slope)
+    return ExpansionReport(
+        C=C, a=a, n_range=n_range, per_step_min=tuple(math.exp(v) for v in mins)
     )
 
 

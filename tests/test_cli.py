@@ -6,6 +6,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -721,6 +722,50 @@ def test_covering_refuses_a_bad_radius_or_delta(capsys, extra, message):
     )
     assert (code, err.splitlines()) == (1, [f"error: {message}"])
     assert "covering_steps" not in out
+
+
+_COVERING = ("covering", "--kind", "square", "--lambda", "2.0", "--d", "0.6", "--delta", "0.05")
+_FIND_PREPOLES = ("find-prepoles", "--kind", "square", "--n-max", "1", "--grid", "8",
+                  "--csv-out", "r.csv")
+
+
+@pytest.mark.parametrize("argv, message", [
+    ((*_COVERING, "--center", "1e300+0.0i"), "disc discretization meets the delta-neighborhood"),
+    ((*_FIND_PREPOLES, "--re-min", "1e200", "--re-max", "1e300", "--im-min", "1", "--im-max", "2"),
+     "lattice scale must be nonzero and finite"),
+], ids=["covering-far-center", "find-prepoles-huge-scales"])
+def test_overflowing_inputs_give_one_error_line_and_no_warning(tmp_path, monkeypatch, capsys, argv,
+                                                               message):
+    # squares that overflow to inf are intended there, so numpy must not
+    # print a RuntimeWarning before the error line
+    monkeypatch.chdir(tmp_path)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, _, err = _run(capsys, *argv)
+    assert [str(w.message) for w in caught] == []
+    assert (code, err.splitlines()) == (1, [f"error: {message}"])
+
+
+@pytest.mark.parametrize("argv, target", [
+    ((*_COVERING, "--center", "0.0+0.0i", "--grid", "100000"), "covering_steps"),
+    ((*_FIND_PREPOLES, "--re-min", "0.5", "--re-max", "1", "--im-min", "0.5", "--im-max", "1"),
+     "find_prepole_params_batch"),
+], ids=["covering", "find-prepoles"])
+def test_out_of_memory_gives_one_error_line(tmp_path, monkeypatch, capsys, argv, target):
+    # a grid too large for the machine makes numpy refuse its array with a
+    # MemoryError; the library call raises one here instead of allocating
+    from weierdyn import misiurewicz
+
+    text = "Unable to allocate 74.5 GiB for an array with shape (100000, 100000)"
+
+    def refuse(*args, **kwargs):
+        raise MemoryError(text)
+
+    monkeypatch.setattr(misiurewicz, target, refuse)
+    monkeypatch.chdir(tmp_path)
+    code, out, err = _run(capsys, *argv)
+    assert (code, err.splitlines()) == (1, [f"error: out of memory: {text}"])
+    assert "covering_steps =" not in out and "found" not in out
 
 
 _RENDER_DYN = (

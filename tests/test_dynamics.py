@@ -247,7 +247,7 @@ def test_refine_returns_the_cycle_points_of_its_walk(cfg, kind, lam, p, want):
     lat = make_lattice(kind, lam, cfg)
     trace = _crit_orbit_trace(kind, lam, 0, 300, cfg)
     cycle, points = dynamics._refine(trace.points[-1], p, lat, cfg)
-    assert cycle == want.cycle
+    assert cycle == want.cycle and isinstance(points, list)
     assert len(points) == cycle.period and points[0] == cycle.point
     images = []
     mult = 1.0 + 0j
@@ -258,3 +258,14 @@ def test_refine_returns_the_cycle_points_of_its_walk(cfg, kind, lam, p, want):
     assert images[:-1] == points[1:]
     assert abs(images[-1] - cycle.point) < cfg.newton_tol
     assert mult == cycle.multiplier
+
+
+def test_refine_refuses_a_walk_past_the_escape_scale(cfg, square2):
+    # _refine walks with iterate, whose escape rule ends a walk from beyond
+    # 1/(pole_eps*|lam|)^2 before its first step: a point numerically at
+    # infinity is no cycle candidate
+    w = (1.3 + 0.7j) * dynamics.escape_scale(square2.lam, cfg.pole_eps)
+    assert isinstance(iterate(square2, w, 1, cfg).outcome, dynamics.EscapedSphericalBall)
+    for start in (w, square2.gen1):
+        with pytest.raises(dynamics.NewtonDivergence, match="onto a pole or past the escape scale"):
+            dynamics._refine(start, 1, square2, cfg)

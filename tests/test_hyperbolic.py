@@ -1,15 +1,21 @@
 import cmath
 import dataclasses
 import math
+import random
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from conftest import ATTRACTING_SQ, CANDIDATE, CANDIDATE_ABS_MULT
+from conftest import (
+    ATTRACTING_SQ, CANDIDATE, CANDIDATE_ABS_MULT, PREPOLE_SQ, PREPOLE_TRI, SUPER_SQ, TRI_ONE,
+)
 from oracles import (
+    build_sample_scalar,
     close_horizon,
     distortion_report_scalar,
+    fit_expansion_scalar,
     pair_ratio,
     param_orbit,
     pullback_chain,
@@ -95,6 +101,43 @@ def test_build_sample_no_expansion_at_attracting(cfg):
         build_sample(LatticeKind.SQUARE, ATTRACTING_SQ, 48, 0.02, cfg)
 
 
+def _sample_or_error(build, *args):
+    """build(*args), or its exception as (type, message, step, kind)."""
+    try:
+        return build(*args)
+    except (ValueError, ArithmeticError, RuntimeError) as exc:
+        return type(exc), str(exc), getattr(exc, "step", None), getattr(exc, "kind", None)
+
+
+@pytest.mark.parametrize("kind", list(LatticeKind), ids=lambda k: k.value)
+def test_build_sample_and_fit_expansion_equal_the_scalar_oracles(cfg, kind):
+    # whole samples, expansion reports and errors, bit for bit (repr), over
+    # pinned and seeded parameters: expanding, attracting, superattracting
+    # and prepole orbits, with violations at every step and continuations
+    # cut short
+    gen = random.Random(28)
+    pinned = {
+        LatticeKind.SQUARE: [CANDIDATE, ATTRACTING_SQ, PREPOLE_SQ, SUPER_SQ],
+        LatticeKind.TRIANGULAR: [TRI_SAMPLE, TRI_ONE, PREPOLE_TRI],
+    }[kind]
+    lams = pinned + [complex(gen.uniform(0.5, 3.0), gen.uniform(0.5, 3.0)) for _ in range(3)]
+    outcomes = Counter()
+    for lam in lams:
+        for M in (0, 1, 2, 3, 5, 8, 16, 26, 30, 48):
+            for delta in (0.0, 0.005, 0.01, 0.02, 0.05, 0.2, math.inf):
+                got = _sample_or_error(build_sample, kind, lam, M, delta, cfg)
+                want = _sample_or_error(build_sample_scalar, kind, lam, M, delta, cfg)
+                assert repr(got) == repr(want)
+                outcomes[want[0].__name__ if isinstance(want, tuple) else "sample"] += 1
+                if isinstance(want, tuple):
+                    continue
+                for n_range in (1, 2, 8, 20, 64, 65):
+                    assert repr(_sample_or_error(fit_expansion, got, n_range)) == repr(
+                        _sample_or_error(fit_expansion_scalar, want, n_range)
+                    )
+    assert set(outcomes) == {"sample", "SeparationViolated", "NoExpansion"}
+
+
 def test_adapted_metric_single_step_is_unit(cfg, square2):
     assert adapted_metric(0.3 + 0.4j, square2, 1, cfg) == 1.0
 
@@ -107,8 +150,19 @@ def test_adapted_metric_critical_point_averages_half(cfg, square2):
 
 
 def test_adapted_metric_pole_on_orbit(cfg, square2):
-    with pytest.raises(PoleOnOrbit):
+    with pytest.raises(PoleOnOrbit) as info:
         adapted_metric(square2.gen1, square2, 2, cfg)
+    assert info.value.step == 0
+
+
+def test_adapted_metric_stops_at_the_escape_scale(cfg, square2):
+    # the products run along iterate, which ends an orbit from beyond
+    # 1/(pole_eps*|lam|)^2 before its first step, as it ends one at a pole
+    z = (1.3 + 0.7j) * dynamics.escape_scale(square2.lam, cfg.pole_eps)
+    with pytest.raises(PoleOnOrbit) as info:
+        adapted_metric(z, square2, 2, cfg)
+    assert info.value.step == 0
+    assert adapted_metric(z, square2, 1, cfg) == 1.0
 
 
 def test_adapted_metric_expansion_bound(cfg, candidate_sample):
@@ -523,6 +577,16 @@ def test_pullback_batch_has_the_bits_of_x_function(cfg, kind, lambda0, count):
     assert order_K(sample, 1e-3, count, cfg) == winding_number(want) == 1
 
 
+def _refuse_scalar_path(monkeypatch, refuse):
+    """Patch refuse over every scalar way into wp: hyperbolic's make_lattice
+    and iterate, and wp_pair where lattice's wp and dynamics' iterate look it
+    up.  hyperbolic itself holds no wp_pair."""
+    assert not hasattr(hyperbolic, "wp_pair")
+    for module, name in [(hyperbolic, "make_lattice"), (hyperbolic, "iterate"),
+                         (lattice, "wp_pair"), (dynamics, "wp_pair")]:
+        monkeypatch.setattr(module, name, refuse)
+
+
 def test_order_K_builds_no_lattice_and_calls_no_scalar_wp(cfg, candidate_sample, monkeypatch):
     calls = []
 
@@ -530,8 +594,7 @@ def test_order_K_builds_no_lattice_and_calls_no_scalar_wp(cfg, candidate_sample,
         calls.append(args)
         raise AssertionError("order_K must not take the scalar path")
 
-    for name in ("make_lattice", "wp_pair"):
-        monkeypatch.setattr(hyperbolic, name, refuse)
+    _refuse_scalar_path(monkeypatch, refuse)
     assert order_K(candidate_sample, 1e-3, 64, cfg) == 1
     assert calls == []
 
@@ -619,8 +682,7 @@ def test_x_function_and_track_motion_build_no_lattice(cfg, candidate_sample, mon
         raise AssertionError("the motion views must not take the scalar path")
 
     monkeypatch.setattr(lattice.Lattice, "__init__", refuse)
-    for name in ("make_lattice", "wp_pair"):
-        monkeypatch.setattr(hyperbolic, name, refuse)
+    _refuse_scalar_path(monkeypatch, refuse)
     calls = _spy_batches(monkeypatch)
     lam = CANDIDATE + 1e-3j
     x_function(candidate_sample, lam, cfg)
@@ -1068,7 +1130,9 @@ def test_verify_runs_one_pullback_batch(capsys, monkeypatch):
 
 
 def test_verify_runs_scalar_wp_pair_only_in_build_sample(capsys, monkeypatch):
-    # every wp and wp' of verify after build_sample comes from the lockstep
+    # every wp and wp' of verify after build_sample comes from the lockstep;
+    # wp_pair is looked up in lattice (by wp) and dynamics (by iterate), and
+    # hyperbolic holds no wp_pair of its own
     callers = []
     real = lattice.wp_pair
 
@@ -1076,7 +1140,8 @@ def test_verify_runs_scalar_wp_pair_only_in_build_sample(capsys, monkeypatch):
         callers.append(sys._getframe(1).f_code.co_name)
         return real(*args)
 
-    for module in (lattice, hyperbolic, dynamics):
+    assert not hasattr(hyperbolic, "wp_pair")
+    for module in (lattice, dynamics):
         monkeypatch.setattr(module, "wp_pair", spy)
     argv = ["verify", "--kind", "square", "--lambda0", "1.9101297082387314+0.7624256939043886i",
             "--m-steps", "16"]
@@ -1091,8 +1156,9 @@ def test_verify_runs_scalar_wp_pair_only_in_build_sample(capsys, monkeypatch):
     monkeypatch.setattr(hyperbolic, "build_sample", build)
     assert main(argv) == 0
     assert "distortion max_ratio=" in capsys.readouterr().out
-    # build_sample's iterate of M + EXTENSION = 80 steps, and nothing after
-    assert set(callers) == {"iterate"} and seen["build"] == len(callers) == 80
+    # build_sample's make_lattice (3 wp calls, one per half-period) and its
+    # iterate of M + EXTENSION = 80 steps, and nothing after
+    assert callers == ["wp"] * 3 + ["iterate"] * 80 and seen["build"] == len(callers)
 
 
 def test_verify_makes_no_wp_split_call_from_hyperbolic(capsys, monkeypatch):

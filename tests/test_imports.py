@@ -101,6 +101,69 @@ def test_guard_reports_an_unreferenced_private_helper():
     ]
 
 
+# the scalar path into wp: one orbit loop (dynamics.iterate) and one scalar wp
+# (lattice.wp, wp_pair's value) evaluate wp_pair, and only make_lattice's
+# critical values evaluate wp; every other evaluation runs on split arrays
+_SCALAR_WP_CALLERS = {
+    ("lattice.wp", "wp_pair"), ("dynamics.iterate", "wp_pair"), ("lattice.make_lattice", "wp"),
+}
+
+
+def _scalar_wp_uses(trees: dict[str, ast.Module]) -> list[str]:
+    """Each use of wp_pair or wp in trees (module name -> tree), as a Name or
+    an attribute, outside the pairs of _SCALAR_WP_CALLERS: "module.owner uses
+    name (line n)", the owner being the top-level function or class method
+    the use is in, or <module>."""
+    found = []
+    for module, tree in trees.items():
+        owners = []
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef):
+                owners += [(f"{node.name}.{item.name}", item) for item in node.body
+                           if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))]
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owners.append((node.name, node))
+            else:
+                owners.append(("<module>", node))
+        for owner, top in owners:
+            for node in ast.walk(top):
+                name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+                if (
+                    isinstance(node, (ast.Name, ast.Attribute)) and name in ("wp_pair", "wp")
+                    and (f"{module}.{owner}", name) not in _SCALAR_WP_CALLERS
+                ):
+                    found.append(f"{module}.{owner} uses {name} (line {node.lineno})")
+    return sorted(found)
+
+
+def test_only_iterate_and_wp_evaluate_scalar_wp_pair():
+    # a second scalar orbit loop or scalar wp would show here first
+    trees = {path.stem: ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))}
+    assert _scalar_wp_uses(trees) == []
+
+
+def test_guard_reports_a_scalar_wp_outside_its_callers():
+    lattice = ast.parse(
+        "def wp_pair(z): return z, 1\n"
+        "def wp(z): return wp_pair(z)[0]\n"
+        "def make_lattice(h): return [wp(c) for c in h]\n"
+        "def _walk(z):\n"
+        "    def step(w): return wp_pair(w)\n"
+        "    return step(z)\n"
+    )
+    dynamics = ast.parse(
+        "from .lattice import wp_pair\n"
+        "def iterate(z): return wp_pair(z)\n"
+        "class Orbit:\n"
+        "    def refine(self, z): return lattice.wp(z)\n"
+        "STEP = wp_pair\n"
+    )
+    assert _scalar_wp_uses({"lattice": lattice, "dynamics": dynamics}) == [
+        "dynamics.<module> uses wp_pair (line 5)", "dynamics.Orbit.refine uses wp (line 4)",
+        "lattice._walk uses wp_pair (line 5)",
+    ]
+
+
 def _uncalled_public(trees: dict[str, ast.Module]) -> list[str]:
     """The functions and classes that a module of trees (module name -> tree)
     lists in __all__ and that nothing in trees refers to outside their own

@@ -19,13 +19,11 @@ from weierdyn.lattice import (
     PoleHit,
     ToleranceConfig,
     ZeroParameter,
-    crit_sph_dist,
     is_infinite,
     make_lattice,
     reduce,
     sph_deriv,
     sph_dist,
-    sph_dist_to_inf,
     wp,
     wp_array,
     wp_pair,
@@ -603,7 +601,7 @@ def test_sph_dist_closed_forms():
     assert sph_dist(1 + 1j, 1 + 1j) == 0.0
     assert abs(sph_dist(1 + 0j, -1 + 0j) - 2.0) < 1e-15
     assert is_infinite(inf) and not is_infinite(1e300 + 0j)
-    assert abs(sph_dist_to_inf(0j) - 2.0) < 1e-15
+    assert lattice._sph_dist_to_inf_split(np.zeros(1), np.zeros(1)).tolist() == [2.0]
 
 
 def test_sph_deriv_basics():
@@ -651,7 +649,8 @@ def test_sph_deriv_chain_rule_matches_finite_difference(cfg, square2):
 
 
 def test_crit_sph_dist_is_zero_at_critical_points(cfg, square2):
-    for h in square2.half_periods:
-        assert crit_sph_dist(h, square2) < 1e-12
-    # translates by full periods count as critical points too
-    assert crit_sph_dist(square2.half_periods[0] + square2.gen1, square2) < 1e-9
+    # the half-periods, then a translate by a full period, which counts as a
+    # critical point too
+    zs = np.array(list(square2.half_periods) + [square2.half_periods[0] + square2.gen1])
+    d = lattice._lattice_crit_dist(square2, zs.real, zs.imag).tolist()
+    assert max(d[:3]) < 1e-12 and d[3] < 1e-9

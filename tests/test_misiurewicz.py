@@ -8,16 +8,14 @@ import pytest
 
 from conftest import CANDIDATE, CANDIDATE_ABS_MULT, PREPOLE_SQ, PREPOLE_TRI
 import oracles
-from oracles import _g_array, recount, winding_count
+from oracles import _g_array, crit_sph_dist, recount, sph_dist_to_inf, winding_count
 from weierdyn import lattice, misiurewicz, rng
 from weierdyn.dynamics import AllCriticalPrepole, EscapedSphericalBall, PoleHit, classify, iterate
 from weierdyn.lattice import (
     LatticeKind,
     ToleranceConfig,
     ZeroParameter,
-    crit_sph_dist,
     make_lattice,
-    sph_dist_to_inf,
     wp,
 )
 from weierdyn.misiurewicz import (

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import ATTRACTING_SQ, CANDIDATE, PREPOLE_SQ, PREPOLE_TRI, SUPER_SQ, TRI_ONE, TRI_THREE
+from oracles import crit_sph_dist, sph_dist_to_inf
 from weierdyn import dynamics, lattice, rng
 from weierdyn.dynamics import (
     CYCLE_DETECTION_TOL,
@@ -32,9 +33,7 @@ from weierdyn.lattice import (
     LatticeKind,
     ToleranceConfig,
     ZeroParameter,
-    crit_sph_dist,
     make_lattice,
-    sph_dist_to_inf,
     wp,
 )
 from weierdyn.lattice import PoleHit as PoleError
