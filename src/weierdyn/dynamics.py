@@ -30,10 +30,8 @@ from .lattice import (
     LatticeKind,
     ToleranceConfig,
     ZeroParameter,
-    _complex,
-    _crit_values_split,
+    _crit_starts,
     _divisor,
-    _half_periods_split,
     _kind_data,
     _scales_ok,
     _split_scales,
@@ -103,8 +101,8 @@ class EscapedSphericalBall:
 
 @dataclass(frozen=True)
 class Stopped:
-    """The caller's stop(step, points[step]) returned True; the orbit ends
-    at points[step + 1]."""
+    """orbit_array's stop flagged points[step]; the orbit ends at
+    points[step + 1]."""
 
     step: int
 
@@ -171,16 +169,12 @@ def iterate(
     z0: complex,
     max_iter: int,
     cfg: ToleranceConfig,
-    stop: Optional[Callable[[int, complex], bool]] = None,
 ) -> OrbitTrace:
     """Forward orbit of z0 under wp, at most max_iter applications.
 
     points[0] = z0; derivs[k] is wp'(points[k]), the flat derivative of the
     step points[k] -> points[k+1].  Stops early at a pole hit or once a point
     exceeds the escape scale; those outcomes are encoded, never thrown.
-    stop(step, z), when given, is asked about z = points[step] once wp has
-    evaluated it without a pole hit; True ends the orbit with Stopped(step)
-    after recording that step, so a pole hit at a step outranks a stop there.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
@@ -200,9 +194,6 @@ def iterate(
             break
         derivs.append(dval)
         points.append(val)
-        if stop is not None and stop(step, z):
-            outcome = Stopped(step=step)
-            break
         z = val
     else:
         if abs(z) > esc:
@@ -223,7 +214,7 @@ class OrbitBatch:
     """Outcomes of orbit_array, one entry per orbit, in input order.
 
     status holds _EXHAUSTED, _POLE, _ESCAPED or _STOPPED; step, m and n are
-    the fields of the matching iterate outcome (m, n only for pole hits, as
+    the fields of the matching outcome (m, n only for pole hits, as
     integer-valued floats).
     size is the length iterate's points would have; ring holds the last
     ring.shape[1] of them, point k of the orbit in column k % ring.shape[1].
@@ -284,9 +275,10 @@ def orbit_array(
     The last `tail` points of each orbit are kept in a ring buffer.
 
     stop(step, idx, re, im), when given, is asked about the points
-    re + i*im of the orbits idx (batch indices) at the point where iterate
-    asks its stop: once wp has evaluated them without a pole hit.  It
-    returns a mask over idx; the orbits it flags end with Stopped(step).
+    re + i*im of the orbits idx (batch indices) once wp has evaluated them
+    without a pole hit, so a pole hit at a step outranks a stop there.  It
+    returns a mask over idx; the orbits it flags end with Stopped(step)
+    after recording the point wp gave.
 
     Raises ZeroParameter when a scale is one make_lattice refuses.  The
     truncation is make_lattice's, _terms_for_tol(kind, cfg.eval_tol).
@@ -345,7 +337,7 @@ def orbit_array(
             return
         status[idx] = code
         step[idx] = at
-        # iterate records the point wp gave before it asks stop
+        # a stopped orbit keeps the point wp gave
         size[idx] = at + (2 if code == _STOPPED else 1)
         if hit_m is not None:
             m[idx] = hit_m[mask]
@@ -403,29 +395,26 @@ def _refine(w: complex, p: int, lat: Lattice, cfg: ToleranceConfig) -> tuple[Cyc
     raise NewtonDivergence("cycle refinement did not converge in 50 steps")
 
 
-def _near_return(trace: OrbitTrace, tol: float, max_period: int) -> Optional[int]:
-    """The smallest period p <= max_period with |z_last - z_{last-p}| < tol,
-    or None; it needs no lattice."""
-    pts = trace.points
-    for p in range(1, min(max_period, len(pts) - 1) + 1):
-        # not >=, rather than <: a NaN distance counts as a near-return
-        if not abs(pts[-1] - pts[-1 - p]) >= tol:
-            return p
-    return None
-
-
 def _near_returns(points: np.ndarray, last: int, tol: float) -> np.ndarray:
-    """_near_return for each row of points, whose columns 0 .. last hold an
-    orbit's last last + 1 points in order, with max_period at least last:
-    the period, or 0 where there is none.  Each period is one array test
-    over every row, the largest first, so the smallest near one is written
-    last; np.hypot has the bits of CPython's complex abs."""
+    """The near-return period of each row of points, whose columns 0 .. last
+    hold an orbit's last last + 1 points in order: the smallest p <= last
+    with |z_last - z_{last-p}| not >= tol (a NaN distance counts as near),
+    or 0 where there is none.  Each period is one array test over every
+    row, the largest first, so the smallest near one is written last;
+    np.hypot has the bits of CPython's complex abs."""
     period = np.zeros(len(points), dtype=np.int64)
     end = points[:, last]
     for p in range(last, 0, -1):
         diff = end - points[:, last - p]
         period[~(np.hypot(diff.real, diff.imag) >= tol)] = p
     return period
+
+
+def _trace_period(points: Sequence[complex], tol: float, max_period: int) -> int:
+    """_near_returns on one orbit's last min(max_period, len(points) - 1) + 1
+    points: its near-return period up to max_period, or 0."""
+    last = max(min(max_period, len(points) - 1), 0)
+    return int(_near_returns(np.array([points[len(points) - 1 - last :]]), last, tol)[0])
 
 
 def find_cycle(
@@ -447,8 +436,8 @@ def find_cycle(
         cfg = ToleranceConfig()
     if not isinstance(trace.outcome, BudgetExhausted):
         return None
-    p = _near_return(trace, tol, max_period)
-    if p is None:
+    p = _trace_period(trace.points, tol, max_period)
+    if p == 0:
         return None
     return _refine(trace.points[-1], p, lat, cfg)[0]
 
@@ -465,15 +454,15 @@ def _prepole(kind: LatticeKind, steps: Sequence[int]) -> AllCriticalPrepole:
 def _cycle_verdict(
     kind: LatticeKind,
     lam: complex,
-    returns: Sequence[tuple[complex, Optional[int]]],
+    returns: Sequence[tuple[complex, int]],
     budget: int,
     cfg: ToleranceConfig,
 ) -> Verdict:
     """The verdict on critical orbits that all exhausted their budget, from
-    each one's last point and near-return period (None where it has none).
+    each one's last point and near-return period (0 where it has none).
     The lattice of lam is built only when every orbit has a period to
     refine."""
-    if any(p is None for _, p in returns):
+    if not all(p for _, p in returns):
         return Indeterminate(iterations_used=budget)
     lat = make_lattice(kind, lam, cfg)
     cycles: list[Cycle] = []
@@ -517,7 +506,8 @@ def classify(kind: LatticeKind, lam: complex, budget: int, cfg: ToleranceConfig)
     if not all(isinstance(t.outcome, BudgetExhausted) for t in traces):
         return Indeterminate(iterations_used=budget)
     returns = [
-        (t.points[-1], _near_return(t, CYCLE_DETECTION_TOL, DEFAULT_MAX_PERIOD)) for t in traces
+        (t.points[-1], _trace_period(t.points, CYCLE_DETECTION_TOL, DEFAULT_MAX_PERIOD))
+        for t in traces
     ]
     return _cycle_verdict(kind, lat.lam, returns, budget, cfg)
 
@@ -528,8 +518,8 @@ def classify_batch(
     """classify for many parameters: entry i equals classify(kind, lams[i],
     budget, cfg), or None where classify raises ZeroParameter.
 
-    The critical values come from one split-array call with make_lattice's
-    bits.  Every critical orbit runs its head, all but the last
+    The critical values come from one _crit_starts call, with
+    make_lattice's bits.  Every critical orbit runs its head, all but the last
     DEFAULT_MAX_PERIOD steps, in one orbit_array lockstep that keeps only
     its current point; the surviving orbits then run those last steps in
     chunks of TAIL_CHUNK parameters (_tail_verdicts), which is where the
@@ -539,11 +529,9 @@ def classify_batch(
     lam_c = np.asarray(lams, dtype=complex).reshape(-1)
     ok = _scales_ok(lam_c)
     good = lam_c[ok]
-    lam, lam2 = _split_scales(good)
     # the orbits of e1 (and e2, e3 for triangular) one after the other
     per = _kind_data(kind).crit_orbits
-    crit = _crit_values_split(kind, lam, lam2, _half_periods_split(kind, lam)[:per], cfg)
-    starts = _complex(crit[:, 0].ravel(), crit[:, 1].ravel())
+    starts = _crit_starts(kind, good, per, cfg)
     head_steps = max(budget - DEFAULT_MAX_PERIOD, 0)
     head = orbit_array(kind, np.tile(good, per), starts, head_steps, cfg, tail=1)
     verdicts: list[Verdict] = []

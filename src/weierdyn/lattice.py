@@ -693,15 +693,18 @@ def _crit_values_hits(
     return np.stack([vr.reshape(count, size), vi.reshape(count, size)], axis=1), hits
 
 
-def _crit_values_split(
-    kind: LatticeKind, lam: np.ndarray, lam2: np.ndarray, half: np.ndarray, cfg: ToleranceConfig
+def _crit_starts(
+    kind: LatticeKind, lams: np.ndarray, count: int, cfg: ToleranceConfig
 ) -> np.ndarray:
-    """The crit_values of _crit_values_hits.  Raises make_lattice's PoleHit
-    for the first scale it has one for."""
-    crit, hits = _crit_values_hits(kind, lam, lam2, half, cfg)
+    """make_lattice's first count crit_values for each scale of the complex
+    array lams, as one complex array holding value c of scale i at
+    c * lams.size + i.  Raises make_lattice's PoleHit for the first scale
+    that has one."""
+    lam, lam2 = _split_scales(lams)
+    crit, hits = _crit_values_hits(kind, lam, lam2, _half_periods_split(kind, lam)[:count], cfg)
     if hits:
         raise hits[min(hits)]
-    return crit
+    return _complex(crit[:, 0].ravel(), crit[:, 1].ravel())
 
 
 # ---------------------------------------------------------------------------

@@ -46,7 +46,7 @@ from .lattice import (
     _cmul,
     _complex,
     _crit_sph_dist_split,
-    _crit_values_split,
+    _crit_starts,
     _divisor,
     _half_periods_split,
     _kind_data,
@@ -153,10 +153,7 @@ def _orbit_values(kind: LatticeKind, lams: np.ndarray, n: int, cfg: ToleranceCon
     before any scale is squared, when one is a scale make_lattice refuses."""
     if not _scales_ok(lams).all():
         raise ZeroParameter("lattice scale must be nonzero and finite")
-    lam, lam2 = _split_scales(lams)
-    half = _half_periods_split(kind, lam)
-    e1 = _crit_values_split(kind, lam, lam2, half[:1], cfg)[0]
-    return orbit_array(kind, lams, _complex(*e1), n, cfg, escape=False, tail=1)
+    return orbit_array(kind, lams, _crit_starts(kind, lams, 1, cfg), n, cfg, escape=False, tail=1)
 
 
 def prepole_residual(
@@ -634,11 +631,11 @@ def _violation_codes(
     the first orbit on a tie.
     """
     lams = np.asarray(lams, dtype=complex).reshape(-1)
-    lam, lam2 = _split_scales(lams)
-    half = _half_periods_split(kind, lam)
     # the orbits of e1 (and e2, e3 for triangular) one after the other
     per = _kind_data(kind).crit_orbits
-    crit = _crit_values_split(kind, lam, lam2, half[:per], cfg)
+    starts = _crit_starts(kind, lams, per, cfg)
+    lam = _split_scales(lams)[0]
+    half = _half_periods_split(kind, lam)
     consts = np.tile(np.concatenate([lam, half.reshape(6, -1)]), per)
     orbit_lams = np.tile(lams, per)
 
@@ -658,7 +655,6 @@ def _violation_codes(
         near[idx] = near_codes(idx, zr, zi)
         return near[idx] != 0
 
-    starts = _complex(crit[:, 0].ravel(), crit[:, 1].ravel())
     batch = orbit_array(kind, orbit_lams, starts, M, cfg, tail=1, stop=stop)
     step = np.where(batch.status == _STOPPED, batch.step, batch.size - 1)
     code = np.where(batch.status == _POLE, _POLE_HIT, near)
@@ -671,17 +667,6 @@ def _violation_codes(
     return step[first, cols], code.reshape(per, -1)[first, cols]
 
 
-def _first_violations(
-    kind: LatticeKind, lams: np.ndarray, delta: float, M: int, cfg: ToleranceConfig
-) -> list[Optional[Violation]]:
-    """_violation_codes as one Violation or None per scale of lams."""
-    step, code = _violation_codes(kind, lams, delta, M, cfg)
-    return [
-        None if c == 0 else Violation(step=s, kind=_VIOLATION_KINDS[c])
-        for s, c in zip(step.tolist(), code.tolist())
-    ]
-
-
 def misiurewicz_check(
     kind: LatticeKind, lam: complex, delta: float, M: int, cfg: ToleranceConfig
 ) -> CheckReport:
@@ -690,16 +675,15 @@ def misiurewicz_check(
     Passes when the first M iterates of every non-pole critical value keep
     chordal distance at least delta from the critical points and from
     infinity and never land on a pole outright.  The one-parameter case of
-    _first_violations; raises ZeroParameter for lam = 0.
+    _violation_codes; raises ZeroParameter for lam = 0.
     """
     if M < 1:
         raise ValueError("M must be at least 1")
-    violation = _first_violations(kind, np.array([_check_scale(lam)]), delta, M, cfg)[0]
-    if violation is None:
+    step, code = _violation_codes(kind, np.array([_check_scale(lam)]), delta, M, cfg)
+    if code[0] == 0:
         return CheckReport(passed=True, iterations=M, first_violation=None)
-    return CheckReport(
-        passed=False, iterations=violation.step + 1, first_violation=violation
-    )
+    violation = Violation(step=int(step[0]), kind=_VIOLATION_KINDS[code[0]])
+    return CheckReport(passed=False, iterations=violation.step + 1, first_violation=violation)
 
 
 def _density_params(lambda0: complex, r: float, seed: int, ri: int, n_samples: int) -> np.ndarray:
@@ -820,7 +804,7 @@ def covering_steps(
 
     # targets: critical-point balls inside one fundamental cell, the chordal
     # boundary circle of the ball at infinity, and infinity itself
-    target_arr = None
+    targets = None
     if delta > 0:
         x = np.arange(grid) / grid
         ar, ai = _cmul(x, 0.0, lat.gen1.real, lat.gen1.imag)
@@ -831,8 +815,9 @@ def covering_steps(
         ring_r = math.sqrt(max(4.0 / (delta * delta) - 1.0, 0.0))
         angles = [2.0 * math.pi * i / 64.0 for i in range(64)] if delta < 2.0 else []
         ring = [ring_r * complex(math.cos(t), math.sin(t)) for t in angles]
-        target_arr = np.concatenate([_complex(zr[near], zi[near]), lat.half_periods, ring])
-        t_inf = 2.0 / np.sqrt(1.0 + np.abs(target_arr) ** 2)
+        targets = np.concatenate([_complex(zr[near], zi[near]), lat.half_periods, ring])
+        tr, ti = targets.real, targets.imag
+        t_inf = _sph_dist_to_inf_split(tr, ti)
 
     bound_part = 10.0 * max(abs(v) for v in lat.crit_values) + 1.0
     esc = escape_scale(lat.lam, cfg.pole_eps)
@@ -868,17 +853,16 @@ def covering_steps(
             inf_radius = (2.0 / np.sqrt(1.0 + big * big)).max()
         if not inf_radius > 0.0:
             continue
-        if target_arr is None:
+        if targets is None:
             return m
         covered = t_inf < inf_radius
         # the balls in chunks, each tested against the targets still open
-        balls = _complex(wr, wi)
-        for at in range(0, balls.size, _COVER_CHUNK):
+        for at in range(0, wr.size, _COVER_CHUNK):
             open_ = np.flatnonzero(~covered)
             if not open_.size:
                 break
             chunk = slice(at, at + _COVER_CHUNK)
-            dist = np.abs(target_arr[open_, None] - balls[None, chunk])
+            dist = np.hypot(tr[open_, None] - wr[None, chunk], ti[open_, None] - wi[None, chunk])
             covered[open_] = np.any(dist <= rho[None, chunk], axis=1)
         if covered.all():
             return m

@@ -22,13 +22,7 @@ import os
 from dataclasses import dataclass
 from typing import Optional
 
-from .dynamics import (
-    AllCriticalPrepole,
-    AttractingCycles,
-    PoleHit,
-    classify_batch,
-    orbit_array,
-)
+from .dynamics import _POLE, AllCriticalPrepole, AttractingCycles, classify_batch, orbit_array
 from .lattice import LatticeKind, ToleranceConfig, _check_scale, _kind_data
 
 # pixels per block, rounded down to whole rows.  A parameter holds no
@@ -159,15 +153,14 @@ def _dyn_rows(
     cfg: ToleranceConfig,
     rows: range,
 ) -> list[tuple[int, int, int]]:
-    """The color of each pixel of the rows, in row-major order."""
+    """The color of each pixel of the rows, in row-major order: a pole hit's
+    by its step, read from the batch's status codes."""
     starts = [grid.pixel_to_plane(px, py) for py in rows for px in range(grid.width_px)]
     batch = orbit_array(kind, [lam] * len(starts), starts, budget, cfg, escape=False)
-    colors = []
-    for i in range(len(batch)):
-        outcome = batch.outcome(i)
-        hit = isinstance(outcome, PoleHit)
-        colors.append(HIT_PALETTE[outcome.step % len(HIT_PALETTE)] if hit else EXHAUSTED_COLOR)
-    return colors
+    return [
+        HIT_PALETTE[step % len(HIT_PALETTE)] if hit else EXHAUSTED_COLOR
+        for hit, step in zip((batch.status == _POLE).tolist(), batch.step.tolist())
+    ]
 
 
 def _run_blocks(fn, args: tuple, grid: ScanGrid, threads: int) -> list:

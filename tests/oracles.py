@@ -10,7 +10,7 @@ from typing import Optional
 
 import numpy as np
 
-from weierdyn.dynamics import BudgetExhausted, iterate
+from weierdyn.dynamics import BudgetExhausted, OrbitTrace, iterate
 from weierdyn.hyperbolic import (
     _NEWTON_ITERS,
     A_TILDE,
@@ -48,7 +48,7 @@ from weierdyn.lattice import (
     wp_pair,
 )
 from weierdyn.lattice import PoleHit as PoleError
-from weierdyn.misiurewicz import _g_batch, _pole_coef
+from weierdyn.misiurewicz import _VIOLATION_KINDS, Violation, _g_batch, _pole_coef, _violation_codes
 from weierdyn.rng import SplitMix
 
 # ---------------------------------------------------------------------------
@@ -593,6 +593,36 @@ def fit_expansion_scalar(sample: HyperbolicSample, n_range: int) -> ExpansionRep
     return ExpansionReport(
         C=C, a=a, n_range=n_range, per_step_min=tuple(math.exp(v) for v in mins)
     )
+
+
+# ---------------------------------------------------------------------------
+# scalar near-return and violation list
+#
+# dynamics' near-return test before classify and find_cycle read
+# _near_returns, kept verbatim apart from the name, and misiurewicz's list of
+# first violations before misiurewicz_check read _violation_codes itself.
+
+
+def near_return(trace: OrbitTrace, tol: float, max_period: int) -> Optional[int]:
+    """The smallest period p <= max_period with |z_last - z_{last-p}| < tol,
+    or None; it needs no lattice."""
+    pts = trace.points
+    for p in range(1, min(max_period, len(pts) - 1) + 1):
+        # not >=, rather than <: a NaN distance counts as a near-return
+        if not abs(pts[-1] - pts[-1 - p]) >= tol:
+            return p
+    return None
+
+
+def first_violations(
+    kind: LatticeKind, lams: np.ndarray, delta: float, M: int, cfg: ToleranceConfig
+) -> list[Optional[Violation]]:
+    """_violation_codes as one Violation or None per scale of lams."""
+    step, code = _violation_codes(kind, lams, delta, M, cfg)
+    return [
+        None if c == 0 else Violation(step=s, kind=_VIOLATION_KINDS[c])
+        for s, c in zip(step.tolist(), code.tolist())
+    ]
 
 
 # ---------------------------------------------------------------------------

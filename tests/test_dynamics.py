@@ -12,6 +12,7 @@ from conftest import (
     TRI_ONE,
     TRI_THREE,
 )
+from oracles import near_return
 from weierdyn import dynamics
 from weierdyn.dynamics import (
     CYCLE_DETECTION_TOL,
@@ -22,13 +23,14 @@ from weierdyn.dynamics import (
     BudgetExhausted,
     Cycle,
     Indeterminate,
+    OrbitTrace,
     PoleHit,
     classify,
     classify_batch,
     find_cycle,
     iterate,
 )
-from weierdyn.lattice import LatticeKind, make_lattice, sph_deriv, sph_dist, wp, wp_pair
+from weierdyn.lattice import LatticeKind, _kind_data, make_lattice, sph_deriv, sph_dist, wp, wp_pair
 
 ZETA = cmath.exp(2j * math.pi / 3)
 
@@ -233,11 +235,65 @@ PERIOD_REDUCTIONS = [
 @pytest.mark.parametrize("kind, lam, p, want", PERIOD_REDUCTIONS)
 def test_period_reduction_verdicts_are_pinned(cfg, kind, lam, p, want):
     trace = _crit_orbit_trace(kind, lam, 0, 300, cfg)
-    assert dynamics._near_return(trace, CYCLE_DETECTION_TOL, DEFAULT_MAX_PERIOD) == p
+    assert near_return(trace, CYCLE_DETECTION_TOL, DEFAULT_MAX_PERIOD) == p
     lat = make_lattice(kind, lam, cfg)
     assert find_cycle(trace, lat, CYCLE_DETECTION_TOL, DEFAULT_MAX_PERIOD, cfg) == want.cycle
     assert repr(classify(kind, lam, 300, cfg)) == repr(want)
     assert repr(classify_batch(kind, [lam], 300, cfg)[0]) == repr(want)
+
+
+# parameters whose critical orbits near-return within a few steps, or not
+SHORT_TRACE_PARAMS = [
+    (LatticeKind.SQUARE, SUPER_SQ), (LatticeKind.SQUARE, ATTRACTING_SQ),
+    (LatticeKind.SQUARE, CANDIDATE), (LatticeKind.TRIANGULAR, TRI_ONE),
+    (LatticeKind.TRIANGULAR, TRI_THREE),
+]
+
+
+def _classify_by_near_return(kind, lam, budget, cfg):
+    """classify's verdict with each period taken from the near_return oracle."""
+    lat = make_lattice(kind, lam, cfg)
+    traces = [iterate(lat, e, budget, cfg) for e in lat.crit_values[: _kind_data(kind).crit_orbits]]
+    if all(isinstance(t.outcome, PoleHit) for t in traces):
+        return dynamics._prepole(kind, [t.outcome.step for t in traces])
+    if not all(isinstance(t.outcome, BudgetExhausted) for t in traces):
+        return Indeterminate(iterations_used=budget)
+    returns = [
+        (t.points[-1], near_return(t, CYCLE_DETECTION_TOL, DEFAULT_MAX_PERIOD) or 0) for t in traces
+    ]
+    return dynamics._cycle_verdict(kind, lat.lam, returns, budget, cfg)
+
+
+def test_classify_on_short_budgets_equals_near_return(cfg):
+    # budgets below DEFAULT_MAX_PERIOD + 1 points scan fewer periods than
+    # max_period; budget 1 leaves one
+    seen = set()
+    for kind, lam in SHORT_TRACE_PARAMS:
+        for budget in (1, 2, 5, 20, 63, 64, 65):
+            got = classify(kind, lam, budget, cfg)
+            assert repr(got) == repr(_classify_by_near_return(kind, lam, budget, cfg))
+            assert repr(classify_batch(kind, [lam], budget, cfg)[0]) == repr(got)
+            seen.add((type(got).__name__, budget < 64))
+    assert {("AttractingCycles", True), ("Indeterminate", True)} <= seen
+
+
+def test_find_cycle_on_short_traces_equals_near_return(cfg):
+    # the period find_cycle refines is near_return's, for traces shorter
+    # than max_period, a one-point trace, and max_period 0 and -1
+    found = 0
+    for kind, lam in SHORT_TRACE_PARAMS:
+        lat = make_lattice(kind, lam, cfg)
+        z = lat.crit_values[0]
+        traces = [OrbitTrace(z, (z,), (), BudgetExhausted())]
+        traces += [iterate(lat, z, budget, cfg) for budget in (1, 2, 5, 63)]
+        for trace in traces:
+            for tol in (CYCLE_DETECTION_TOL, 0.05):
+                for max_period in (-1, 0, 1, 3, DEFAULT_MAX_PERIOD):
+                    p = near_return(trace, tol, max_period)
+                    want = None if p is None else dynamics._refine(trace.points[-1], p, lat, cfg)[0]
+                    assert find_cycle(trace, lat, tol, max_period, cfg) == want
+                    found += want is not None
+    assert found > 0
 
 
 @pytest.mark.parametrize("kind, lam, p, want", PERIOD_REDUCTIONS)

@@ -1,12 +1,17 @@
 """No module of the package imports a name it never uses, no private
-function or class of the package goes unreferenced, and every public one
-that nothing in the package calls is on README's list of those kept."""
+function or class of the package goes unreferenced, every public one
+that nothing in the package calls is on README's list of those kept, and
+every name README quotes is defined somewhere in the repository."""
 
 import ast
+import builtins
+import importlib
 import pathlib
 import re
 
 import pytest
+
+from weierdyn import cli
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "weierdyn"
@@ -303,4 +308,70 @@ def test_guard_reports_an_unreached_oracle():
     )
     assert _unreached_oracles(oracles, {"test_user": user}) == [
         "dead", "imported_only", "recursive", "shadowed",
+    ]
+
+
+def _undefined_readme_names(text: str, trees: dict[str, ast.Module], known) -> list[str]:
+    """The backticked identifiers of text that name nothing trees (module
+    name -> tree) define: a dotted one is checked by its last part, against
+    the functions, classes, parameters and assigned names and attributes of
+    trees, their module names, the names in known and Python's builtins.  A
+    dotted name whose root is an `import` alias of a module outside trees,
+    like np.hypot, is looked up in that module instead."""
+    defined = set(dir(builtins)) | set(trees) | set(known)
+    outside = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, ast.arg):
+                defined.add(node.arg)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                defined.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+                defined.add(node.attr)
+            elif isinstance(node, ast.Import):
+                outside.update(
+                    {a.asname or a.name: a.name for a in node.names if a.name not in trees}
+                )
+    missing = []
+    for name in sorted(set(re.findall(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*)`", text))):
+        root, *rest = name.split(".")
+        if rest and root in outside:
+            obj = importlib.import_module(outside[root])
+            for part in rest:
+                obj = getattr(obj, part, None)
+            found = obj is not None
+        else:
+            found = name.split(".")[-1] in defined
+        if not found:
+            missing.append(name)
+    return missing
+
+
+def test_every_readme_name_is_defined():
+    # a README name left behind by a rename or a deletion shows here
+    folders = ("src", "tests", "perfbench")
+    paths = sorted(path for folder in folders for path in (ROOT / folder).rglob("*.py"))
+    trees = {path.stem: ast.parse(path.read_text(), str(path)) for path in paths}
+    # the package and the CLI's commands are named in README too
+    known = ["weierdyn", *cli.COMMANDS]
+    assert _undefined_readme_names((ROOT / "README.md").read_text(), trees, known) == []
+
+
+def test_guard_reports_an_undefined_readme_name():
+    toy = ast.parse(
+        "import numpy as np\n"
+        "class Box:\n"
+        "    size: int\n"
+        "    def grow(self, step): self.scale = step\n"
+        "LIMIT = 3\n"
+    )
+    text = (
+        "`Box.grow` takes `step` and sets `scale`, up to `LIMIT` and `size`; `np.hypot`,\n"
+        "`len` and the `run` command are known, `--flag` and `a + b` are no names, but\n"
+        "`gone`, `Box.shrink` and `np.no_such_name` are missing; `toy` is the module.\n"
+    )
+    assert _undefined_readme_names(text, {"toy": toy}, ["run"]) == [
+        "Box.shrink", "gone", "np.no_such_name",
     ]

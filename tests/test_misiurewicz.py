@@ -1,5 +1,6 @@
 
 import math
+import random
 import tracemalloc
 from typing import Optional
 
@@ -8,7 +9,9 @@ import pytest
 
 from conftest import CANDIDATE, CANDIDATE_ABS_MULT, PREPOLE_SQ, PREPOLE_TRI
 import oracles
-from oracles import _g_array, crit_sph_dist, recount, sph_dist_to_inf, winding_count
+from oracles import (
+    _g_array, crit_sph_dist, first_violations, recount, sph_dist_to_inf, winding_count,
+)
 from weierdyn import lattice, misiurewicz, rng
 from weierdyn.dynamics import AllCriticalPrepole, EscapedSphericalBall, PoleHit, classify, iterate
 from weierdyn.lattice import (
@@ -24,7 +27,6 @@ from weierdyn.misiurewicz import (
     Violation,
     ViolationKind,
     _certify_roots,
-    _first_violations,
     _g_batch,
     _nearest_dists,
     _pole_coef,
@@ -347,6 +349,41 @@ def test_covering_steps_pinned_cases(cfg):
             got.append(DiscTouchesU)
         want.append(result)
     assert got == want
+
+
+# covering_steps over 150 discs drawn by _seeded_covering_discs, with maxN 12
+# and grid 64, recorded while its infinity and ball distances came from
+# numpy's complex abs: "U" marks DiscTouchesU
+SEEDED_COVERING_RESULTS = [
+    2, 3, 2, 4, "U", 2, "U", 2, 2, 2, 5, 3, 4, 4, "U", 4, 5, 5, 4, 3, 2, 2, 4, "U", "U", 8, 2,
+    3, 4, 3, "U", "U", 6, None, "U", 7, "U", 2, "U", 3, 2, 4, 1, 4, "U", 1, None, 5, 3, 4, 5,
+    6, 4, 5, "U", 4, 6, 4, 2, "U", 4, "U", "U", "U", 3, 2, 4, 2, 2, "U", 7, 3, "U", 5, 4, 3,
+    "U", "U", "U", 4, 2, 5, 4, 6, "U", 1, "U", "U", 3, 5, "U", 2, 7, 2, 2, "U", 2, 3, 2, 2,
+    "U", 6, 3, "U", 2, 4, 3, "U", 4, "U", "U", 2, 2, 5, "U", 4, "U", 6, "U", 6, 3, "U", 2, 3,
+    4, "U", 3, 2, "U", 1, 3, 6, 4, 5, 10, 4, 3, "U", 4, 2, 5, 2, 4, 4, 4, 4, 3, "U", "U", 5,
+]
+
+
+def _seeded_covering_discs():
+    """(kind, lambda, center, d, delta) of 150 seeded discs: both kinds, d
+    from 1e-3 to 1 and delta in {0, 0.01, 0.05, 0.2, 1}."""
+    gen = random.Random(61)
+    for _ in range(150):
+        kind = gen.choice((SQ, TRI))
+        lam = complex(gen.uniform(0.5, 3.0), gen.uniform(-1.0, 3.0))
+        center = complex(gen.uniform(-1.0, 1.0), gen.uniform(-1.0, 1.0))
+        d = 10.0 ** gen.uniform(-3.0, 0.0)
+        yield kind, lam, center, d, gen.choice((0.0, 0.01, 0.05, 0.2, 1.0))
+
+
+def test_covering_steps_seeded_discs_are_pinned(cfg):
+    got = []
+    for kind, lam, center, d, delta in _seeded_covering_discs():
+        try:
+            got.append(covering_steps(make_lattice(kind, lam, cfg), center, d, delta, 12, 64, cfg))
+        except DiscTouchesU:
+            got.append("U")
+    assert got == SEEDED_COVERING_RESULTS
 
 
 def test_covering_steps_tests_coverage_in_chunks_of_balls(cfg):
@@ -674,14 +711,10 @@ def _orbit_first_violation(
     lat = make_lattice(kind, lam, cfg)
     crits = lat.crit_values if kind is LatticeKind.TRIANGULAR else (lat.crit_values[0],)
 
-    def near(s: int, z: complex) -> bool:
-        return s >= 1 and (sph_dist_to_inf(z) < delta or crit_sph_dist(z, lat) < delta)
-
     best: Optional[Violation] = None
     for e in crits:
-        # the orbit ends at its first proximity violation; the scan below
-        # ranks it against a pole hit or an escape
-        trace = iterate(lat, e, M, cfg, stop=near)
+        # the whole orbit, scanned up to its first violation
+        trace = iterate(lat, e, M, cfg)
         pole_step = trace.outcome.step if isinstance(trace.outcome, PoleHit) else None
         for s in range(0, len(trace.points)):
             if best is not None and s > best.step:
@@ -727,7 +760,7 @@ def test_first_violations_equal_scalar_check(case, cfg):
     kind, lam0, r, delta, M, case_cfg = case
     case_cfg = case_cfg or cfg
     lams = [lam0 + r * rng.unit_disc_point(41, 0, i) for i in range(40)]
-    got = _first_violations(kind, np.array(lams), delta, M, case_cfg)
+    got = first_violations(kind, np.array(lams), delta, M, case_cfg)
     want = [_orbit_first_violation(kind, lam, delta, M, case_cfg) for lam in lams]
     assert got == want
     # a parameter the family excludes is refused, as the scalar check did
@@ -746,7 +779,7 @@ def test_first_violations_cover_every_outcome(cfg):
     for kind, lam0, r, delta, M, case_cfg in VIOLATION_CASES:
         case_cfg = case_cfg or cfg
         lams = [lam0 + r * rng.unit_disc_point(41, 0, i) for i in range(40)]
-        got = _first_violations(kind, np.array(lams), delta, M, case_cfg)
+        got = first_violations(kind, np.array(lams), delta, M, case_cfg)
         seen |= {v and v.kind for v in got}
         for lam, v in zip(lams, got):
             lat = make_lattice(kind, lam, case_cfg)
@@ -795,7 +828,7 @@ def test_first_violations_decide_at_the_exact_distance(cfg, which):
                 continue
             assert _step_one_label(dists, d) is not label
             for delta in (d, above):
-                got = _first_violations(kind, np.array([lam]), delta, 40, cfg)
+                got = first_violations(kind, np.array([lam]), delta, 40, cfg)
                 assert got == [_orbit_first_violation(kind, lam, delta, 40, cfg)]
                 assert (got[0] == Violation(step=1, kind=label)) == (delta == above)
             tried += 1
@@ -844,13 +877,13 @@ def test_density_params_have_the_bits_of_the_scalar_sum(lam0):
 def test_density_scan_counts_equal_the_violation_list(cfg):
     # density_scan counts the nonzero codes of _violation_codes; on sets of
     # both kinds that reach every outcome, the count is the refused scales
-    # plus the Violations of _first_violations
+    # plus the Violations of first_violations
     seen = set()
     for kind, lam0, r, delta, M, case_cfg in VIOLATION_CASES:
         case_cfg = case_cfg or cfg
         lams = np.array([lam0 + r * rng.unit_disc_point(41, 0, i) for i in range(40)])
         kept = lams[lattice._scales_ok(lams)]
-        violations = _first_violations(kind, kept, delta, M, case_cfg)
+        violations = first_violations(kind, kept, delta, M, case_cfg)
         seen |= {v and v.kind for v in violations}
         fails = lams.size - kept.size + sum(v is not None for v in violations)
         [row] = density_scan(kind, lam0, (r,), 40, delta, M, 41, case_cfg)
@@ -869,7 +902,7 @@ def test_first_violation_step_grows_per_decade_as_the_multiplier_predicts(cfg, s
     medians = []
     for ri, r in enumerate(radii):
         lams = np.array([CANDIDATE + r * rng.unit_disc_point(seed, ri, i) for i in range(300)])
-        steps = [v.step for v in _first_violations(LatticeKind.SQUARE, lams, 0.05, 200, cfg)]
+        steps = [v.step for v in first_violations(LatticeKind.SQUARE, lams, 0.05, 200, cfg)]
         medians.append(np.median(steps))
     slope = np.polyfit(-np.log10(radii), medians, 1)[0]
     assert abs(slope - 1.0 / math.log10(CANDIDATE_ABS_MULT)) < 0.3

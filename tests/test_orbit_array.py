@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import ATTRACTING_SQ, CANDIDATE, PREPOLE_SQ, PREPOLE_TRI, SUPER_SQ, TRI_ONE, TRI_THREE
-from oracles import crit_sph_dist, sph_dist_to_inf
+from oracles import crit_sph_dist, near_return, sph_dist_to_inf
 from weierdyn import dynamics, lattice, rng
 from weierdyn.dynamics import (
     CYCLE_DETECTION_TOL,
@@ -139,9 +139,10 @@ def test_orbit_array_without_escape_equals_bare_wp_loop(kind):
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_orbit_array_stop_equals_iterate_stop(kind):
-    # stop at the first point past modulus 4 from step 2 on: iterate asks
-    # its stop about each point, orbit_array asks about all live points;
-    # three orbits start past the escape scale
+    # stop at the first point past modulus 4 from step 2 on: orbit_array
+    # asks about all live points, and the reference is the unstopped
+    # iterate orbit cut at the first step >= 2 where that holds, ending in
+    # Stopped there; three orbits start past the escape scale
     cfg = ToleranceConfig(pole_eps=0.1)
     lats, starts = _random_orbits(kind, cfg, 120, seed=23)
     lats += lats[:3]
@@ -155,10 +156,16 @@ def test_orbit_array_stop_equals_iterate_stop(kind):
     batch = orbit_array(kind, _lams(lats), starts, 6, cfg, tail=7, stop=stop_array)
     seen = set()
     for i, (lat, z0) in enumerate(zip(lats, starts)):
-        want = iterate(lat, z0, 6, cfg, stop=lambda step, z: step >= 2 and abs(z) > 4.0)
-        assert batch.trace(i).points == want.points
-        assert batch.outcome(i) == want.outcome
-        seen.add(type(want.outcome))
+        want = iterate(lat, z0, 6, cfg)
+        points, outcome = want.points, want.outcome
+        # a step asks stop only once wp has evaluated its point
+        evaluated = len(want.derivs)
+        cut = next((s for s in range(2, evaluated) if abs(points[s]) > 4.0), None)
+        if cut is not None:
+            points, outcome = points[: cut + 2], Stopped(step=cut)
+        assert batch.trace(i).points == points
+        assert batch.outcome(i) == outcome
+        seen.add(type(outcome))
     assert seen == {Stopped, PoleHit, EscapedSphericalBall, BudgetExhausted}
     # stop is asked once per step, about the orbits still running there
     assert [step for step, _ in asked] == list(range(6))
@@ -185,12 +192,12 @@ def test_split_lattice_data_equals_make_lattice(cfg):
     lam, lam2 = lattice._split_scales(np.array(lams))
     for kind in KINDS:
         half = lattice._half_periods_split(kind, lam)
-        crit = lattice._crit_values_split(kind, lam, lam2, half, cfg)
+        crit = lattice._crit_starts(kind, np.array(lams), 3, cfg).tolist()
         for i, value in enumerate(lams):
             lat = make_lattice(kind, value, cfg)
             assert complex(*lam2[:, i]) == value * value
             assert tuple(complex(*half[c, :, i]) for c in range(3)) == lat.half_periods
-            assert tuple(complex(*crit[c, :, i]) for c in range(3)) == lat.crit_values
+            assert tuple(crit[c * len(lams) + i] for c in range(3)) == lat.crit_values
 
 
 def test_complex_keeps_the_parts_bit_for_bit():
@@ -419,7 +426,7 @@ def test_classify_batch_equals_classify_across_the_head_tail_split(kind, cfg, mo
 
 
 def test_near_returns_equals_near_return():
-    # the period of each row, as _near_return gives it for the same points,
+    # the period of each row, as near_return gives it for the same points,
     # with NaN distances counted as near and the smallest period winning
     gen = np.random.default_rng(23)
     rows = []
@@ -436,7 +443,7 @@ def test_near_returns_equals_near_return():
         want = []
         for row in points[:, : last + 1].tolist():
             trace = dynamics.OrbitTrace(row[0], tuple(row), (), BudgetExhausted())
-            want.append(dynamics._near_return(trace, CYCLE_DETECTION_TOL, DEFAULT_MAX_PERIOD) or 0)
+            want.append(near_return(trace, CYCLE_DETECTION_TOL, DEFAULT_MAX_PERIOD) or 0)
         assert got == want
     assert 0 < sum(p > 0 for p in got) < len(got)
 
