@@ -688,13 +688,11 @@ def misiurewicz_check(
 
 def _density_params(lambda0: complex, r: float, seed: int, ri: int, n_samples: int) -> np.ndarray:
     """lambda0 + r * rng.unit_disc_point(seed, ri, i) for i < n_samples,
-    formed on split float arrays with CPython's bits: r * u is
-    complex(r, 0.0) * u."""
+    drawn in one rng.unit_disc_points call and formed on split float arrays
+    with CPython's bits: r * u is complex(r, 0.0) * u."""
     lambda0, r = complex(lambda0), float(r)
-    u = np.array([rng.unit_disc_point(seed, ri, i) for i in range(n_samples)])
-    return _complex(
-        lambda0.real + (r * u.real - 0.0 * u.imag), lambda0.imag + (r * u.imag + 0.0 * u.real)
-    )
+    ux, uy = rng.unit_disc_points((seed, ri), range(n_samples))
+    return _complex(lambda0.real + (r * ux - 0.0 * uy), lambda0.imag + (r * uy + 0.0 * ux))
 
 
 def density_scan(
@@ -714,8 +712,9 @@ def density_scan(
     evaluation order.  Parameters that make_lattice refuses count as
     failures: lambda = 0, where the family is undefined, and scales too
     small or too large to carry.  The samples of a radius are checked in
-    blocks of BLOCK_SIZE, each one _violation_codes batch; only the
-    draws run per sample.
+    blocks of BLOCK_SIZE, each one _violation_codes batch, and the draws
+    of a radius are one rng.unit_disc_points call: nothing runs per sample
+    in Python but the masking of its key.
     """
     if cfg is None:
         cfg = ToleranceConfig()

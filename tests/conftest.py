@@ -5,6 +5,7 @@ as inputs and assert against them, they are never re-derived in-test.
 """
 import pytest
 
+from weierdyn import rng
 from weierdyn.hyperbolic import build_sample
 from weierdyn.lattice import LatticeKind, ToleranceConfig, make_lattice
 
@@ -27,6 +28,14 @@ E1_SQUARE_NORM = 6.8751858180203715
 E1_TRI_NORM = 5.8983439694847695
 
 DEMO_REGION = (0.5, 3.0, 0.5, 3.0)
+
+
+
+def disc_samples(seed: int, ri: int, n: int) -> list:
+    """rng.unit_disc_point(seed, ri, i) for i < n, drawn in one batch."""
+    x, y = rng.unit_disc_points((seed, ri), range(n))
+    return [complex(a, b) for a, b in zip(x.tolist(), y.tolist())]
+
 
 # verdict lines recorded by the acceptance tests; echoed after the run so
 # they survive output capture and reach piped logs

@@ -316,6 +316,27 @@ def test_refine_returns_the_cycle_points_of_its_walk(cfg, kind, lam, p, want):
     assert mult == cycle.multiplier
 
 
+@pytest.mark.parametrize("mult, attracting", [
+    (1 - 2e-8, True),
+    (math.nextafter(1 - dynamics.ATTRACTING_MARGIN, 0), True),
+    (0.99999998j, True),
+    (1 - dynamics.ATTRACTING_MARGIN, False),
+    (1 - 5e-9, False),
+    (1.01, False),
+], ids=["below", "last-below", "rotated", "at-margin", "inside-margin", "repelling"])
+def test_cycle_verdict_attracting_boundary(cfg, monkeypatch, mult, attracting):
+    # a cycle counts as attracting only when |multiplier| clears 1 by
+    # ATTRACTING_MARGIN; near-parabolic and repelling ones stay Indeterminate
+    w = 0.3 + 0.2j
+    cycle = Cycle(period=1, point=w, multiplier=mult)
+    monkeypatch.setattr(dynamics, "_refine", lambda *args: (cycle, [w]))
+    verdict = dynamics._cycle_verdict(LatticeKind.SQUARE, 1.2 + 2.04j, [(w, 1)], 2000, cfg)
+    if attracting:
+        assert verdict == AttractingCycles(count=1, cycle=cycle)
+    else:
+        assert verdict == Indeterminate(iterations_used=2000)
+
+
 def test_refine_refuses_a_walk_past_the_escape_scale(cfg, square2):
     # _refine walks with iterate, whose escape rule ends a walk from beyond
     # 1/(pole_eps*|lam|)^2 before its first step: a point numerically at

@@ -1,5 +1,6 @@
-"""No module of the package imports a name it never uses, no private
-function or class of the package goes unreferenced, every public one
+"""No module of the package imports a name it never uses or a module
+outside the standard library and numpy, no private function or class of
+the package goes unreferenced, every public one
 that nothing in the package calls is on README's list of those kept, and
 every name README quotes is defined somewhere in the repository."""
 
@@ -8,6 +9,7 @@ import builtins
 import importlib
 import pathlib
 import re
+import sys
 
 import pytest
 
@@ -51,6 +53,43 @@ def test_module_uses_every_name_it_imports(path):
 def test_guard_reports_an_unused_import():
     tree = ast.parse("import os\nfrom math import pi, tau\n__all__ = ['tau']\nprint(os)\n")
     assert _unused_imports(tree) == ["pi (line 2)"]
+
+
+def _foreign_imports(tree: ast.Module) -> list[str]:
+    """The absolute imports of tree, at any depth, of a top-level module that
+    is neither in the standard library nor numpy."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        for name in names:
+            root = name.split(".")[0]
+            if root != "numpy" and root not in sys.stdlib_module_names:
+                found.append(f"{name} (line {node.lineno})")
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_module_imports_only_the_standard_library_and_numpy(path):
+    # numpy is the package's one runtime dependency
+    assert _foreign_imports(ast.parse(path.read_text(), str(path))) == []
+
+
+def test_guard_reports_a_foreign_import():
+    tree = ast.parse(
+        "from __future__ import annotations\n"
+        "import os.path, numpy as np\n"
+        "from numpy.linalg import norm\n"
+        "from . import rng\n"
+        "def f():\n"
+        "    import scipy\n"
+        "    from mpmath.libmp import mpf\n"
+    )
+    assert _foreign_imports(tree) == ["scipy (line 6)", "mpmath.libmp (line 7)"]
 
 
 def _is_private(name: str) -> bool:

@@ -1,4 +1,5 @@
 
+import itertools
 import math
 import random
 import tracemalloc
@@ -7,7 +8,7 @@ from typing import Optional
 import numpy as np
 import pytest
 
-from conftest import CANDIDATE, CANDIDATE_ABS_MULT, PREPOLE_SQ, PREPOLE_TRI
+from conftest import CANDIDATE, CANDIDATE_ABS_MULT, PREPOLE_SQ, PREPOLE_TRI, disc_samples
 import oracles
 from oracles import (
     _g_array, crit_sph_dist, first_violations, recount, sph_dist_to_inf, winding_count,
@@ -71,8 +72,32 @@ def _rejections(*keys: int) -> int:
         count += 1
 
 
+def _one_at_a_time(prefix: tuple, last) -> list[tuple[str, str]]:
+    return [_bits(rng.unit_disc_point(*prefix, k)) for k in last]
+
+
+def _in_one_batch(prefix: tuple, last) -> list[tuple[str, str]]:
+    x, y = rng.unit_disc_points(prefix, last)
+    assert x.dtype == y.dtype == np.float64
+    return [_bits(complex(a, b)) for a, b in zip(x.tolist(), y.tolist())]
+
+
+def _reference(prefix: tuple, last) -> list[tuple[str, str]]:
+    return [_bits(oracles.unit_disc_point(*prefix, k)) for k in last]
+
+
+def _both_draws(test):
+    """test run once per sample and once on one batch per key prefix, with
+    every warning an error: uint64 scalar arithmetic warns on overflow."""
+    test = pytest.mark.parametrize("draw", [_one_at_a_time, _in_one_batch], ids=["one", "batch"])(test)
+    return pytest.mark.filterwarnings("error")(test)
+
+
+def test_unit_disc_point_of_no_keys_is_the_reference_stream():
+    assert _bits(rng.unit_disc_point()) == _bits(oracles.unit_disc_point())
+
+
 @pytest.mark.parametrize("keys", [
-    (),
     (5,),
     (1, 2, 3),
     (1, 2, 3, 4),
@@ -80,28 +105,31 @@ def _rejections(*keys: int) -> int:
     (4, -2),
     (2**64 + 3, 2**70, 9),
     (6, 2**64 + 5),
-], ids=["none", "one", "three", "four", "negative", "negative-last", "wide", "wide-last"])
-def test_unit_disc_point_is_the_reference_stream(keys):
-    assert _bits(rng.unit_disc_point(*keys)) == _bits(oracles.unit_disc_point(*keys))
+], ids=["one", "three", "four", "negative", "negative-last", "wide", "wide-last"])
+@_both_draws
+def test_unit_disc_point_is_the_reference_stream(keys, draw):
+    # the keys' own last key, then last keys that need masking to 64 bits
+    prefix, last = keys[:-1], [keys[-1], -1, -7, 2**64 - 1, 2**64 + 5, 2**70, *range(20)]
+    assert draw(prefix, last) == _reference(prefix, last)
 
 
-def test_unit_disc_point_masks_its_keys_to_64_bits():
-    assert _bits(rng.unit_disc_point(-1, -7, 3)) == _bits(rng.unit_disc_point(2**64 - 1, 2**64 - 7, 3))
-    assert _bits(rng.unit_disc_point(6, 2**64 + 5)) == _bits(rng.unit_disc_point(6, 5))
+@_both_draws
+def test_unit_disc_point_masks_its_keys_to_64_bits(draw):
+    assert draw((-1, -7), [3]) == draw((2**64 - 1, 2**64 - 7), [3])
+    assert draw((6,), [2**64 + 5, -1]) == draw((6,), [5, 2**64 - 1])
 
 
-def test_unit_disc_point_is_the_reference_on_the_criterion_6_keys():
+@_both_draws
+def test_unit_disc_point_is_the_reference_on_the_criterion_6_keys(draw):
     for ri in range(2):
-        for i in range(2000):
-            keys = (20260816, ri, i)
-            assert _bits(rng.unit_disc_point(*keys)) == _bits(oracles.unit_disc_point(*keys))
+        assert draw((20260816, ri), range(2000)) == _reference((20260816, ri), range(2000))
 
 
-def test_unit_disc_point_is_the_reference_through_rejections():
-    keys = [(7, 1, i) for i in range(3000) if _rejections(7, 1, i) >= 3]
-    assert len(keys) >= 10
-    for k in keys:
-        assert _bits(rng.unit_disc_point(*k)) == _bits(oracles.unit_disc_point(*k))
+@_both_draws
+def test_unit_disc_point_is_the_reference_through_rejections(draw):
+    last = [i for i in range(3000) if _rejections(7, 1, i) >= 3]
+    assert len(last) >= 10
+    assert draw((7, 1), last) == _reference((7, 1), last)
 
 
 def test_unit_disc_point_does_not_depend_on_call_order():
@@ -112,6 +140,25 @@ def test_unit_disc_point_does_not_depend_on_call_order():
     rng._folded.cache_clear()
     interleaved = {(*p, i): _bits(rng.unit_disc_point(*p, i)) for i in range(300) for p in prefixes}
     assert interleaved == in_order
+
+
+@pytest.mark.filterwarnings("error")
+def test_unit_disc_points_of_no_key_and_of_one():
+    x, y = rng.unit_disc_points((3,), [])
+    assert x.shape == y.shape == (0,)
+    assert _in_one_batch((3,), [9]) == _reference((3,), [9])
+
+
+@pytest.mark.filterwarnings("error")
+def test_unit_disc_points_do_not_depend_on_the_batch():
+    # streams that accept at their first, second and third or later pair
+    by_rejections = {}
+    for i in range(3000):
+        by_rejections.setdefault(min(_rejections(7, 1, i), 2), i)
+    keys = [by_rejections[0], by_rejections[1], by_rejections[2]]
+    alone = {k: _in_one_batch((7, 1), [k])[0] for k in keys}
+    for order in itertools.permutations(keys):
+        assert _in_one_batch((7, 1), order) == [alone[k] for k in order]
 
 
 def test_pole_location_linear_in_lambda():
@@ -759,7 +806,7 @@ VIOLATION_CASES = [
 def test_first_violations_equal_scalar_check(case, cfg):
     kind, lam0, r, delta, M, case_cfg = case
     case_cfg = case_cfg or cfg
-    lams = [lam0 + r * rng.unit_disc_point(41, 0, i) for i in range(40)]
+    lams = [lam0 + r * u for u in disc_samples(41, 0, 40)]
     got = first_violations(kind, np.array(lams), delta, M, case_cfg)
     want = [_orbit_first_violation(kind, lam, delta, M, case_cfg) for lam in lams]
     assert got == want
@@ -778,7 +825,7 @@ def test_first_violations_cover_every_outcome(cfg):
     at_escape = 0
     for kind, lam0, r, delta, M, case_cfg in VIOLATION_CASES:
         case_cfg = case_cfg or cfg
-        lams = [lam0 + r * rng.unit_disc_point(41, 0, i) for i in range(40)]
+        lams = [lam0 + r * u for u in disc_samples(41, 0, 40)]
         got = first_violations(kind, np.array(lams), delta, M, case_cfg)
         seen |= {v and v.kind for v in got}
         for lam, v in zip(lams, got):
@@ -813,8 +860,8 @@ def test_first_violations_decide_at_the_exact_distance(cfg, which):
     label = (ViolationKind.NEAR_CRITICAL, ViolationKind.NEAR_INFINITY)[which]
     for kind in (LatticeKind.SQUARE, LatticeKind.TRIANGULAR):
         tried = 0
-        for i in range(200):
-            lam = 1.7 + 1.7j + 1.2 * rng.unit_disc_point(43, 0, i)
+        for u in disc_samples(43, 0, 200):
+            lam = 1.7 + 1.7j + 1.2 * u
             lat = make_lattice(kind, lam, cfg)
             crits = lat.crit_values if kind is LatticeKind.TRIANGULAR else lat.crit_values[:1]
             try:
@@ -870,7 +917,7 @@ def test_density_params_have_the_bits_of_the_scalar_sum(lam0):
     # CPython's complex(r, 0.0) * u terms give
     for ri, r in enumerate((1e-3, 0.7, 2, 5e-324)):
         got = misiurewicz._density_params(lam0, r, 11, ri, 500)
-        want = np.array([lam0 + r * rng.unit_disc_point(11, ri, i) for i in range(500)])
+        want = np.array([lam0 + r * oracles.unit_disc_point(11, ri, i) for i in range(500)])
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
@@ -881,7 +928,7 @@ def test_density_scan_counts_equal_the_violation_list(cfg):
     seen = set()
     for kind, lam0, r, delta, M, case_cfg in VIOLATION_CASES:
         case_cfg = case_cfg or cfg
-        lams = np.array([lam0 + r * rng.unit_disc_point(41, 0, i) for i in range(40)])
+        lams = np.array([lam0 + r * u for u in disc_samples(41, 0, 40)])
         kept = lams[lattice._scales_ok(lams)]
         violations = first_violations(kind, kept, delta, M, case_cfg)
         seen |= {v and v.kind for v in violations}
@@ -901,7 +948,7 @@ def test_first_violation_step_grows_per_decade_as_the_multiplier_predicts(cfg, s
     radii = [10.0 ** -k for k in range(2, 7)]
     medians = []
     for ri, r in enumerate(radii):
-        lams = np.array([CANDIDATE + r * rng.unit_disc_point(seed, ri, i) for i in range(300)])
+        lams = np.array([CANDIDATE + r * u for u in disc_samples(seed, ri, 300)])
         steps = [v.step for v in first_violations(LatticeKind.SQUARE, lams, 0.05, 200, cfg)]
         medians.append(np.median(steps))
     slope = np.polyfit(-np.log10(radii), medians, 1)[0]

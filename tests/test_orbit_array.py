@@ -9,9 +9,11 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import ATTRACTING_SQ, CANDIDATE, PREPOLE_SQ, PREPOLE_TRI, SUPER_SQ, TRI_ONE, TRI_THREE
+from conftest import (
+    ATTRACTING_SQ, CANDIDATE, PREPOLE_SQ, PREPOLE_TRI, SUPER_SQ, TRI_ONE, TRI_THREE, disc_samples,
+)
 from oracles import crit_sph_dist, near_return, sph_dist_to_inf
-from weierdyn import dynamics, lattice, rng
+from weierdyn import dynamics, lattice
 from weierdyn.dynamics import (
     CYCLE_DETECTION_TOL,
     DEFAULT_MAX_PERIOD,
@@ -101,6 +103,20 @@ def test_orbit_array_pole_and_escape_steps_equal_iterate(kind):
             late[type(want.outcome)] += 1
     assert all(late.values())
     _assert_matches_iterate(kind, lats[:40], starts[:40], 40, WIDE_POLES)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_escape_at_the_last_step_equals_iterate(kind):
+    # just outside pole_eps of the pole at 0, wp's one step lands past the
+    # escape scale 1/pole_eps**2: iterate's for-else tests that last point
+    cfg = ToleranceConfig(pole_eps=0.1)
+    z0 = 0.1 * (1 + 1e-7)
+    trace = iterate(make_lattice(kind, 1.0, cfg), z0, 1, cfg)
+    assert trace.outcome == EscapedSphericalBall(step=1)
+    assert len(trace.points) == 2
+    batch = orbit_array(kind, [1.0], [z0], 1, cfg)
+    assert batch.outcome(0) == trace.outcome
+    assert batch.size[0] == 2
 
 
 def test_orbit_array_tail_and_block_independence(cfg):
@@ -485,9 +501,9 @@ def _report(lam, delta, M, cfg):
 @pytest.mark.parametrize("lam0", sorted(PINNED_REPORTS, key=abs))
 def test_misiurewicz_check_reports_pinned(lam0, cfg):
     got = [
-        _report(lam0 + r * rng.unit_disc_point(7, ri, i), 0.05, 200, cfg)
+        _report(lam0 + r * u, 0.05, 200, cfg)
         for ri, r in enumerate((1e-2, 1e-4))
-        for i in range(6)
+        for u in disc_samples(7, ri, 6)
     ]
     assert got == PINNED_REPORTS[lam0]
 

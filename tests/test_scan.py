@@ -235,3 +235,25 @@ def test_write_ppm_missing_directory_fails_cleanly(tmp_path):
         write_ppm(Image(width=1, height=1, pixels=((1, 2, 3),)), str(target))
     assert not (tmp_path / "missing").exists()
     assert list(tmp_path.iterdir()) == []
+
+
+def _refuse(*args):
+    raise OSError("refused")
+
+
+def test_write_atomic_removes_its_temp_file_after_a_failed_rename(tmp_path, monkeypatch):
+    target = tmp_path / "out.csv"
+    monkeypatch.setattr(scan.os, "replace", _refuse)
+    with pytest.raises(IoFailure, match="cannot write .*out.csv"):
+        scan.write_atomic(str(target), b"data")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_write_atomic_reports_a_failed_rename_when_cleanup_fails_too(tmp_path, monkeypatch):
+    # the .part file then stays, but the error is still the write's
+    target = tmp_path / "out.csv"
+    monkeypatch.setattr(scan.os, "replace", _refuse)
+    monkeypatch.setattr(scan.os, "unlink", _refuse)
+    with pytest.raises(IoFailure, match="cannot write .*out.csv"):
+        scan.write_atomic(str(target), b"data")
+    assert not target.exists()
